@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "System",
+    "ParamJacobian",
     "ContractViolation",
     "NumericOverflow",
     "ConfigurationError",
@@ -98,6 +99,43 @@ class System(ABC):
 
     @abstractmethod
     def d_loss_ds(self, t: int, s: np.ndarray) -> np.ndarray: ...
+
+    # Products with dT_t/dtheta. The defaults go through the dense matrix;
+    # systems whose parameter Jacobian is structured override them so that
+    # rank-one learners and the TBPTT backward pass never build it.
+
+    def d_transition_dtheta_vjp(self, t: int, s: np.ndarray, theta: np.ndarray,
+                                u: np.ndarray) -> np.ndarray:
+        """u . dT_t/dtheta for a row vector u of length dim(S_t)."""
+        return u @ np.atleast_2d(self.d_transition_dtheta(t, s, theta))
+
+    def d_transition_dtheta_row_norms(self, t: int, s: np.ndarray,
+                                      theta: np.ndarray) -> np.ndarray:
+        """Euclidean norms of the dim(S_t) rows of dT_t/dtheta."""
+        return np.linalg.norm(np.atleast_2d(self.d_transition_dtheta(t, s, theta)), axis=1)
+
+
+class ParamJacobian:
+    """dT_t/dtheta at (s, theta), available only through the system's
+    products; the rank-one reducers accept it in place of the matrix."""
+
+    __slots__ = ("sys", "t", "s", "theta")
+
+    def __init__(self, sys: System, t: int, s: np.ndarray, theta: np.ndarray):
+        self.sys = sys
+        self.t = t
+        self.s = s
+        self.theta = theta
+
+    @property
+    def shape(self):
+        return (self.sys.state_dim(self.t), self.sys.param_dim)
+
+    def vjp(self, u):
+        return self.sys.d_transition_dtheta_vjp(self.t, self.s, self.theta, u)
+
+    def row_norms(self):
+        return self.sys.d_transition_dtheta_row_norms(self.t, self.s, self.theta)
 
 
 def step(sys: System, t: int, s: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -330,17 +368,17 @@ class RNNSystem(_ConstantDim, System):
     def transition(self, t, s, theta):
         return _sigmoid(self._preactivation(t, s, theta))
 
+    def _slope(self, t, s, theta):
+        sig = _sigmoid(self._preactivation(t, s, theta))
+        return sig * (1.0 - sig)
+
     def d_transition_ds(self, t, s, theta):
         W, _, _ = self._unpack(theta)
-        h = self._preactivation(t, s, theta)
-        sig = _sigmoid(h)
-        return (sig * (1.0 - sig))[:, None] * W
+        return self._slope(t, s, theta)[:, None] * W
 
     def d_transition_dtheta(self, t, s, theta):
         n, m = self.n, self.m
-        h = self._preactivation(t, s, theta)
-        sig = _sigmoid(h)
-        d = sig * (1.0 - sig)
+        d = self._slope(t, s, theta)
         # d(pre_i)/dW_{ab} = delta_{ia} s_b, and similarly for W' and B.
         jac = np.zeros((n, self.param_dim))
         jac[:, : n * n] = np.kron(np.eye(n), s[None, :])
@@ -348,6 +386,19 @@ class RNNSystem(_ConstantDim, System):
             jac[:, n * n : n * n + n * m] = np.kron(np.eye(n), self._input(t)[None, :])
         jac[:, n * n + n * m :] = np.eye(n)
         return d[:, None] * jac
+
+    def d_transition_dtheta_vjp(self, t, s, theta, u):
+        # Row i of dT/dtheta is d_i [e_i (x) s, e_i (x) x_t, e_i]: O(n^2 + nm).
+        g = u * self._slope(t, s, theta)
+        parts = [np.outer(g, s).ravel()]
+        if self.m:
+            parts.append(np.outer(g, self._input(t)).ravel())
+        parts.append(g)
+        return np.concatenate(parts)
+
+    def d_transition_dtheta_row_norms(self, t, s, theta):
+        x = self._input(t)
+        return np.abs(self._slope(t, s, theta)) * np.sqrt(s @ s + x @ x + 1.0)
 
     def loss(self, t, s):
         r = s - self._target(t)
@@ -544,6 +595,16 @@ class ResetWrapper(System):
             return np.zeros((self.state_dim(t), self.param_dim))
         return self.base.d_transition_dtheta(t, s, theta)
 
+    def d_transition_dtheta_vjp(self, t, s, theta, u):
+        if t in self.reset_times:
+            return np.zeros(self.param_dim)
+        return self.base.d_transition_dtheta_vjp(t, s, theta, u)
+
+    def d_transition_dtheta_row_norms(self, t, s, theta):
+        if t in self.reset_times:
+            return np.zeros(self.state_dim(t))
+        return self.base.d_transition_dtheta_row_norms(t, s, theta)
+
     def loss(self, t, s):
         return self.base.loss(t, s)
 
@@ -591,7 +652,9 @@ def check_jacobians(sys: System, t, s, theta, h=1e-6, rtol=1e-5):
     """Compare analytic Jacobians against central finite differences.
 
     Returns the worst relative error over the three Jacobian contracts
-    (transition w.r.t. state and parameter, loss w.r.t. state). The error
+    (transition w.r.t. state and parameter, loss w.r.t. state) and over
+    the two products with dT/dtheta, which are compared with the dense
+    analytic matrix (vector-Jacobian product, row norms). The error
     is ||analytic - fd|| / max(1, ||analytic||) so exactly-zero Jacobians
     are checked absolutely.
     """
@@ -616,10 +679,13 @@ def check_jacobians(sys: System, t, s, theta, h=1e-6, rtol=1e-5):
         sys.d_transition_ds(t, s, theta),
         fd_jac(lambda x: sys.transition(t, x, theta), s, n_out),
     ))
-    worst = max(worst, rel(
-        sys.d_transition_dtheta(t, s, theta),
-        fd_jac(lambda x: sys.transition(t, s, x), theta, n_out),
-    ))
+    jac_theta = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
+    worst = max(worst, rel(jac_theta, fd_jac(lambda x: sys.transition(t, s, x), theta, n_out)))
+    # The products must agree with the dense matrix they stand in for.
+    u = np.cos(np.arange(1.0, n_out + 1.0))
+    worst = max(worst, rel(sys.d_transition_dtheta_vjp(t, s, theta, u), u @ jac_theta))
+    worst = max(worst, rel(sys.d_transition_dtheta_row_norms(t, s, theta),
+                           np.linalg.norm(jac_theta, axis=1)))
     s_new = sys.transition(t, s, theta)
     worst = max(worst, rel(
         np.atleast_2d(sys.d_loss_ds(t, s_new)),

@@ -31,16 +31,23 @@ sqrt(||J||) instead of ||J||: every draw satisfies
     ||E_t|| <= 2 * dim(S) * y * ||J_prev||^(1/2) + dim(S)^2 * y
 
 with y the operator norm of the joint Jacobian [jac_s jac_theta].
+
+Both reductions use jac_theta only through two products, u . jac_theta
+and its row norms, so they accept a `ParamJacobian` (the products of a
+system) as well as a dense matrix. A learner that carries just the pair
+then never forms an n x p matrix: on an RNN a step costs O(n^2 + np),
+against O(n^2 p) for the dense recursion.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConfigurationError, ContractViolation, System, TanhSystem
+from .dynamics import ConfigurationError, ContractViolation, ParamJacobian, System, TanhSystem
 
 __all__ = [
     "RankOnePair",
@@ -92,11 +99,13 @@ def norm_equalize(v1, v2):
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
+    # sqrt(v . v) is how np.linalg.norm computes a vector norm, minus the
+    # call overhead that dominates for the short vectors of nbt_reduce.
+    n1 = math.sqrt(v1.dot(v1))
+    n2 = math.sqrt(v2.dot(v2))
     if n1 == 0.0 or n2 == 0.0:
         return np.zeros_like(v1), np.zeros_like(v2)
-    rho = np.sqrt(n2 / n1)
+    rho = math.sqrt(n2 / n1)
     return rho * v1, v2 / rho
 
 
@@ -120,6 +129,36 @@ def _first_term(pair: RankOnePair, jac_s):
     return norm_equalize(forwarded, pair.v_param)
 
 
+def _reduction_args(jac_s, jac_theta, signs):
+    """Validated (jac_s, jac_theta, signs); jac_theta may be a dense
+    matrix or a ParamJacobian, which the reducers use only through
+    `_vjp` and `_row_norms`."""
+    jac_s = np.atleast_2d(jac_s)
+    if not isinstance(jac_theta, ParamJacobian):
+        jac_theta = np.atleast_2d(jac_theta)
+    dim_new = jac_s.shape[0]
+    signs = np.asarray(signs, dtype=float)
+    if signs.shape != (dim_new,):
+        raise ContractViolation(f"sign vector has shape {signs.shape}, expected ({dim_new},)")
+    if jac_theta.shape[0] != dim_new:
+        raise ContractViolation("jac_s and jac_theta disagree on the new state dimension")
+    return jac_s, jac_theta, signs
+
+
+def _vjp(jac_theta, u):
+    """u . jac_theta."""
+    if isinstance(jac_theta, ParamJacobian):
+        return jac_theta.vjp(u)
+    return u @ jac_theta
+
+
+def _row_norms(jac_theta):
+    """Norms of the rows of jac_theta."""
+    if isinstance(jac_theta, ParamJacobian):
+        return jac_theta.row_norms()
+    return np.linalg.norm(jac_theta, axis=1)
+
+
 def nbt_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOnePair:
     """Dense-sign reduction: one equalization per parameter-Jacobian row.
 
@@ -127,25 +166,19 @@ def nbt_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOneP
     jac_theta is paired with the canonical basis vector e_i, equalized,
     and added with sign nu_i (the sign multiplies both factors of the
     pair, which is what makes the cross terms cancel in expectation).
-    """
-    jac_s = np.atleast_2d(jac_s)
-    jac_theta = np.atleast_2d(jac_theta)
-    dim_new = jac_s.shape[0]
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (dim_new,):
-        raise ContractViolation(f"sign vector has shape {signs.shape}, expected ({dim_new},)")
-    if jac_theta.shape[0] != dim_new:
-        raise ContractViolation("jac_s and jac_theta disagree on the new state dimension")
 
+    Equalizing (e_i, row_i) scales e_i by rho_i = ||row_i||^(1/2) and the
+    row by 1/rho_i, a factor fixed by the two norms alone; so each pair is
+    equalized through its norms (1, ||row_i||), and the rows enter once,
+    summed: v_param gains (nu / rho) . jac_theta.
+    """
+    jac_s, jac_theta, signs = _reduction_args(jac_s, jac_theta, signs)
     v_state, v_param = _first_term(pair, jac_s)
-    v_state = v_state.copy()
-    v_param = v_param.copy()
-    basis = np.eye(dim_new)
-    for i in range(dim_new):
-        ei_scaled, row_scaled = norm_equalize(basis[i], jac_theta[i])
-        v_state += signs[i] * ei_scaled
-        v_param += signs[i] * row_scaled
-    return RankOnePair(v_state, v_param)
+    one = np.ones(1)
+    norms = _row_norms(jac_theta)
+    rho = np.array([norm_equalize(one, norms[i:i + 1])[0][0] for i in range(len(signs))])
+    weights = np.divide(signs, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    return RankOnePair(v_state + signs * rho, v_param + _vjp(jac_theta, weights))
 
 
 def uoro_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOnePair:
@@ -154,17 +187,9 @@ def uoro_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOne
     Exactly two norm equalizations per step regardless of dim(S_t), which
     is the computational advantage over the dense-sign variant.
     """
-    jac_s = np.atleast_2d(jac_s)
-    jac_theta = np.atleast_2d(jac_theta)
-    dim_new = jac_s.shape[0]
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (dim_new,):
-        raise ContractViolation(f"sign vector has shape {signs.shape}, expected ({dim_new},)")
-    if jac_theta.shape[0] != dim_new:
-        raise ContractViolation("jac_s and jac_theta disagree on the new state dimension")
-
+    jac_s, jac_theta, signs = _reduction_args(jac_s, jac_theta, signs)
     v_state, v_param = _first_term(pair, jac_s)
-    sign_state, sign_param = norm_equalize(signs, signs @ jac_theta)
+    sign_state, sign_param = norm_equalize(signs, _vjp(jac_theta, signs))
     return RankOnePair(v_state + sign_state, v_param + sign_param)
 
 
@@ -213,11 +238,19 @@ class ZeroInjector(ErrorInjector):
 
 
 class RankOneInjector(ErrorInjector):
-    """Carries the rank-one pair and injects its reduction error.
+    """Rank-one Jacobian propagation with the UORO or NoBackTrack reducer.
 
-    The learner's dense Jacobian then tracks matrix(pair) exactly (up to
-    float rounding), so a single learner code path serves both the exact
-    and the randomized algorithms.
+    `propagate` advances a pair by one step: it draws the step's signs
+    and reduces. `run_learning` carries the pair itself, starting from
+    `initial_pair` (zero when None) at every run: no dense Jacobian is
+    formed and dT/dtheta is used only through the system's products.
+
+    A learner that carries a dense J calls `next_error` instead. The pair
+    then lives here and the injected error is matrix(new) - jac_s .
+    matrix(old) - jac_theta, so that J tracks matrix(pair) exactly (up to
+    float rounding) when it starts at matrix(initial_pair). That dense
+    path is imperfect RTRL as defined, and the oracle of the pair-only
+    learner.
     """
 
     def __init__(self, reducer="uoro", initial_pair=None):
@@ -231,13 +264,17 @@ class RankOneInjector(ErrorInjector):
     def reset(self):
         self.pair = self.initial_pair
 
+    def propagate(self, t, pair, s_prev, theta_prev, jac_s, jac_theta, rng) -> RankOnePair:
+        """The pair after step t; jac_theta may be a ParamJacobian."""
+        signs = sample_signs(jac_s.shape[0], rng)
+        return self.reduce(pair, s_prev, theta_prev, jac_s, jac_theta, signs)
+
     def next_error(self, t, s_prev, theta_prev, J_prev, jac_s, jac_theta, rng):
         jac_theta = np.atleast_2d(jac_theta)
         jac_s = np.atleast_2d(jac_s)
         if self.pair is None:
             self.pair = RankOnePair.zero(jac_s.shape[1], jac_theta.shape[1])
-        signs = sample_signs(jac_s.shape[0], rng)
-        new_pair = self.reduce(self.pair, s_prev, theta_prev, jac_s, jac_theta, signs)
+        new_pair = self.propagate(t, self.pair, s_prev, theta_prev, jac_s, jac_theta, rng)
         err = error_term(new_pair.matrix(), self.pair.matrix(), jac_s, jac_theta)
         self.pair = new_pair
         return err

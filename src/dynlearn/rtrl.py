@@ -13,6 +13,15 @@ ordering matters: the state and Jacobian both use theta_{t-1}, and only
 then is the parameter moved. With eta_t = 0 the parameter stays frozen
 and J_t is the exact Jacobian of the state with respect to the parameter,
 which is what the open-loop helpers below compute.
+
+J_t is either a dense matrix or, for the rank-one algorithms (UORO,
+NoBackTrack), a `RankOnePair` (v_state, v_param) standing for
+v_state (x) v_param. `run_learning` with a `RankOneInjector` carries the
+pair: the injector's reduction replaces the J recursion, dT/dtheta is
+used only through the system's products, and the gradient is
+(dl_t/ds . v_state) v_param, so no dense J is ever formed. A dense J with
+a `RankOneInjector` (J plus the injected error E_t) is the slow oracle
+of that path.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ContractViolation, NumericOverflow, OVERFLOW_LIMIT, System
+from .dynamics import ContractViolation, NumericOverflow, OVERFLOW_LIMIT, ParamJacobian, System
+from .rankone import RankOneInjector, RankOnePair
 from .records import RecordBuilder, TrialRecord
 from .schedules import StepSchedule
 
@@ -39,6 +49,7 @@ __all__ = [
 class LearnerState:
     """Everything the learner maintains: time, state, Jacobian, parameter.
 
+    J is a dense (dim S_t) x p matrix or a RankOnePair standing for one.
     aux is free-form storage for update-rule bookkeeping; the shipped
     rules keep their statistics inside theta itself (augmented
     parameters), so aux usually stays empty.
@@ -52,11 +63,15 @@ class LearnerState:
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
-        self.J = np.atleast_2d(np.asarray(self.J, dtype=float))
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.J.shape != (len(self.s), len(self.theta)):
+        if isinstance(self.J, RankOnePair):
+            shape = (len(self.J.v_state), len(self.J.v_param))
+        else:
+            self.J = np.atleast_2d(np.asarray(self.J, dtype=float))
+            shape = self.J.shape
+        if shape != (len(self.s), len(self.theta)):
             raise ContractViolation(
-                f"Jacobian shape {self.J.shape} inconsistent with dims ({len(self.s)}, {len(self.theta)})"
+                f"Jacobian shape {shape} inconsistent with dims ({len(self.s)}, {len(self.theta)})"
             )
 
 
@@ -71,20 +86,35 @@ def _guard(x, stage, t):
 
 def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
               injector=None, rng=None) -> LearnerState:
-    """Advance the learner by one step (see module docstring for order)."""
+    """Advance the learner by one step (see module docstring for order).
+
+    A RankOnePair J is advanced by the injector's `propagate`, which must
+    then be a RankOneInjector; a dense J by the exact recursion plus the
+    injector's error, if any.
+    """
     if eta_t < 0:
         raise ContractViolation("step size must be >= 0")
     t = ls.t + 1
+    rank_one = isinstance(ls.J, RankOnePair)
+    if rank_one and not isinstance(injector, RankOneInjector):
+        raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
     jac_s = np.atleast_2d(sys.d_transition_ds(t, ls.s, ls.theta))
-    jac_th = np.atleast_2d(sys.d_transition_dtheta(t, ls.s, ls.theta))
     s_new = _guard(np.asarray(sys.transition(t, ls.s, ls.theta), dtype=float), "transition", t)
 
-    J_new = jac_s @ ls.J + jac_th
-    if injector is not None:
-        J_new = J_new + injector.next_error(t, ls.s, ls.theta, ls.J, jac_s, jac_th, rng)
-    _guard(J_new, "jacobian", t)
-
-    v = np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new
+    if rank_one:
+        jac_th = ParamJacobian(sys, t, ls.s, ls.theta)
+        J_new = injector.propagate(t, ls.J, ls.s, ls.theta, jac_s, jac_th, rng)
+        # The largest entry of v_state (x) v_param is max|v_state| max|v_param|.
+        if not np.abs(J_new.v_state).max() * np.abs(J_new.v_param).max() <= OVERFLOW_LIMIT:
+            raise NumericOverflow("jacobian", t)
+        v = (np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new.v_state) * J_new.v_param
+    else:
+        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, ls.s, ls.theta))
+        J_new = jac_s @ ls.J + jac_th
+        if injector is not None:
+            J_new = J_new + injector.next_error(t, ls.s, ls.theta, ls.J, jac_s, jac_th, rng)
+        _guard(J_new, "jacobian", t)
+        v = np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new
     if rule is not None:
         v = rule.apply(t, v, s_new, ls.theta)
     _guard(v, "update-direction", t)
@@ -141,16 +171,25 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
     divergence experiments treat that as a measurement, not a failure.
     theta_star (optional) is the reference for the recorded distances;
     dist_dims restricts the distance to the leading coordinates (useful
-    when theta is augmented with preconditioner statistics).
+    when theta is augmented with preconditioner statistics). With a
+    RankOneInjector the learner carries the injector's pair, starting from
+    its initial_pair, instead of a dense J; J0 must then be None or zero.
     """
     if T < 1:
         raise ContractViolation("horizon T must be >= 1")
     theta0 = np.asarray(theta0, dtype=float)
-    if J0 is None:
-        J0 = np.zeros((len(np.atleast_1d(s0)), len(theta0)))
-    ls = LearnerState(t=0, s=s0, J=J0, theta=theta0)
+    dims = (len(np.atleast_1d(s0)), len(theta0))
     if injector is not None:
         injector.reset()
+    if isinstance(injector, RankOneInjector):
+        # The learner carries the injector's pair in place of a dense J.
+        if J0 is not None and np.any(J0):
+            raise ContractViolation(
+                "a rank-one injector starts from its initial_pair; J0 must be None or zero")
+        J0 = injector.pair if injector.pair is not None else RankOnePair.zero(*dims)
+    elif J0 is None:
+        J0 = np.zeros(dims)
+    ls = LearnerState(t=0, s=s0, J=J0, theta=theta0)
 
     def dist(theta):
         if theta_star is None:
@@ -191,7 +230,7 @@ def deviation(sys: System, theta_anchor, states, t0: int, t1: int,
 
     def unpack(m):
         if isinstance(m, LearnerState):
-            return m.s, m.J
+            return m.s, m.J.matrix() if isinstance(m.J, RankOnePair) else m.J
         s, J = m
         return np.asarray(s, dtype=float), np.atleast_2d(np.asarray(J, dtype=float))
 

@@ -115,7 +115,7 @@ def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
             lam = np.atleast_1d(sys.d_loss_ds(t, s_t)) + lam @ np.atleast_2d(
                 sys.d_transition_ds(t + 1, s_t, theta)
             )
-        grad += lam @ np.atleast_2d(sys.d_transition_dtheta(t, s_prev, theta))
+        grad += sys.d_transition_dtheta_vjp(t, s_prev, theta, lam)
         if counters is not None:
             counters.backward_steps += 1
     return grad, states
@@ -130,8 +130,10 @@ def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int
 
         lam_t = dl_t/ds(s_t) + lam_{t+1} . dT_{t+1}/ds(s_t, theta)
 
-    (lam zero beyond t_end) and returns sum_t lam_t . dT_t/dtheta. Each
-    stored state is touched exactly once backward.
+    (lam zero beyond t_end) and returns sum_t lam_t . dT_t/dtheta, each
+    term a vector-Jacobian product of the system, so dT/dtheta is never
+    formed where the system provides a structured product. Each stored
+    state is touched exactly once backward.
     """
     if t_end <= t_start:
         raise ContractViolation("interval must satisfy t_end > t_start")

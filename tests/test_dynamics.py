@@ -173,3 +173,50 @@ def test_reset_wrapper():
     # losses at the reset step count normally
     assert wrapped.loss(3, states[3]) == base.loss(3, states[3])
     assert np.array_equal(wrapped.d_transition_ds(3, states[2], np.array([1.0])), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_rnn_products_match_dense_parameter_jacobian(m):
+    rng = philox(40 + m)
+    n = 4
+    xs = rng.normal(size=(10, m))
+    rnn = RNNSystem(n, m, inputs=lambda t: xs[t])
+    for t in range(1, 6):
+        s = rng.uniform(0.0, 1.0, size=n)
+        theta = 0.5 * rng.normal(size=rnn.param_dim)
+        worst, ok = check_jacobians(rnn, t, s, theta)
+        assert ok, f"m={m}, t={t}: {worst:.2e}"
+        dense = rnn.d_transition_dtheta(t, s, theta)
+        u = rng.normal(size=n)
+        assert np.allclose(rnn.d_transition_dtheta_vjp(t, s, theta, u), u @ dense,
+                           rtol=1e-14, atol=1e-15)
+        assert np.allclose(rnn.d_transition_dtheta_row_norms(t, s, theta),
+                           np.linalg.norm(dense, axis=1), rtol=1e-14, atol=0)
+
+
+def test_check_jacobians_catches_a_wrong_product():
+    class BadVjp(RNNSystem):
+        def d_transition_dtheta_vjp(self, t, s, theta, u):
+            return 1.01 * super().d_transition_dtheta_vjp(t, s, theta, u)
+
+    class BadNorms(RNNSystem):
+        def d_transition_dtheta_row_norms(self, t, s, theta):
+            return super().d_transition_dtheta_row_norms(t, s, theta)[::-1]
+
+    rng = philox(44)
+    s = rng.uniform(0.0, 1.0, size=3)
+    theta = rng.normal(size=RNNSystem(3, 0).param_dim)
+    assert check_jacobians(RNNSystem(3, 0), 1, s, theta)[1]
+    for bad in (BadVjp(3, 0), BadNorms(3, 0)):
+        assert not check_jacobians(bad, 1, s, theta)[1]
+
+
+def test_reset_wrapper_products():
+    base = RNNSystem(2, 0)
+    wrapped = ResetWrapper(base, reset_times=[2], s0_star=np.zeros(2))
+    s, theta, u = np.array([0.3, 0.6]), 0.4 * np.ones(base.param_dim), np.array([1.0, -2.0])
+    for t in (1, 2):
+        assert check_jacobians(wrapped, t, s, theta)[1]
+    assert np.array_equal(wrapped.d_transition_dtheta_vjp(2, s, theta, u), np.zeros(base.param_dim))
+    assert np.array_equal(wrapped.d_transition_dtheta_vjp(1, s, theta, u),
+                          base.d_transition_dtheta_vjp(1, s, theta, u))

@@ -288,3 +288,32 @@ def test_cli_out_env_var(tmp_path, monkeypatch):
     code = cli_main(["run", path])
     assert code == 0
     assert (tmp_path / "envout" / "smoke" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("algo", ["rtrl", "uoro", "nobacktrack", "tbptt"])
+def test_rnn_cost_model_calls(algo, monkeypatch):
+    # The rank-one learners and TBPTT use dT/dtheta only through the RNN's
+    # products: neither the dense matrix nor the dense error term is built.
+    import dynlearn.rankone as rankone
+    from dynlearn.dynamics import RNNSystem
+
+    calls = {"d_transition_dtheta": 0, "error_term": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(RNNSystem, "d_transition_dtheta",
+                        counting("d_transition_dtheta", RNNSystem.d_transition_dtheta))
+    monkeypatch.setattr(rankone, "error_term", counting("error_term", rankone.error_term))
+    T = 30
+    cfg = small_config(**{
+        "algorithm.name": algo, "experiment.horizon": T, "experiment.record_every": 1,
+        "system.kind": "rnn", "system.n": 4, "system.m": 1, "truncation.spec": "grow:0.4",
+    })
+    rec = run_trial(cfg, 0)
+    assert not rec.aborted
+    assert calls["error_term"] == 0
+    assert calls["d_transition_dtheta"] == (T if algo == "rtrl" else 0)

@@ -8,7 +8,13 @@ import pytest
 from conftest import philox, random_tanh
 
 import dynlearn.rankone as rankone
-from dynlearn.dynamics import ConfigurationError
+from dynlearn.dynamics import (
+    ConfigurationError,
+    ContractViolation,
+    LinearSystem,
+    NumericOverflow,
+    RNNSystem,
+)
 from dynlearn.rankone import (
     RankOneInjector,
     RankOnePair,
@@ -22,6 +28,8 @@ from dynlearn.rankone import (
     uoro_reduce,
     verify_unbiased,
 )
+from dynlearn.rtrl import LearnerState, rtrl_step, run_learning
+from dynlearn.schedules import StepSchedule
 
 
 def all_sign_vectors(dim):
@@ -250,3 +258,119 @@ def test_rank_one_injector_tracks_pair():
         J = jac_s @ J + jac_th + E
         s = sysm.transition(t, s, theta)
         assert np.allclose(J, inj.pair.matrix(), atol=1e-9)
+
+
+# --- the pair-only learner against the dense-injector oracle ----------------
+
+def rnn_plant(n=5, m=2, seed=31):
+    """RNN with driven inputs and targets, plus (s0, theta0)."""
+    rng = philox(seed)
+    xs = rng.normal(size=(2000, m))
+    ys = 0.5 + 0.2 * rng.normal(size=(2000, n))
+    sysm = RNNSystem(n, m, inputs=lambda t: xs[t % 2000], targets=lambda t: ys[t % 2000])
+    theta0 = RNNSystem.pack(0.5 * rng.normal(size=(n, n)) / np.sqrt(n),
+                            rng.normal(size=(n, m)), 0.1 * rng.normal(size=n))
+    return sysm, 0.5 * np.ones(n), theta0
+
+
+def run_both(sysm, s0, theta0, reducer, T, eta=0.02, seed=5, initial_pair=None):
+    """Step the pair-only and the dense-injector learner side by side on
+    one sign stream each (same Philox key). Returns the largest parameter
+    gap seen and, per path, the abort (t, stage) or None."""
+    n, p = len(s0), len(theta0)
+    start = initial_pair or RankOnePair.zero(n, p)
+    paths = {
+        "pair": (LearnerState(0, s0, start, theta0), RankOneInjector(reducer, initial_pair)),
+        "dense": (LearnerState(0, s0, start.matrix(), theta0), RankOneInjector(reducer, initial_pair)),
+    }
+    rngs = {name: philox(seed) for name in paths}
+    aborts = {name: None for name in paths}
+    gap = 0.0
+    for _ in range(T):
+        for name, (ls, inj) in paths.items():
+            if aborts[name] is None:
+                try:
+                    paths[name] = (rtrl_step(sysm, ls, eta, injector=inj, rng=rngs[name]), inj)
+                except NumericOverflow as exc:
+                    aborts[name] = (exc.t, exc.stage)
+        if aborts["pair"] or aborts["dense"]:
+            break
+        gap = max(gap, float(np.max(np.abs(paths["pair"][0].theta - paths["dense"][0].theta))))
+    assert isinstance(paths["pair"][0].J, RankOnePair)
+    return gap, aborts
+
+
+@pytest.mark.parametrize("reducer", ["uoro", "nbt"])
+@pytest.mark.parametrize("plant", ["rnn", "tanh"])
+def test_pair_learner_matches_dense_oracle(reducer, plant):
+    if plant == "rnn":
+        sysm, s0, theta0 = rnn_plant()
+    else:  # TanhSystem has only the default (dense) products
+        sysm, s0, theta0 = random_tanh(32, state_dim=4, param_dim=6)
+    gap, aborts = run_both(sysm, s0, theta0, reducer, T=1000)
+    assert aborts == {"pair": None, "dense": None}
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("reducer", ["uoro", "nbt"])
+def test_pair_learner_abort_parity(reducer):
+    # An expansive linear system from s0 = 0, theta0 = 0 with a tiny step:
+    # the Jacobian crosses the overflow limit while the state is still small.
+    sysm = LinearSystem(A=np.diag([2.0, 1.5, 1.2]), B=philox(33).normal(size=(3, 2)))
+    gap, aborts = run_both(sysm, np.zeros(3), np.zeros(2), reducer, T=500, eta=1e-20)
+    assert aborts["pair"] is not None and aborts["pair"][1] == "jacobian"
+    assert aborts["pair"] == aborts["dense"]
+    assert gap <= 1e-12
+
+
+def test_run_learning_carries_the_pair():
+    sysm, s0, theta0 = rnn_plant(n=4, m=1)
+    sched = StepSchedule(0.02, 0.5)
+    ls = LearnerState(0, s0, RankOnePair.zero(4, sysm.param_dim), theta0)
+    inj, rng = RankOneInjector("uoro"), philox(5)
+    for t in range(1, 201):
+        ls = rtrl_step(sysm, ls, sched.eta(t), injector=inj, rng=rng)
+    rec = run_learning(sysm, s0, theta0, None, sched, T=200,
+                       injector=RankOneInjector("uoro"), rng=philox(5))
+    assert np.array_equal(rec.final_theta, ls.theta)
+
+
+def test_rank_one_state_needs_rank_one_injector():
+    sysm, s0, theta = random_tanh(34)
+    ls = LearnerState(0, s0, RankOnePair.zero(3, 5), theta)
+    with pytest.raises(ContractViolation):
+        rtrl_step(sysm, ls, 0.1)
+    with pytest.raises(ContractViolation):
+        rtrl_step(sysm, ls, 0.1, injector=ZeroInjector(), rng=philox(0))
+
+
+# --- initial pairs ------------------------------------------------------------
+
+@pytest.mark.parametrize("reducer", ["uoro", "nbt"])
+def test_initial_pair_is_where_the_learner_starts(reducer):
+    sysm, s0, theta0 = random_tanh(35, state_dim=3, param_dim=4)
+    rng = philox(36)
+    pair0 = RankOnePair(rng.normal(size=3), rng.normal(size=4))
+    # The oracle starts its dense J at matrix(initial_pair).
+    gap, _ = run_both(sysm, s0, theta0, reducer, T=300, initial_pair=pair0)
+    assert gap <= 1e-12
+    inj = RankOneInjector(reducer, initial_pair=pair0)
+    kw = dict(schedule=StepSchedule(0.02, 0.5), T=300, injector=inj, theta_star=theta0)
+    from_pair = run_learning(sysm, s0, theta0, None, rng=philox(5), **kw)
+    from_zero = run_learning(sysm, s0, theta0, None, injector=RankOneInjector(reducer),
+                             rng=philox(5), schedule=kw["schedule"], T=300)
+    assert not np.array_equal(from_pair.final_theta, from_zero.final_theta)
+    # Each run restarts from initial_pair (reset), so a rerun repeats it.
+    again = run_learning(sysm, s0, theta0, None, rng=philox(5), **kw)
+    assert np.array_equal(again.final_theta, from_pair.final_theta)
+    assert np.array_equal(again.theta_dist, from_pair.theta_dist)
+
+
+def test_nonzero_J0_with_rank_one_injector_is_refused():
+    sysm, s0, theta0 = random_tanh(37)
+    kw = dict(schedule=StepSchedule(0.02, 0.5), T=5, rng=philox(0))
+    with pytest.raises(ContractViolation):
+        run_learning(sysm, s0, theta0, np.ones((3, 5)), injector=RankOneInjector("uoro"), **kw)
+    # A zero J0 is the default start and is accepted.
+    rec = run_learning(sysm, s0, theta0, np.zeros((3, 5)), injector=RankOneInjector("uoro"), **kw)
+    assert not rec.aborted

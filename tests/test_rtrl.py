@@ -261,3 +261,20 @@ def test_deviation_matches_direct_resimulation():
         theta_bar = theta_bar - sched.eta(t) * v_bar
     assert dev == pytest.approx(float(np.linalg.norm(thetas[-1] - theta_bar)), abs=1e-12)
     assert dev > 0.0
+
+
+def test_deviation_accepts_rank_one_states():
+    # States of the pair-only learner enter through matrix(pair).
+    from dynlearn.rankone import RankOnePair
+
+    sysm, s0, theta = random_tanh(11)
+    sched = StepSchedule(0.05, 0.6)
+    ls = LearnerState(0, s0, RankOnePair.zero(3, 5), theta)
+    inj, rng = RankOneInjector("nbt"), philox(12)
+    states = [ls]
+    for t in range(1, 21):
+        states.append(rtrl_step(sysm, states[-1], sched.eta(t), injector=inj, rng=rng))
+    dev = deviation(sysm, theta, states, 0, 20, sched)
+    dense = [(m.s, m.J.matrix()) for m in states]
+    assert dev == deviation(sysm, theta, dense, 0, 20, sched)
+    assert dev > 0.0

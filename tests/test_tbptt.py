@@ -9,6 +9,7 @@ from dynlearn.dynamics import (
     ConfigurationError,
     InfluenceBalancing,
     NonRecurrentRegression,
+    RNNSystem,
     make_example,
     run_trajectory,
 )
@@ -102,6 +103,29 @@ def test_interval_gradient_equals_jacobian_reset_forward_sum():
 
         vs = open_loop_updates(Shifted(), None, s_start, theta, length)
         assert np.max(np.abs(g - vs.sum(axis=0))) < 1e-10
+
+
+def test_interval_gradient_rnn_equals_dense_forward_sum():
+    # Criterion 2 on the RNN, whose backward pass uses the structured
+    # vector-Jacobian product instead of the dense dT/dtheta.
+    rng = philox(50)
+    worst = 0.0
+    for trial in range(10):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(0, 3))
+        xs = rng.normal(size=(60, m))
+        ys = rng.uniform(0.0, 1.0, size=(60, n))
+        sysm = RNNSystem(n, m, inputs=lambda t, xs=xs: xs[t], targets=lambda t, ys=ys: ys[t])
+        theta = 0.5 * rng.normal(size=sysm.param_dim)
+        s_start = rng.uniform(0.0, 1.0, size=n)
+        t0, length = int(rng.integers(0, 20)), int(rng.integers(1, 21))
+        g = bptt_interval_gradient(sysm, s_start, theta, t0, t0 + length)
+        s, J, total = s_start, np.zeros((n, sysm.param_dim)), np.zeros(sysm.param_dim)
+        for t in range(t0 + 1, t0 + length + 1):
+            J = sysm.d_transition_ds(t, s, theta) @ J + sysm.d_transition_dtheta(t, s, theta)
+            s = sysm.transition(t, s, theta)
+            total += sysm.d_loss_ds(t, s) @ J
+        worst = max(worst, float(np.max(np.abs(g - total))))
+    assert worst <= 1e-10
 
 
 def test_backward_pass_touches_each_state_once():
