@@ -23,7 +23,6 @@ from dynlearn import (
 )
 from dynlearn.dynamics import NonRecurrentRegression, RNNSystem
 from dynlearn.schedules import sample_indices
-from dynlearn.updates import rule_identity
 
 rng = np.random.default_rng(np.random.Philox(key=4))
 
@@ -48,7 +47,7 @@ theta_star = np.linalg.lstsq(xs, ys, rcond=None)[0]
 T = 16 * 30
 sysm = NonRecurrentRegression(xs, ys, sample_indices("cycling", 16, T))
 for label, candidate in (("at the optimum", theta_star), ("perturbed", theta_star + 0.1)):
-    rep = local_optimum_report(sysm, rule_identity(), candidate, T, np.zeros(1))
+    rep = local_optimum_report(sysm, None, candidate, T, np.zeros(1))
     print(f"  {label:>14}: avg update {rep.avg_update_norms[-1]:.2e}, "
           f"positive-stable={rep.positive_stable}, verdict={'pass' if rep.passed else 'fail'}")
 

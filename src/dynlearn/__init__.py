@@ -42,7 +42,7 @@ from .rankone import (
     verify_unbiased,
 )
 from .records import TrialRecord
-from .rtrl import LearnerState, deviation, open_loop_gradient, rtrl_step, run_learning
+from .rtrl import LearnerState, deviation, forward_step, open_loop_gradient, rtrl_step, run_learning
 from .schedules import (
     ExponentProfile,
     StepSchedule,
@@ -53,16 +53,14 @@ from .schedules import (
 )
 from .tbptt import TruncationSchedule, bptt_interval_gradient, run_tbptt
 from .updates import (
+    AdaptiveRule,
+    ClippedUpdate,
+    PreconditionedRule,
+    ProjectedUpdate,
     estimate_lambda,
     extended_hessian_fd,
     is_positive_stable,
-    phi_clipped,
-    phi_plain,
-    phi_projected,
     rule_adam,
-    rule_adaptive,
-    rule_identity,
-    rule_preconditioned,
     solve_lyapunov,
 )
 from .diagnostics import (

@@ -24,7 +24,6 @@ from .rankone import UnbiasednessReport, verify_unbiased
 from .records import write_csv_atomic
 from .rtrl import open_loop_updates
 from .schedules import ExponentProfile, sample_indices, validate_exponents
-from .updates import rule_identity
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -96,7 +95,7 @@ def cmd_check_optimum(args):
         cfg.get("sampling.scheme", "cycling"), max(args.horizon, 500), rng, rng,
     )
     theta = theta_star if args.theta is None else np.array([float(x) for x in args.theta.split(",")])
-    report = local_optimum_report(system, rule_identity(), theta, args.horizon, s0)
+    report = local_optimum_report(system, None, theta, args.horizon, s0)
     print(report.to_text(), end="")
     if args.lambda_csv:
         from .updates import export_matrix_csv, solve_lyapunov

@@ -35,6 +35,7 @@ __all__ = [
     "run_trajectory",
     "compound_loss",
     "check_jacobians",
+    "guard",
 ]
 
 OVERFLOW_LIMIT = 1e12
@@ -61,9 +62,13 @@ class ConfigurationError(ValueError):
     """Invalid construction parameters or experiment configuration."""
 
 
-def _check_finite(x, stage, t):
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(np.abs(x) > OVERFLOW_LIMIT):
+def guard(x, stage, t):
+    """x itself, unless an entry is non-finite or exceeds OVERFLOW_LIMIT in
+    magnitude; then NumericOverflow(stage, t). Every overflow check of the
+    library goes through here."""
+    # max(|x|) is NaN when any entry is NaN, so one reduction covers both
+    # the overflow threshold and non-finite entries.
+    if not np.abs(x).max() <= OVERFLOW_LIMIT:
         raise NumericOverflow(stage, t)
     return x
 
@@ -150,8 +155,7 @@ def step(sys: System, t: int, s: np.ndarray, theta: np.ndarray) -> np.ndarray:
         raise ContractViolation(f"parameter has shape {theta.shape}, expected ({sys.param_dim},)")
     if not np.all(np.isfinite(theta)):
         raise ContractViolation("parameter has non-finite entries")
-    out = sys.transition(t, s, theta)
-    return _check_finite(out, "transition", t)
+    return guard(np.asarray(sys.transition(t, s, theta), dtype=float), "transition", t)
 
 
 def run_trajectory(sys: System, s0: np.ndarray, theta: np.ndarray, T: int) -> list[np.ndarray]:

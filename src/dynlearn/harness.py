@@ -35,7 +35,7 @@ from .records import config_hash, write_csv_atomic
 from .rtrl import run_learning
 from .schedules import ExponentProfile, StepSchedule, sample_indices, validate_exponents
 from .tbptt import TruncationSchedule, run_tbptt
-from .updates import phi_plain, phi_projected, rule_adam, rule_identity
+from .updates import PreconditionedRule, rule_adam
 
 __all__ = ["ExperimentConfig", "run_experiment", "run_sweep", "summarize_trials"]
 
@@ -167,13 +167,12 @@ def build_dataset(cfg: ExperimentConfig):
 
 
 def rule_from_string(spec: str, dim: int):
-    """Update rule from a config string: identity | precond:scale:<c> |
-    precond:diag:<c1,c2,...> (the adaptive names are algorithm-level)."""
+    """Update rule from a config string: identity (None) |
+    precond:scale:<c> | precond:diag:<c1,c2,...> (the adaptive names are
+    algorithm-level)."""
     if spec in (None, "", "identity"):
-        return rule_identity()
+        return None
     if spec.startswith("precond:"):
-        from .updates import rule_preconditioned
-
         kind, _, arg = spec[len("precond:"):].partition(":")
         if kind == "scale":
             P = float(arg) * np.eye(dim)
@@ -185,7 +184,7 @@ def rule_from_string(spec: str, dim: int):
             P = np.diag(entries)
         else:
             raise ConfigurationError(f"unknown preconditioner {spec!r}")
-        return rule_preconditioned(lambda theta: P)
+        return PreconditionedRule(lambda theta: P)
     raise ConfigurationError(f"unknown rule {spec!r}")
 
 
@@ -252,7 +251,7 @@ def run_trial(cfg: ExperimentConfig, seed: int):
         injector = RankOneInjector("uoro" if algo == "uoro" else "nbt")
     rule = rule_from_string(cfg.get("algorithm.rule", "identity"), len(theta0))
     return run_learning(
-        system, s0, theta0, None, schedule, rule=rule, phi=phi_plain(),
+        system, s0, theta0, None, schedule, rule=rule,
         injector=injector, T=T, rng=rng_inject, theta_star=theta_star,
         dist_dims=dist_dims, record_every=record_every, config_meta=meta,
     )
@@ -388,7 +387,7 @@ def _build_adaptive(cfg, algo, scheme, T, schedule, rng_sample, rng_init):
         ridge = cfg.getfloat("algorithm.psi0_ridge", 1.0)
         psi0 = (np.outer(g, g) + ridge * np.eye(p)).ravel()
     theta0 = setup.initial_theta(theta0_core, psi0=psi0)
-    phi = phi_projected(lo, hi) if lo is not None else phi_plain()
+    phi = None
     if lo is not None:
         # Project the parameter block only; statistics are unconstrained.
         class _BlockProjected:
@@ -495,7 +494,6 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
     for combo in product(*grid_values):
         overrides = dict(zip(grid_keys, combo))
         point_cfg = cfg.with_overrides(overrides)
-        point_cfg.values.pop("arms", None)
         label = "_".join(str(v).replace(".", "p") for v in combo)
         try:
             _validate_config(point_cfg, force)

@@ -13,7 +13,8 @@ collapse is exactly unbiased: averaged over the signs, the reduced outer
 product equals the full right-hand side.
 
 Two variants are implemented. The dense-sign variant equalizes each basis
-term separately (dim+1 norm equalizations per step):
+term separately (dim+1 norm equalizations per step, the dim of them on
+the basis terms done as one vectorized operation):
 
     reduce = rho(jac_s v_state, v_param)
              + sum_i nu_i * rho(e_i, row_i(jac_theta))
@@ -99,8 +100,8 @@ def norm_equalize(v1, v2):
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    # sqrt(v . v) is how np.linalg.norm computes a vector norm, minus the
-    # call overhead that dominates for the short vectors of nbt_reduce.
+    # sqrt(v . v) is how np.linalg.norm computes a vector norm, minus its
+    # call overhead.
     n1 = math.sqrt(v1.dot(v1))
     n2 = math.sqrt(v2.dot(v2))
     if n1 == 0.0 or n2 == 0.0:
@@ -168,15 +169,14 @@ def nbt_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOneP
     pair, which is what makes the cross terms cancel in expectation).
 
     Equalizing (e_i, row_i) scales e_i by rho_i = ||row_i||^(1/2) and the
-    row by 1/rho_i, a factor fixed by the two norms alone; so each pair is
-    equalized through its norms (1, ||row_i||), and the rows enter once,
-    summed: v_param gains (nu / rho) . jac_theta.
+    row by 1/rho_i, a factor fixed by the two norms alone; so all pairs
+    are equalized at once from the row norms (rho_i is what
+    norm_equalize(1, ||row_i||) gives, bit for bit), and the rows enter
+    once, summed: v_param gains (nu / rho) . jac_theta.
     """
     jac_s, jac_theta, signs = _reduction_args(jac_s, jac_theta, signs)
     v_state, v_param = _first_term(pair, jac_s)
-    one = np.ones(1)
-    norms = _row_norms(jac_theta)
-    rho = np.array([norm_equalize(one, norms[i:i + 1])[0][0] for i in range(len(signs))])
+    rho = np.sqrt(_row_norms(jac_theta))
     weights = np.divide(signs, rho, out=np.zeros_like(rho), where=rho > 0.0)
     return RankOnePair(v_state + signs * rho, v_param + _vjp(jac_theta, weights))
 

@@ -14,6 +14,12 @@ then is the parameter moved. With eta_t = 0 the parameter stays frozen
 and J_t is the exact Jacobian of the state with respect to the parameter,
 which is what the open-loop helpers below compute.
 
+`forward_step` is the one place where the first two lines are written:
+the learner step, the open-loop helpers, the regularized pair of
+`deviation` and TBPTT's per-step mode all advance (s, J) through it. A
+rule or update operator of None is the identity rule U_t(g) = g and the
+plain update Phi_t(theta, w) = theta - w.
+
 J_t is either a dense matrix or, for the rank-one algorithms (UORO,
 NoBackTrack), a `RankOnePair` (v_state, v_param) standing for
 v_state (x) v_param. `run_learning` with a `RankOneInjector` carries the
@@ -26,17 +32,18 @@ of that path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ContractViolation, NumericOverflow, OVERFLOW_LIMIT, ParamJacobian, System
+from .dynamics import ContractViolation, NumericOverflow, ParamJacobian, System, guard
 from .rankone import RankOneInjector, RankOnePair
 from .records import RecordBuilder, TrialRecord
 from .schedules import StepSchedule
 
 __all__ = [
     "LearnerState",
+    "forward_step",
     "rtrl_step",
     "open_loop_gradient",
     "open_loop_updates",
@@ -50,16 +57,15 @@ class LearnerState:
     """Everything the learner maintains: time, state, Jacobian, parameter.
 
     J is a dense (dim S_t) x p matrix or a RankOnePair standing for one.
-    aux is free-form storage for update-rule bookkeeping; the shipped
-    rules keep their statistics inside theta itself (augmented
-    parameters), so aux usually stays empty.
+    v is the update direction v_t of the step that produced this state
+    (None before the first step).
     """
 
     t: int
     s: np.ndarray
     J: np.ndarray
     theta: np.ndarray
-    aux: dict = field(default_factory=dict)
+    v: np.ndarray | None = None
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -75,54 +81,54 @@ class LearnerState:
             )
 
 
-def _guard(x, stage, t):
-    # max(|x|) is NaN when any entry is NaN, so one reduction covers both
-    # the overflow threshold and non-finite entries.
-    m = np.abs(x).max()
-    if not m <= OVERFLOW_LIMIT:
-        raise NumericOverflow(stage, t)
-    return x
+def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
+    """(s_t, J_t, g_t) from (s_{t-1}, J_{t-1}) at the parameter theta.
+
+    s_t = T_t(s, theta), J_t = dT_t/ds . J + dT_t/dtheta (+ the injector's
+    error E_t) and g_t = dl_t/ds(s_t) . J_t, the gradient row. A
+    RankOnePair J is advanced by the injector's `propagate`, which must
+    then be a RankOneInjector (checked before any system call). s_t is
+    guarded as stage "transition", then J_t as stage "jacobian".
+    """
+    rank_one = isinstance(J, RankOnePair)
+    if rank_one and not isinstance(injector, RankOneInjector):
+        raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
+    jac_s = np.atleast_2d(sys.d_transition_ds(t, s, theta))
+    s_new = guard(np.asarray(sys.transition(t, s, theta), dtype=float), "transition", t)
+
+    if rank_one:
+        J_new = injector.propagate(t, J, s, theta, jac_s, ParamJacobian(sys, t, s, theta), rng)
+        # The largest entry of v_state (x) v_param is max|v_state| max|v_param|.
+        guard(np.abs(J_new.v_state).max() * np.abs(J_new.v_param).max(), "jacobian", t)
+        g = (np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new.v_state) * J_new.v_param
+    else:
+        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
+        J_new = jac_s @ J + jac_th
+        if injector is not None:
+            J_new = J_new + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
+        guard(J_new, "jacobian", t)
+        g = np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new
+    return s_new, J_new, g
 
 
 def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
               injector=None, rng=None) -> LearnerState:
     """Advance the learner by one step (see module docstring for order).
 
-    A RankOnePair J is advanced by the injector's `propagate`, which must
-    then be a RankOneInjector; a dense J by the exact recursion plus the
-    injector's error, if any.
+    (s, J) advance through `forward_step`, which refuses a RankOnePair J
+    without a RankOneInjector before any system call.
     """
     if eta_t < 0:
         raise ContractViolation("step size must be >= 0")
     t = ls.t + 1
-    rank_one = isinstance(ls.J, RankOnePair)
-    if rank_one and not isinstance(injector, RankOneInjector):
-        raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
-    jac_s = np.atleast_2d(sys.d_transition_ds(t, ls.s, ls.theta))
-    s_new = _guard(np.asarray(sys.transition(t, ls.s, ls.theta), dtype=float), "transition", t)
-
-    if rank_one:
-        jac_th = ParamJacobian(sys, t, ls.s, ls.theta)
-        J_new = injector.propagate(t, ls.J, ls.s, ls.theta, jac_s, jac_th, rng)
-        # The largest entry of v_state (x) v_param is max|v_state| max|v_param|.
-        if not np.abs(J_new.v_state).max() * np.abs(J_new.v_param).max() <= OVERFLOW_LIMIT:
-            raise NumericOverflow("jacobian", t)
-        v = (np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new.v_state) * J_new.v_param
-    else:
-        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, ls.s, ls.theta))
-        J_new = jac_s @ ls.J + jac_th
-        if injector is not None:
-            J_new = J_new + injector.next_error(t, ls.s, ls.theta, ls.J, jac_s, jac_th, rng)
-        _guard(J_new, "jacobian", t)
-        v = np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new
+    s_new, J_new, v = forward_step(sys, t, ls.s, ls.theta, ls.J, injector, rng)
     if rule is not None:
         v = rule.apply(t, v, s_new, ls.theta)
-    _guard(v, "update-direction", t)
+    guard(v, "update-direction", t)
 
     w = eta_t * v
     theta_new = phi.apply(t, ls.theta, w) if phi is not None else ls.theta - w
-    _guard(theta_new, "parameter", t)
-    ls.aux["last_v_norm"] = float(np.linalg.norm(v))
+    guard(theta_new, "parameter", t)
     # Internal arrays already satisfy the LearnerState contract; skip the
     # dataclass re-validation in this hot path.
     out = LearnerState.__new__(LearnerState)
@@ -130,7 +136,7 @@ def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
     out.s = s_new
     out.J = J_new
     out.theta = np.asarray(theta_new, dtype=float)
-    out.aux = ls.aux
+    out.v = v
     return out
 
 
@@ -146,11 +152,7 @@ def open_loop_updates(sys: System, rule, s0, theta, T: int) -> np.ndarray:
     J = np.zeros((len(s), len(theta)))
     out = np.zeros((T, len(theta)))
     for t in range(1, T + 1):
-        jac_s = np.atleast_2d(sys.d_transition_ds(t, s, theta))
-        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
-        s = _guard(sys.transition(t, s, theta), "transition", t)
-        J = jac_s @ J + jac_th
-        v = np.atleast_1d(sys.d_loss_ds(t, s)) @ J
+        s, J, v = forward_step(sys, t, s, theta, J)
         out[t - 1] = rule.apply(t, v, s, theta) if rule is not None else v
     return out
 
@@ -203,7 +205,7 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
         for t in range(1, T + 1):
             ls = rtrl_step(sys, ls, schedule.eta(t), rule, phi, injector, rng)
             if t % record_every == 0 or t == T:
-                builder.add(t, dist(ls.theta), sys.loss(t, ls.s), ls.aux["last_v_norm"])
+                builder.add(t, dist(ls.theta), sys.loss(t, ls.s), float(np.linalg.norm(ls.v)))
     except NumericOverflow as exc:
         builder.abort_t = exc.t
         builder.add(exc.t, dist(ls.theta), np.nan, np.nan)
@@ -221,7 +223,8 @@ def deviation(sys: System, theta_anchor, states, t0: int, t1: int,
     one whose pairs follow the exact recursion but consume the *noisy*
     sequence's parameters. The deviation is the distance between the two
     parameters at t1; it is zero iff the noise had no effect on the
-    parameter by then.
+    parameter by then. An overflow of the regularized pair raises
+    NumericOverflow, as in the learner.
     """
     if t1 < t0:
         raise ContractViolation("need t1 >= t0")
@@ -237,20 +240,13 @@ def deviation(sys: System, theta_anchor, states, t0: int, t1: int,
     theta = np.asarray(theta_anchor, dtype=float)
     theta_bar = theta.copy()
     s_bar, J_bar = unpack(states[0])
-    s_bar, J_bar = s_bar.copy(), J_bar.copy()
 
     for t in range(t0 + 1, t1 + 1):
         eta = schedule.eta(t)
         s_noisy, J_noisy = unpack(states[t - t0])
         # Regularized pair: exact recursion driven by the noisy parameters.
-        jac_s = np.atleast_2d(sys.d_transition_ds(t, s_bar, theta))
-        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s_bar, theta))
-        s_bar_new = sys.transition(t, s_bar, theta)
-        J_bar = jac_s @ J_bar + jac_th
-        s_bar = s_bar_new
-
+        s_bar, J_bar, v_bar = forward_step(sys, t, s_bar, theta, J_bar)
         v = np.atleast_1d(sys.d_loss_ds(t, s_noisy)) @ J_noisy
-        v_bar = np.atleast_1d(sys.d_loss_ds(t, s_bar)) @ J_bar
         if rule is not None:
             v = rule.apply(t, v, s_noisy, theta)
             v_bar = rule.apply(t, v_bar, s_bar, theta)

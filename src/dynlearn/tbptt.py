@@ -21,9 +21,9 @@ from math import ceil
 
 import numpy as np
 
-from .dynamics import ConfigurationError, ContractViolation, NumericOverflow, System
-from .dynamics import OVERFLOW_LIMIT
+from .dynamics import ConfigurationError, ContractViolation, NumericOverflow, System, guard
 from .records import RecordBuilder, TrialRecord
+from .rtrl import forward_step
 from .schedules import ExponentProfile, StepSchedule, validate_exponents
 
 __all__ = ["TruncationSchedule", "BpttCounters", "bptt_interval_gradient", "run_tbptt"]
@@ -97,10 +97,7 @@ def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
     theta = np.asarray(theta, dtype=float)
     states = [np.asarray(s_start, dtype=float)]
     for t in range(t_start + 1, t_end + 1):
-        s_new = sys.transition(t, states[-1], theta)
-        if not np.all(np.isfinite(s_new)) or np.any(np.abs(s_new) > OVERFLOW_LIMIT):
-            raise NumericOverflow("transition", t)
-        states.append(s_new)
+        states.append(guard(sys.transition(t, states[-1], theta), "transition", t))
         if counters is not None:
             counters.forward_steps += 1
 
@@ -189,9 +186,7 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
                 theta_new = phi.apply(t_hi, theta, w) if phi is not None else theta - w
             else:
                 theta_new, grad, s = _per_step_update(sys, s, theta, t_lo, t_hi, eta, phi)
-            if not np.all(np.isfinite(theta_new)) or np.any(np.abs(theta_new) > OVERFLOW_LIMIT):
-                raise NumericOverflow("parameter", t_hi)
-            theta = theta_new
+            theta = guard(theta_new, "parameter", t_hi)
             builder.add(t_hi, dist(theta), sys.loss(t_hi, s), float(np.linalg.norm(grad)), interval=k + 1)
     except NumericOverflow as exc:
         builder.abort_t = exc.t
@@ -207,13 +202,7 @@ def _per_step_update(sys, s_start, theta, t_lo, t_hi, eta, phi):
     theta_new = theta.copy()
     total = np.zeros(p)
     for t in range(t_lo + 1, t_hi + 1):
-        jac_s = np.atleast_2d(sys.d_transition_ds(t, s, theta))
-        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
-        s = sys.transition(t, s, theta)
-        if not np.all(np.isfinite(s)) or np.any(np.abs(s) > OVERFLOW_LIMIT):
-            raise NumericOverflow("transition", t)
-        J = jac_s @ J + jac_th
-        v = np.atleast_1d(sys.d_loss_ds(t, s)) @ J
+        s, J, v = forward_step(sys, t, s, theta, J)
         total += v
         w = eta * v
         theta_new = phi.apply(t, theta_new, w) if phi is not None else theta_new - w

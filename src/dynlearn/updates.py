@@ -1,10 +1,11 @@
 """Update rules, parameter-update operators, and stability algebra.
 
 An update rule U_t turns the raw gradient row v = dl/ds . J into an
-update direction (identity, preconditioned, or adaptive with online
-statistics folded into an augmented parameter). A parameter-update
-operator Phi_t applies the scaled direction (plain subtraction, clipping,
-projection). The local behavior of the combined update around a candidate
+update direction (preconditioned, or adaptive with online statistics
+folded into an augmented parameter). A parameter-update operator Phi_t
+applies the scaled direction (clipping, projection). The identity rule
+and the plain update theta - w are spelled None wherever a rule or an
+operator is taken. The local behavior of the combined update around a candidate
 optimum is summarized by the averaged update Jacobian Lambda; descent
 contracts locally when Lambda is positive-stable (all eigenvalues in the
 right half-plane), certified here through the Lyapunov equation
@@ -23,12 +24,8 @@ from .schedules import StepSchedule
 
 __all__ = [
     "UpdateRule",
-    "IdentityRule",
     "PreconditionedRule",
     "AdaptiveRule",
-    "rule_identity",
-    "rule_preconditioned",
-    "rule_adaptive",
     "rule_adam",
     "AdamSetup",
     "squared_grad_statistic",
@@ -36,12 +33,8 @@ __all__ = [
     "rmsprop_preconditioner",
     "inverse_matrix_preconditioner",
     "ParamUpdateOp",
-    "PlainUpdate",
     "ClippedUpdate",
     "ProjectedUpdate",
-    "phi_plain",
-    "phi_clipped",
-    "phi_projected",
     "extended_hessian_fd",
     "estimate_lambda",
     "LambdaReport",
@@ -55,11 +48,6 @@ class UpdateRule:
 
     def apply(self, t, v, s, theta):
         raise NotImplementedError
-
-
-class IdentityRule(UpdateRule):
-    def apply(self, t, v, s, theta):
-        return np.asarray(v, dtype=float)
 
 
 class PreconditionedRule(UpdateRule):
@@ -132,19 +120,6 @@ class AdaptiveRule(UpdateRule):
             psi_used = psi - self.schedule.eta(t) * psi_dir
         P = np.atleast_2d(self.precond(core, psi_used))
         return np.concatenate([P @ v[: self.theta_dim], psi_dir])
-
-
-def rule_identity() -> UpdateRule:
-    return IdentityRule()
-
-
-def rule_preconditioned(precond) -> UpdateRule:
-    return PreconditionedRule(precond)
-
-
-def rule_adaptive(stat_fn, precond, c, theta_dim, psi_dim, timing="simultaneous",
-                  schedule=None, fixed_beta2=None) -> AdaptiveRule:
-    return AdaptiveRule(stat_fn, precond, c, theta_dim, psi_dim, timing, schedule, fixed_beta2)
 
 
 def squared_grad_statistic(sample_loss, indices):
@@ -245,11 +220,6 @@ class ParamUpdateOp:
         raise NotImplementedError
 
 
-class PlainUpdate(ParamUpdateOp):
-    def apply(self, t, theta, w):
-        return np.asarray(theta, dtype=float) - np.asarray(w, dtype=float)
-
-
 class ClippedUpdate(ParamUpdateOp):
     """theta - w / (1 + ||w||): step norm below 1, first order unchanged."""
 
@@ -269,23 +239,11 @@ class ProjectedUpdate(ParamUpdateOp):
         return np.clip(np.asarray(theta, dtype=float) - np.asarray(w, dtype=float), self.lo, self.hi)
 
 
-def phi_plain() -> ParamUpdateOp:
-    return PlainUpdate()
-
-
-def phi_clipped() -> ParamUpdateOp:
-    return ClippedUpdate()
-
-
-def phi_projected(lo, hi) -> ParamUpdateOp:
-    return ProjectedUpdate(lo, hi)
-
-
 def extended_hessian_fd(sys: System, rule, theta_star, t: int, s0, h=1e-5) -> np.ndarray:
     """Jacobian of theta -> U_t(open-loop gradient at theta) at theta_star.
 
-    Central finite differences, one open-loop pass per probe. With the
-    identity rule this is the Hessian of the compound loss at time t and
+    Central finite differences, one open-loop pass per probe. With rule
+    None (the identity rule) this is the Hessian of the compound loss at time t and
     comes out symmetric up to FD error.
     """
     if h <= 0:

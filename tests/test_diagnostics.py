@@ -16,7 +16,6 @@ from dynlearn.diagnostics import (
 from dynlearn.dynamics import NonRecurrentRegression, RNNSystem
 from dynlearn.records import TrialRecord
 from dynlearn.schedules import sample_indices
-from dynlearn.updates import rule_identity
 
 
 def known_radius_matrix(rng, n=4, radius=0.8, coupling=1.5):
@@ -104,12 +103,12 @@ def test_local_optimum_report_at_optimum_and_off():
     N = len(xs)
     T = N * 30
     sysm = NonRecurrentRegression(xs, ys, sample_indices("cycling", N, T))
-    report = local_optimum_report(sysm, rule_identity(), theta_star, T, np.zeros(1))
+    report = local_optimum_report(sysm, None, theta_star, T, np.zeros(1))
     assert report.passed and report.positive_stable
     # cycling: averaged updates vanish exactly at epoch multiples
     assert report.avg_update_norms[-1] < 1e-10
 
-    off = local_optimum_report(sysm, rule_identity(), theta_star + 0.1, T, np.zeros(1))
+    off = local_optimum_report(sysm, None, theta_star + 0.1, T, np.zeros(1))
     assert not off.passed
     # the averaged update plateaus at the exact average-gradient norm
     H_data = np.mean([2.0 * np.outer(x, x) for x in xs], axis=0)
@@ -120,7 +119,7 @@ def test_local_optimum_report_at_optimum_and_off():
 def test_report_text_format():
     xs, ys, theta_star = regression_dataset()
     sysm = NonRecurrentRegression(xs, ys, sample_indices("cycling", len(xs), 160))
-    report = local_optimum_report(sysm, rule_identity(), theta_star, 160, np.zeros(1))
+    report = local_optimum_report(sysm, None, theta_star, 160, np.zeros(1))
     text = report.to_text()
     assert "verdict: pass" in text and "positive_stable: True" in text
 

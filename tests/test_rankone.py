@@ -156,9 +156,15 @@ def test_uoro_equalization_count(monkeypatch):
     signs = all_sign_vectors(5)[7]
     rankone.uoro_reduce(pair, None, None, jac_s, jac_th, signs)
     assert calls["n"] == 2
-    calls["n"] = 0
-    rankone.nbt_reduce(pair, None, None, jac_s, jac_th, signs)
-    assert calls["n"] == 5 + 1
+    # NoBackTrack equalizes every basis pair (e_i, row_i) through its norms
+    # (1, ||row_i||), all rows at once; that must be exactly what one
+    # norm_equalize per row gives.
+    out = rankone.nbt_reduce(pair, None, None, jac_s, jac_th, signs)
+    first_state, first_param = original(jac_s @ pair.v_state, pair.v_param)
+    norms = np.linalg.norm(jac_th, axis=1)
+    rho = np.array([original(np.ones(1), norms[i:i + 1])[0][0] for i in range(5)])
+    assert np.array_equal(out.v_state, first_state + signs * rho)
+    assert np.array_equal(out.v_param, first_param + (signs / rho) @ jac_th)
 
 
 def test_uoro_dim1_mean_recovers_propagation():

@@ -16,17 +16,14 @@ from dynlearn.rtrl import run_learning
 from dynlearn.schedules import StepSchedule, sample_indices
 from dynlearn.updates import (
     AdaptiveRule,
+    ClippedUpdate,
+    PreconditionedRule,
+    ProjectedUpdate,
     estimate_lambda,
     extended_hessian_fd,
     is_positive_stable,
-    phi_clipped,
-    phi_plain,
-    phi_projected,
     rmsprop_preconditioner,
     rule_adam,
-    rule_adaptive,
-    rule_identity,
-    rule_preconditioned,
     squared_grad_statistic,
     solve_lyapunov,
 )
@@ -52,8 +49,7 @@ def random_positive_stable(rng, n):
 def test_rule_identity_and_preconditioned():
     rng = philox(1)
     v = rng.normal(size=4)
-    assert np.array_equal(rule_identity().apply(1, v, None, np.zeros(4)), v)
-    rule = rule_preconditioned(lambda theta: 2.0 * np.eye(4))
+    rule = PreconditionedRule(lambda theta: 2.0 * np.eye(4))
     assert np.allclose(rule.apply(1, v, None, np.zeros(4)), 2.0 * v, atol=0)
 
 
@@ -62,8 +58,8 @@ def test_rule_affine_combination_identity():
     xs, ys, _ = regression_dataset()
     loss = SquaredErrorLoss(xs, ys)
     idx = sample_indices("cycling", len(xs), 50)
-    rule = rule_adaptive(squared_grad_statistic(loss, idx), rmsprop_preconditioner(1e-8),
-                         c=0.5, theta_dim=4, psi_dim=4)
+    rule = AdaptiveRule(squared_grad_statistic(loss, idx), rmsprop_preconditioner(1e-8),
+                        c=0.5, theta_dim=4, psi_dim=4)
     rng = philox(2)
     theta = np.concatenate([rng.normal(size=4), np.abs(rng.normal(size=4)) + 0.5])
     v1, v2 = rng.normal(size=8), rng.normal(size=8)
@@ -86,8 +82,8 @@ def test_preconditioned_lambda_positive_stable():
 def test_adaptive_statistic_fixed_point():
     # constant statistic: psi converges geometrically with ratio 1 - c*eta
     target = np.array([2.0, 3.0])
-    rule = rule_adaptive(lambda t, th: target, rmsprop_preconditioner(), c=1.0,
-                         theta_dim=2, psi_dim=2)
+    rule = AdaptiveRule(lambda t, th: target, rmsprop_preconditioner(), c=1.0,
+                        theta_dim=2, psi_dim=2)
     eta = 0.1
     theta = np.concatenate([np.zeros(2), np.array([10.0, -4.0])])
     gap0 = theta[2:] - target
@@ -107,7 +103,7 @@ def test_rule_adam_beta_zero_reduces_to_adaptive():
     theta0 = setup.initial_theta(theta_star + 0.2)
 
     rec = run_learning(setup.system, np.zeros(1), theta0, None, sched,
-                       rule=setup.rule, phi=phi_plain(), T=T,
+                       rule=setup.rule, phi=None, T=T,
                        theta_star=theta_star, dist_dims=4)
 
     # reference: memoryless adaptive recursion written out directly
@@ -138,7 +134,7 @@ def test_rule_adam_momentum_jacobian():
     for t in range(1, T + 1):
         g = loss.grad(idx[t], ls.theta[:4])
         J_ref = 0.7 * J_ref + 0.3 * g
-        ls = rtrl_step(setup.system, ls, sched.eta(t), setup.rule, phi_plain())
+        ls = rtrl_step(setup.system, ls, sched.eta(t), setup.rule, None)
         assert np.allclose(ls.J[0, :4], J_ref, atol=1e-12)
 
 
@@ -155,7 +151,7 @@ def test_fixed_beta2_two_arm_dichotomy():
                           schedule=sched, fixed_beta2=fixed_beta2)
         rng = philox(seed)
         theta0 = setup.initial_theta(np.array([rng.uniform(-1.0, 1.0)]))
-        phi = phi_projected(-1.0, 1.0)
+        phi = ProjectedUpdate(-1.0, 1.0)
 
         class BlockProj:
             def apply(self, t, theta, w):
@@ -178,12 +174,11 @@ def test_fixed_beta2_two_arm_dichotomy():
 
 def test_phi_plain_and_clipped_basics():
     theta = np.array([1.0, -2.0])
-    assert np.array_equal(phi_plain().apply(1, theta, np.zeros(2)), theta)
-    assert np.array_equal(phi_clipped().apply(1, theta, np.zeros(2)), theta)
+    assert np.array_equal(ClippedUpdate().apply(1, theta, np.zeros(2)), theta)
     rng = philox(4)
     for _ in range(20):
         w = rng.normal(size=2) * rng.uniform(0.1, 30)
-        step = theta - phi_clipped().apply(1, theta, w)
+        step = theta - ClippedUpdate().apply(1, theta, w)
         assert np.linalg.norm(step) < 1.0
 
 
@@ -193,7 +188,7 @@ def test_phi_clipped_second_order_remainder():
     theta = rng.normal(size=3)
     for _ in range(20):
         w = rng.normal(size=3) * rng.uniform(0.01, 5)
-        diff = phi_clipped().apply(1, theta, w) - (theta - w)
+        diff = ClippedUpdate().apply(1, theta, w) - (theta - w)
         n = np.linalg.norm(w)
         assert np.linalg.norm(diff) == pytest.approx(n * n / (1 + n), rel=1e-12)
 
@@ -205,13 +200,13 @@ def test_phi_first_order_law():
     for _ in range(50):
         w = rng.normal(size=4)
         w *= rng.uniform(0, 0.5) / np.linalg.norm(w)
-        for phi in (phi_plain(), phi_clipped(), phi_projected(-10.0, 10.0)):
+        for phi in (ClippedUpdate(), ProjectedUpdate(-10.0, 10.0)):
             diff = phi.apply(1, theta, w) - (theta - w)
             assert np.linalg.norm(diff) <= 1.0 * np.linalg.norm(w) ** 2 + 1e-15
 
 
 def test_phi_projected():
-    phi = phi_projected(-1.0, 1.0)
+    phi = ProjectedUpdate(-1.0, 1.0)
     assert phi.apply(1, np.array([0.5]), np.array([2.0]))[0] == -1.0
     assert phi.apply(1, np.array([0.5]), np.array([-2.0]))[0] == 1.0
 
@@ -266,7 +261,7 @@ def test_estimate_lambda_preconditioned():
     idx = sample_indices("cycling", N, T)
     sysm = NonRecurrentRegression(xs, ys, idx)
     P = random_spd(rng, 4, 0.3)
-    rule = rule_preconditioned(lambda th: P)
+    rule = PreconditionedRule(lambda th: P)
     lam, _ = estimate_lambda(sysm, rule, theta_star, T, np.zeros(1))
     H_data = np.mean([2.0 * np.outer(x, x) for x in xs], axis=0)
     assert np.allclose(lam, P @ H_data, atol=1e-6)
