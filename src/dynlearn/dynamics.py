@@ -62,13 +62,23 @@ class ConfigurationError(ValueError):
     """Invalid construction parameters or experiment configuration."""
 
 
+# Arrays with more entries than this are guarded without a temporary.
+GUARD_NO_TEMP_SIZE = 4096
+
+
 def guard(x, stage, t):
     """x itself, unless an entry is non-finite or exceeds OVERFLOW_LIMIT in
     magnitude; then NumericOverflow(stage, t). Every overflow check of the
     library goes through here."""
-    # max(|x|) is NaN when any entry is NaN, so one reduction covers both
-    # the overflow threshold and non-finite entries.
-    if not np.abs(x).max() <= OVERFLOW_LIMIT:
+    # max and min are NaN when any entry is NaN, so the comparisons cover
+    # both the overflow threshold and non-finite entries. Large arrays
+    # (a dense J) are checked as max <= L and min >= -L, which allocates
+    # nothing; on small ones one |x| reduction is cheaper than two.
+    if getattr(x, "size", 0) > GUARD_NO_TEMP_SIZE:
+        ok = x.max() <= OVERFLOW_LIMIT and x.min() >= -OVERFLOW_LIMIT
+    else:
+        ok = np.abs(x).max() <= OVERFLOW_LIMIT
+    if not ok:
         raise NumericOverflow(stage, t)
     return x
 
@@ -107,7 +117,15 @@ class System(ABC):
 
     # Products with dT_t/dtheta. The defaults go through the dense matrix;
     # systems whose parameter Jacobian is structured override them so that
-    # rank-one learners and the TBPTT backward pass never build it.
+    # exact RTRL, rank-one learners and the TBPTT backward pass never
+    # build it.
+
+    def d_transition_dtheta_add(self, t: int, s: np.ndarray, theta: np.ndarray,
+                                M: np.ndarray) -> np.ndarray:
+        """M + dT_t/dtheta for a dim(S_t) x p matrix M, which may be
+        written in place."""
+        M += np.atleast_2d(self.d_transition_dtheta(t, s, theta))
+        return M
 
     def d_transition_dtheta_vjp(self, t: int, s: np.ndarray, theta: np.ndarray,
                                 u: np.ndarray) -> np.ndarray:
@@ -391,6 +409,22 @@ class RNNSystem(_ConstantDim, System):
         jac[:, n * n + n * m :] = np.eye(n)
         return d[:, None] * jac
 
+    def d_transition_dtheta_add(self, t, s, theta, M):
+        # Row i of dT/dtheta is d_i [e_i (x) s, e_i (x) x_t, e_i]: only the
+        # i-th row of each block (W, W', B) is non-zero, O(n^2 + nm).
+        n = self.n
+        d = self._slope(t, s, theta)
+        M = np.ascontiguousarray(M)
+        start = 0
+        for v in (s, self._input(t), np.ones(1)):
+            k = len(v)
+            # blocks[i, a, :] are the entries of row i of M for row a of
+            # the block; the view's diagonal a = i gets d_i v.
+            blocks = M[:, start : start + n * k].reshape(n, n, k)
+            np.einsum("iik->ik", blocks)[...] += np.outer(d, v)
+            start += n * k
+        return M
+
     def d_transition_dtheta_vjp(self, t, s, theta, u):
         # Row i of dT/dtheta is d_i [e_i (x) s, e_i (x) x_t, e_i]: O(n^2 + nm).
         g = u * self._slope(t, s, theta)
@@ -599,6 +633,11 @@ class ResetWrapper(System):
             return np.zeros((self.state_dim(t), self.param_dim))
         return self.base.d_transition_dtheta(t, s, theta)
 
+    def d_transition_dtheta_add(self, t, s, theta, M):
+        if t in self.reset_times:
+            return M
+        return self.base.d_transition_dtheta_add(t, s, theta, M)
+
     def d_transition_dtheta_vjp(self, t, s, theta, u):
         if t in self.reset_times:
             return np.zeros(self.param_dim)
@@ -657,10 +696,10 @@ def check_jacobians(sys: System, t, s, theta, h=1e-6, rtol=1e-5):
 
     Returns the worst relative error over the three Jacobian contracts
     (transition w.r.t. state and parameter, loss w.r.t. state) and over
-    the two products with dT/dtheta, which are compared with the dense
-    analytic matrix (vector-Jacobian product, row norms). The error
-    is ||analytic - fd|| / max(1, ||analytic||) so exactly-zero Jacobians
-    are checked absolutely.
+    the three products with dT/dtheta, which are compared with the dense
+    analytic matrix (sum into a matrix, vector-Jacobian product, row
+    norms). The error is ||analytic - fd|| / max(1, ||analytic||) so
+    exactly-zero Jacobians are checked absolutely.
     """
     s = np.asarray(s, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -687,6 +726,8 @@ def check_jacobians(sys: System, t, s, theta, h=1e-6, rtol=1e-5):
     worst = max(worst, rel(jac_theta, fd_jac(lambda x: sys.transition(t, s, x), theta, n_out)))
     # The products must agree with the dense matrix they stand in for.
     u = np.cos(np.arange(1.0, n_out + 1.0))
+    M = np.sin(np.arange(1.0, n_out * len(theta) + 1.0)).reshape(n_out, len(theta))
+    worst = max(worst, rel(sys.d_transition_dtheta_add(t, s, theta, M.copy()), M + jac_theta))
     worst = max(worst, rel(sys.d_transition_dtheta_vjp(t, s, theta, u), u @ jac_theta))
     worst = max(worst, rel(sys.d_transition_dtheta_row_norms(t, s, theta),
                            np.linalg.norm(jac_theta, axis=1)))

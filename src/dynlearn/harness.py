@@ -206,6 +206,11 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algo!r}")
     T = cfg.horizon
+    if T < 1:
+        raise ConfigurationError(f"experiment.horizon must be >= 1, got {T}")
+    record_every = cfg.getint("experiment.record_every", 1)
+    if record_every < 1:
+        raise ConfigurationError(f"experiment.record_every must be >= 1, got {record_every}")
     schedule = StepSchedule(cfg.getfloat("schedule.gamma", 0.1), cfg.getfloat("schedule.b", 0.7))
     root = np.random.SeedSequence([_hash_to_int(cfg.hash) % (1 << 63), seed])
     ss_sample, ss_init, ss_inject = root.spawn(3)
@@ -215,7 +220,6 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     scheme = cfg.get("sampling.scheme", "cycling")
     meta = dict(cfg.values)
     meta["trial.seed"] = str(seed)
-    record_every = cfg.getint("experiment.record_every", 1)
     kind = cfg.get("system.kind", "linear_regression")
 
     if algo == "tbptt":
@@ -282,7 +286,10 @@ def _theta_init(cfg, theta_star, rng_init, p):
         direction = rng_init.normal(size=p)
         direction /= np.linalg.norm(direction)
         return theta_star + radius * rng_init.uniform(0.2, 1.0) * direction
-    return np.array([float(x) for x in mode.split(",")], dtype=float)
+    theta0 = np.array([float(x) for x in mode.split(",")], dtype=float)
+    if len(theta0) != p:
+        raise ConfigurationError(f"init.theta0 has {len(theta0)} entries, the parameter has {p}")
+    return theta0
 
 
 def _build_plant(cfg, kind, scheme, T, rng_sample, rng_init):

@@ -85,7 +85,9 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
     """(s_t, J_t, g_t) from (s_{t-1}, J_{t-1}) at the parameter theta.
 
     s_t = T_t(s, theta), J_t = dT_t/ds . J + dT_t/dtheta (+ the injector's
-    error E_t) and g_t = dl_t/ds(s_t) . J_t, the gradient row. A
+    error E_t) and g_t = dl_t/ds(s_t) . J_t, the gradient row. Without an
+    injector, dT_t/dtheta is added by the system's
+    `d_transition_dtheta_add` into the product dT_t/ds . J. A
     RankOnePair J is advanced by the injector's `propagate`, which must
     then be a RankOneInjector (checked before any system call). s_t is
     guarded as stage "transition", then J_t as stage "jacobian".
@@ -102,10 +104,14 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
         guard(np.abs(J_new.v_state).max() * np.abs(J_new.v_param).max(), "jacobian", t)
         g = (np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new.v_state) * J_new.v_param
     else:
-        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
-        J_new = jac_s @ J + jac_th
-        if injector is not None:
-            J_new = J_new + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
+        if injector is None:
+            # dT/dtheta is added into the fresh product, so a system with
+            # a structured parameter Jacobian never builds the dense matrix.
+            J_new = sys.d_transition_dtheta_add(t, s, theta, jac_s @ J)
+        else:
+            # The dense oracle of the pair path; next_error needs dT/dtheta.
+            jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
+            J_new = jac_s @ J + jac_th + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
         guard(J_new, "jacobian", t)
         g = np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new
     return s_new, J_new, g

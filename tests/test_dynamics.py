@@ -211,6 +211,27 @@ def test_check_jacobians_catches_a_wrong_product():
         assert not check_jacobians(bad, 1, s, theta)[1]
 
 
+def test_check_jacobians_catches_a_wrong_add():
+    class NoBias(RNNSystem):
+        def d_transition_dtheta_add(self, t, s, theta, M):
+            bias = M[:, -self.n:].copy()
+            out = super().d_transition_dtheta_add(t, s, theta, M)
+            out[:, -self.n:] = bias
+            return out
+
+    class DropsM(RNNSystem):
+        def d_transition_dtheta_add(self, t, s, theta, M):
+            return np.atleast_2d(self.d_transition_dtheta(t, s, theta))
+
+    rng = philox(45)
+    s = rng.uniform(0.0, 1.0, size=3)
+    for m in (0, 2):
+        theta = rng.normal(size=RNNSystem(3, m).param_dim)
+        assert check_jacobians(RNNSystem(3, m), 1, s, theta)[1]
+        for bad in (NoBias(3, m), DropsM(3, m)):
+            assert not check_jacobians(bad, 1, s, theta)[1]
+
+
 def test_reset_wrapper_products():
     base = RNNSystem(2, 0)
     wrapped = ResetWrapper(base, reset_times=[2], s0_star=np.zeros(2))
@@ -218,5 +239,9 @@ def test_reset_wrapper_products():
     for t in (1, 2):
         assert check_jacobians(wrapped, t, s, theta)[1]
     assert np.array_equal(wrapped.d_transition_dtheta_vjp(2, s, theta, u), np.zeros(base.param_dim))
+    M = np.ones((2, base.param_dim))
+    assert np.array_equal(wrapped.d_transition_dtheta_add(2, s, theta, M.copy()), M)
+    assert np.array_equal(wrapped.d_transition_dtheta_add(1, s, theta, M.copy()),
+                          M + base.d_transition_dtheta(1, s, theta))
     assert np.array_equal(wrapped.d_transition_dtheta_vjp(1, s, theta, u),
                           base.d_transition_dtheta_vjp(1, s, theta, u))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dynlearn.dynamics import LinearSystem, NumericOverflow, guard
+from dynlearn.dynamics import GUARD_NO_TEMP_SIZE, LinearSystem, NumericOverflow, guard
 from dynlearn.rtrl import deviation, open_loop_updates, run_learning
 from dynlearn.schedules import StepSchedule
 from dynlearn.tbptt import TruncationSchedule, run_tbptt
@@ -19,13 +19,32 @@ from dynlearn.tbptt import TruncationSchedule, run_tbptt
     (-np.nextafter(1e12, np.inf), False),
 ])
 def test_guard_threshold(value, passes):
-    x = np.array([0.5, value, -2.0])
-    if passes:
-        assert guard(x, "stage", 7) is x
-    else:
-        with pytest.raises(NumericOverflow) as exc:
-            guard(x, "stage", 7)
-        assert (exc.value.stage, exc.value.t) == ("stage", 7)
+    # Both sides of the size gate (an |x| reduction below it, max and min
+    # above it), with the tested entry first, in the middle and last.
+    for size in (3, GUARD_NO_TEMP_SIZE + 1):
+        for where in (0, size // 2, -1):
+            x = np.linspace(-2.0, 0.5, size).reshape(1, -1)
+            x[0, where] = value
+            if passes:
+                assert guard(x, "stage", 7) is x
+            else:
+                with pytest.raises(NumericOverflow) as exc:
+                    guard(x, "stage", 7)
+                assert (exc.value.stage, exc.value.t) == ("stage", 7), (size, where)
+
+
+def test_guard_on_a_dense_jacobian_allocates_nothing_of_its_size():
+    import tracemalloc
+
+    J = np.linspace(-1.0, 1.0, 64 * 4224).reshape(64, 4224)
+    guard(J, "jacobian", 1)
+    tracemalloc.start()
+    try:
+        guard(J, "jacobian", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 # s_t = 3 s_{t-1} + theta with theta = 0 and s_0 = 0: the state stays 0

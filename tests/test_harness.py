@@ -190,6 +190,25 @@ def test_cli_run_invalid_exponents_exit_2(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("override, message", [
+    ("experiment.record_every=0", "experiment.record_every"),
+    ("experiment.horizon=0", "experiment.horizon"),
+    ("init.theta0=1,2,3", "init.theta0"),
+])
+def test_cli_run_bad_value_exit_2(override, message, tmp_path, capsys, monkeypatch):
+    # Refused as a configuration error before the first learner step.
+    import dynlearn.harness as harness
+
+    def no_learning(*args, **kwargs):
+        raise AssertionError("a learner ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_learning", no_learning)
+    code = cli_main(["run", os.path.join(CONFIG_DIR, "rnn_stability.ini"),
+                     "--set", override, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_check_schedule(capsys):
     code = cli_main(["check", "schedule", "--class", "imperfect_rtrl",
                      "--a", "0.55", "--gamma", "0", "--b", "0.6"])
@@ -292,8 +311,8 @@ def test_cli_out_env_var(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("algo", ["rtrl", "uoro", "nobacktrack", "tbptt"])
 def test_rnn_cost_model_calls(algo, monkeypatch):
-    # The rank-one learners and TBPTT use dT/dtheta only through the RNN's
-    # products: neither the dense matrix nor the dense error term is built.
+    # Every learner uses dT/dtheta only through the RNN's products: neither
+    # the dense matrix nor the dense error term is built.
     import dynlearn.rankone as rankone
     from dynlearn.dynamics import RNNSystem
 
@@ -316,4 +335,4 @@ def test_rnn_cost_model_calls(algo, monkeypatch):
     rec = run_trial(cfg, 0)
     assert not rec.aborted
     assert calls["error_term"] == 0
-    assert calls["d_transition_dtheta"] == (T if algo == "rtrl" else 0)
+    assert calls["d_transition_dtheta"] == 0

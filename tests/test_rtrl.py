@@ -9,6 +9,8 @@ from dynlearn.dynamics import (
     LinearSystem,
     MomentumSystem,
     NonRecurrentRegression,
+    ResetWrapper,
+    RNNSystem,
     SquaredErrorLoss,
     make_example,
 )
@@ -16,6 +18,7 @@ from dynlearn.rankone import RankOneInjector, ZeroInjector
 from dynlearn.rtrl import (
     LearnerState,
     deviation,
+    forward_step,
     open_loop_gradient,
     open_loop_updates,
     rtrl_step,
@@ -142,6 +145,57 @@ def test_run_learning_records_abort():
     rec = run_learning(sysm, np.ones(1), np.array([1.0]), None, StepSchedule(0.5, 0.5), T=500,
                        theta_star=np.zeros(1))
     assert rec.aborted and rec.abort_t is not None and rec.abort_t <= 500
+
+
+def _rnn(seed, n, m, T):
+    rng = philox(seed)
+    xs = rng.normal(size=(T + 1, m))
+    sysm = RNNSystem(n, m, inputs=lambda t: xs[t], targets=lambda t: 0.5 * np.ones(n))
+    return sysm, rng.uniform(0.0, 1.0, size=n), rng.normal(size=sysm.param_dim) / np.sqrt(n)
+
+
+def _forward_cases(T):
+    for m in (0, 1, 2):
+        yield f"rnn-m{m}", *_rnn(60 + m, 5, m, T)
+    base, s0, theta = _rnn(63, 4, 1, T)
+    yield "reset", ResetWrapper(base, range(7, T, 13), 0.5 * np.ones(4)), s0, theta
+    yield "tanh", *random_tanh(64, state_dim=4, param_dim=6)
+
+
+@pytest.mark.parametrize("case", list(_forward_cases(200)), ids=lambda c: c[0])
+def test_forward_step_adds_dtheta_like_the_dense_recursion(case):
+    # d_transition_dtheta_add (the RNN's scatter, the ResetWrapper's
+    # forwarding, the dense default on TanhSystem) against the recursion
+    # written out with the dense matrix: equal to the last bit.
+    _, sysm, s0, theta = case
+    s, J = s0, np.zeros((len(s0), sysm.param_dim))
+    s_ref, J_ref = s.copy(), J.copy()
+    for t in range(1, 201):
+        s, J, g = forward_step(sysm, t, s, theta, J)
+        J_ref = (sysm.d_transition_ds(t, s_ref, theta) @ J_ref
+                 + sysm.d_transition_dtheta(t, s_ref, theta))
+        s_ref = sysm.transition(t, s_ref, theta)
+        g_ref = sysm.d_loss_ds(t, s_ref) @ J_ref
+        assert np.array_equal(s, s_ref) and np.array_equal(J, J_ref) and np.array_equal(g, g_ref), t
+    assert np.any(J)
+
+
+def test_forward_step_rnn_allocates_about_one_jacobian():
+    # Exact RTRL on an RNN allocates the product dT/ds . J and nothing
+    # else of size n x p: no dense dT/dtheta and no |J| temporary.
+    import tracemalloc
+
+    sysm, s, theta = _rnn(65, 64, 1, 2)
+    J = 1e-3 * np.ones((64, sysm.param_dim))
+    forward_step(sysm, 1, s, theta, J)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        out = forward_step(sysm, 2, s, theta, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[1].shape == J.shape
+    assert peak < 1.5 * J.nbytes, peak / J.nbytes
 
 
 def test_zero_injector_bit_identical_to_exact():

@@ -10,6 +10,7 @@ from dynlearn.dynamics import (
     InfluenceBalancing,
     NonRecurrentRegression,
     RNNSystem,
+    System,
     make_example,
     run_trajectory,
 )
@@ -79,7 +80,7 @@ def test_interval_gradient_equals_jacobian_reset_forward_sum():
 
         g = bptt_interval_gradient(sysm, s_start, theta, t_start, t_start + length)
 
-        class Shifted:
+        class Shifted(System):
             """View of sysm with time origin moved to t_start."""
             param_dim = p
 
