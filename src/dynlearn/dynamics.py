@@ -10,6 +10,7 @@ finite-difference checker used by the tests.
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 
@@ -36,6 +37,7 @@ __all__ = [
     "compound_loss",
     "check_jacobians",
     "guard",
+    "row_dot",
 ]
 
 OVERFLOW_LIMIT = 1e12
@@ -49,12 +51,15 @@ class NumericOverflow(FloatingPointError):
     """A computed quantity exceeded the overflow limit or is non-finite.
 
     Carries the stage name and time index; divergence experiments rely on
-    catching this and recording the abort time as data.
+    catching this and recording the abort time as data. For an array with a
+    leading seed axis, `rows` holds the indices of the rows that failed
+    (None otherwise).
     """
 
-    def __init__(self, stage, t, detail=""):
+    def __init__(self, stage, t, detail="", rows=None):
         self.stage = stage
         self.t = t
+        self.rows = rows
         super().__init__(f"numeric overflow in {stage} at t={t}" + (f": {detail}" if detail else ""))
 
 
@@ -66,10 +71,11 @@ class ConfigurationError(ValueError):
 GUARD_NO_TEMP_SIZE = 4096
 
 
-def guard(x, stage, t):
+def guard(x, stage, t, batched=False):
     """x itself, unless an entry is non-finite or exceeds OVERFLOW_LIMIT in
     magnitude; then NumericOverflow(stage, t). Every overflow check of the
-    library goes through here."""
+    library goes through here. With batched=True the leading axis of x runs
+    over seeds, and the error names the failing rows."""
     # max and min are NaN when any entry is NaN, so the comparisons cover
     # both the overflow threshold and non-finite entries. Large arrays
     # (a dense J) are checked as max <= L and min >= -L, which allocates
@@ -78,9 +84,38 @@ def guard(x, stage, t):
         ok = x.max() <= OVERFLOW_LIMIT and x.min() >= -OVERFLOW_LIMIT
     else:
         ok = np.abs(x).max() <= OVERFLOW_LIMIT
-    if not ok:
-        raise NumericOverflow(stage, t)
-    return x
+    if ok:
+        return x
+    rows = None
+    if batched:
+        row_max = np.abs(np.reshape(x, (len(x), -1))).max(axis=1)
+        rows = np.flatnonzero(~(row_max <= OVERFLOW_LIMIT))
+    raise NumericOverflow(stage, t, rows=rows)
+
+
+def row_dot(a, b):
+    """Row-wise dot products of two (S, k) arrays.
+
+    Each entry is bit-identical to the 1-D product a[r] @ b[r]: numpy's
+    vecdot (numpy >= 2) and a stacked matmul of (1, k) by (k, 1) run the
+    same dot kernel per row, while einsum and (a * b).sum(1) may round
+    differently in the last bit.
+    """
+    if _vecdot is not None:
+        return _vecdot(a, b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+_vecdot = getattr(np, "vecdot", None)
+
+
+def _pow2(x):
+    """x ** 2 of an array, rounded as the scalar x ** 2 of each entry.
+
+    A scalar ** runs libm's pow, while numpy squares an array as x * x;
+    the two differ in the last bit for about one entry in a thousand.
+    """
+    return np.float_power(x, 2.0)
 
 
 class System(ABC):
@@ -243,7 +278,11 @@ class LinearSystem(_ConstantDim, System):
 
 
 class SquaredErrorLoss:
-    """Per-sample loss l(x, y, theta) = (<theta, x> - y)^2 of a linear model."""
+    """Per-sample loss l(x, y, theta) = (<theta, x> - y)^2 of a linear model.
+
+    Seed-batched: with S indices i and parameter rows theta (S, p), each
+    method returns one value (or gradient row) per seed.
+    """
 
     def __init__(self, xs, ys):
         self.xs = np.asarray(xs, dtype=float)
@@ -251,12 +290,19 @@ class SquaredErrorLoss:
         self.dim = self.xs.shape[1]
 
     def predict(self, i, theta):
+        if np.ndim(theta) == 2:
+            return row_dot(self.xs.take(i, axis=0), theta)
         return float(self.xs[i] @ theta)
 
     def value(self, i, theta):
+        if np.ndim(theta) == 2:
+            return _pow2(self.predict(i, theta) - self.ys.take(i))
         return (self.predict(i, theta) - self.ys[i]) ** 2
 
     def grad(self, i, theta):
+        if np.ndim(theta) == 2:
+            residual = self.predict(i, theta) - self.ys.take(i)
+            return (2.0 * residual)[:, None] * self.xs.take(i, axis=0)
         return 2.0 * (self.predict(i, theta) - self.ys[i]) * self.xs[i]
 
     def hess(self, i, theta):
@@ -267,7 +313,8 @@ class LinearCoefficientLoss:
     """Per-sample loss l_i(theta) = c_i * theta for scalar theta.
 
     The period-3 divergence instance for fixed-beta^2 adaptive descent is
-    this loss with coefficients (C, -1, -1) cycled.
+    this loss with coefficients (C, -1, -1) cycled. Seed-batched as
+    `SquaredErrorLoss`.
     """
 
     def __init__(self, coefs):
@@ -275,9 +322,13 @@ class LinearCoefficientLoss:
         self.dim = 1
 
     def value(self, i, theta):
+        if np.ndim(theta) == 2:
+            return self.coefs.take(i) * theta[:, 0]
         return float(self.coefs[i] * theta[0])
 
     def grad(self, i, theta):
+        if np.ndim(theta) == 2:
+            return self.coefs.take(i)[:, None]
         return np.array([self.coefs[i]])
 
     def hess(self, i, theta):
@@ -285,10 +336,16 @@ class LinearCoefficientLoss:
 
 
 def _index_lookup(indices):
-    """Normalize an index sequence (array or callable) to a callable of t."""
+    """Normalize an index sequence (array or callable) to a callable of t.
+
+    A 2-D array holds one index sequence per seed (one row each); its
+    lookup returns the S indices of step t (see `_SeedIndices`).
+    """
     if callable(indices):
         return indices
     arr = np.asarray(indices, dtype=int)
+    if arr.ndim == 2:
+        return _SeedIndices(arr)
 
     def lookup(t):
         if t >= len(arr):
@@ -298,7 +355,45 @@ def _index_lookup(indices):
     return lookup
 
 
-class NonRecurrentRegression(_ConstantDim, System):
+class _SeedIndices:
+    """Index sequences of S seeds, one row each: t -> the S indices of step t.
+
+    A system or statistic built on them is seed-batched: its state carries a
+    leading seed axis. `take(rows)` keeps the given rows.
+    """
+
+    def __init__(self, arr):
+        self.arr = arr
+
+    def __call__(self, t):
+        if t >= self.arr.shape[1]:
+            raise ContractViolation(
+                f"index sequence of length {self.arr.shape[1]} has no entry for t={t}")
+        return self.arr[:, t]
+
+    def take(self, rows):
+        return _SeedIndices(self.arr[rows])
+
+
+class _SeedBatchable:
+    """Mixin for systems whose seeds differ only in their index sequence.
+
+    Built on a 2-D index array (one row per seed), such a system takes
+    states (S, n) and parameters (S, p), returns Jacobians with a leading
+    seed axis and one loss per row, and row r computes exactly what the
+    system built on row r alone computes.
+    """
+
+    _idx: object
+
+    def take_seeds(self, rows):
+        """The same system restricted to the seed rows `rows`."""
+        out = copy.copy(self)
+        out._idx = self._idx.take(rows)
+        return out
+
+
+class NonRecurrentRegression(_SeedBatchable, _ConstantDim, System):
     """Non-recurrent case: the state is the current prediction.
 
     T_t(s, theta) = <theta_core, x_{i_t}> discards s entirely, and
@@ -318,22 +413,30 @@ class NonRecurrentRegression(_ConstantDim, System):
             raise ConfigurationError("core_dim cannot exceed param_dim")
         self._dim = 1
 
+    # s.ndim == 2 marks a seed-batched call (see _SeedBatchable).
+
     def transition(self, t, s, theta):
         i = self._idx(t)
+        if s.ndim == 2:
+            return row_dot(self.xs.take(i, axis=0), theta[:, : self.core_dim])[:, None]
         return np.array([self.xs[i] @ theta[: self.core_dim]])
 
     def d_transition_ds(self, t, s, theta):
-        return np.zeros((1, 1))
+        return np.zeros(s.shape[:-1] + (1, 1))
 
     def d_transition_dtheta(self, t, s, theta):
-        out = np.zeros((1, self.param_dim))
-        out[0, : self.core_dim] = self.xs[self._idx(t)]
+        out = np.zeros(s.shape[:-1] + (1, self.param_dim))
+        out[..., 0, : self.core_dim] = self.xs.take(self._idx(t), axis=0)
         return out
 
     def loss(self, t, s):
+        if s.ndim == 2:
+            return _pow2(s[:, 0] - self.ys.take(self._idx(t)))
         return float((s[0] - self.ys[self._idx(t)]) ** 2)
 
     def d_loss_ds(self, t, s):
+        if s.ndim == 2:
+            return (2.0 * (s[:, 0] - self.ys.take(self._idx(t))))[:, None]
         return np.array([2.0 * (s[0] - self.ys[self._idx(t)])])
 
 
@@ -446,7 +549,7 @@ class RNNSystem(_ConstantDim, System):
         return s - self._target(t)
 
 
-class MomentumSystem(_ConstantDim, System):
+class MomentumSystem(_SeedBatchable, _ConstantDim, System):
     """Scalar state s_t = beta s_{t-1} + (1-beta) l(x_{i_t}, y_{i_t}, theta).
 
     With loss l_t(s) = s, forward Jacobian propagation on this system
@@ -467,25 +570,33 @@ class MomentumSystem(_ConstantDim, System):
         self.param_dim = self.core_dim if param_dim is None else param_dim
         self._dim = 1
 
+    # s.ndim == 2 marks a seed-batched call (see _SeedBatchable); the
+    # sample loss then takes S indices and S parameter rows.
+
     def transition(self, t, s, theta):
         i = self._idx(t)
-        val = self.sample_loss.value(i, theta[: self.core_dim])
+        val = self.sample_loss.value(i, theta[..., : self.core_dim])
+        if s.ndim == 2:
+            return (self.beta * s[:, 0] + (1.0 - self.beta) * val)[:, None]
         return np.array([self.beta * s[0] + (1.0 - self.beta) * val])
 
     def d_transition_ds(self, t, s, theta):
-        return np.array([[self.beta]])
+        return np.full(s.shape[:-1] + (1, 1), self.beta)
 
     def d_transition_dtheta(self, t, s, theta):
         i = self._idx(t)
-        out = np.zeros((1, self.param_dim))
-        out[0, : self.core_dim] = (1.0 - self.beta) * self.sample_loss.grad(i, theta[: self.core_dim])
+        out = np.zeros(s.shape[:-1] + (1, self.param_dim))
+        out[..., 0, : self.core_dim] = (1.0 - self.beta) * self.sample_loss.grad(
+            i, theta[..., : self.core_dim])
         return out
 
     def loss(self, t, s):
+        if s.ndim == 2:
+            return s[:, 0]
         return float(s[0])
 
     def d_loss_ds(self, t, s):
-        return np.ones(1)
+        return np.ones(s.shape)
 
 
 class InfluenceBalancing(_ConstantDim, System):

@@ -8,6 +8,13 @@ seed plus a summary. Grid sweeps reuse the same machinery and aggregate
 per grid point. Everything is deterministic from (config, seed): streams
 are keyed by the config hash and seed, trials never share state, and
 files are written atomically.
+
+`run_trials` is the one dispatcher of an arm's seeds. The seeds of an
+arm in `SEED_BATCHED` advance together through one seed-batched learner
+(see `rtrl.run_learning`), which writes the same bytes as running them
+one by one; any other arm runs `run_trial` per seed. With jobs > 1 the
+seeds of each arm are split into `jobs` chunks, one batch per task, over
+one process pool per call.
 """
 
 from __future__ import annotations
@@ -37,9 +44,20 @@ from .schedules import ExponentProfile, StepSchedule, sample_indices, validate_e
 from .tbptt import TruncationSchedule, run_tbptt
 from .updates import PreconditionedRule, rule_adam
 
-__all__ = ["ExperimentConfig", "run_experiment", "run_sweep", "summarize_trials"]
+__all__ = ["ExperimentConfig", "run_experiment", "run_sweep", "run_trials", "summarize_trials"]
 
 ALGORITHMS = ("sgd", "rtrl", "uoro", "nobacktrack", "tbptt", "adam", "rmsprop", "ong")
+
+# (algorithm, system kind) pairs whose seeds differ only in their sample
+# index sequences and theta_0: `run_trials` advances all seeds of such an
+# arm through one seed-batched learner. sgd and rtrl qualify only with
+# the identity rule.
+SEED_BATCHED = {
+    ("sgd", "linear_regression"), ("sgd", "momentum"),
+    ("rtrl", "linear_regression"), ("rtrl", "momentum"),
+    ("adam", "linear_regression"), ("adam", "period3"),
+    ("rmsprop", "linear_regression"), ("rmsprop", "period3"),
+}
 
 
 @dataclass
@@ -202,6 +220,44 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     initialization, and injector noise, so arms that consume different
     amounts of randomness stay comparable.
     """
+    return _run(cfg, seed)
+
+
+def run_trials(cfg: ExperimentConfig, seeds) -> dict:
+    """{seed: TrialRecord} of every seed, each the record run_trial(cfg,
+    seed) returns.
+
+    Two or more seeds of an arm in SEED_BATCHED run through one
+    seed-batched learner; any other arm, and a single seed, loop run_trial
+    (one seed alone is cheaper per step without the seed axis).
+    """
+    seeds = [int(seed) for seed in seeds]
+    algo = cfg.get("algorithm.name", "sgd")
+    batched = (algo, cfg.get("system.kind", "linear_regression")) in SEED_BATCHED and (
+        algo in ("adam", "rmsprop") or cfg.get("algorithm.rule", "identity") in ("", "identity"))
+    if batched and len(seeds) > 1:
+        return dict(zip(seeds, _run(cfg, seeds)))
+    return {seed: run_trial(cfg, seed) for seed in seeds}
+
+
+def _seed_streams(cfg: ExperimentConfig, seed: int):
+    """Independent sampling, initialization and injector generators of one
+    trial, keyed by the config hash and the seed."""
+    root = np.random.SeedSequence([_hash_to_int(cfg.hash) % (1 << 63), seed])
+    return [np.random.default_rng(np.random.Philox(ss)) for ss in root.spawn(3)]
+
+
+def _per_seed(draw, rngs):
+    """draw(rng) for one seed's generator, or the draws for a list of
+    seed generators stacked one row per seed."""
+    if isinstance(rngs, list):
+        return np.stack([draw(rng) for rng in rngs])
+    return draw(rngs)
+
+
+def _run(cfg: ExperimentConfig, seed):
+    """run_trial for one seed; for a list of seeds, the list of their
+    records from one seed-batched learner (SEED_BATCHED arms only)."""
     algo = cfg.get("algorithm.name", "sgd")
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algo!r}")
@@ -212,14 +268,14 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     if record_every < 1:
         raise ConfigurationError(f"experiment.record_every must be >= 1, got {record_every}")
     schedule = StepSchedule(cfg.getfloat("schedule.gamma", 0.1), cfg.getfloat("schedule.b", 0.7))
-    root = np.random.SeedSequence([_hash_to_int(cfg.hash) % (1 << 63), seed])
-    ss_sample, ss_init, ss_inject = root.spawn(3)
-    rng_sample = np.random.default_rng(np.random.Philox(ss_sample))
-    rng_init = np.random.default_rng(np.random.Philox(ss_init))
-    rng_inject = np.random.default_rng(np.random.Philox(ss_inject))
+    if isinstance(seed, list):
+        streams = [_seed_streams(cfg, s) for s in seed]
+        rng_sample, rng_init = [r[0] for r in streams], [r[1] for r in streams]
+        rng_inject, meta = None, [{**cfg.values, "trial.seed": str(s)} for s in seed]
+    else:
+        rng_sample, rng_init, rng_inject = _seed_streams(cfg, seed)
+        meta = {**cfg.values, "trial.seed": str(seed)}
     scheme = cfg.get("sampling.scheme", "cycling")
-    meta = dict(cfg.values)
-    meta["trial.seed"] = str(seed)
     kind = cfg.get("system.kind", "linear_regression")
 
     if algo == "tbptt":
@@ -253,7 +309,7 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     injector = None
     if algo in ("uoro", "nobacktrack"):
         injector = RankOneInjector("uoro" if algo == "uoro" else "nbt")
-    rule = rule_from_string(cfg.get("algorithm.rule", "identity"), len(theta0))
+    rule = rule_from_string(cfg.get("algorithm.rule", "identity"), theta0.shape[-1])
     return run_learning(
         system, s0, theta0, None, schedule, rule=rule,
         injector=injector, T=T, rng=rng_inject, theta_star=theta_star,
@@ -293,13 +349,17 @@ def _theta_init(cfg, theta_star, rng_init, p):
 
 
 def _build_plant(cfg, kind, scheme, T, rng_sample, rng_init):
-    """System + initial conditions for the non-adaptive algorithms."""
+    """System + initial conditions for the non-adaptive algorithms.
+
+    For lists of seed generators (linear_regression and momentum only) the
+    system is seed-batched and theta0, s0 have one row per seed.
+    """
     if kind == "linear_regression":
         xs, ys, theta_star = build_dataset(cfg)
-        indices = sample_indices(scheme, len(xs), T, rng_sample)
+        indices = _per_seed(lambda rng: sample_indices(scheme, len(xs), T, rng), rng_sample)
         system = NonRecurrentRegression(xs, ys, indices)
-        theta0 = _theta_init(cfg, theta_star, rng_init, xs.shape[1])
-        return system, theta0, theta_star, np.zeros(1), None
+        theta0 = _per_seed(lambda rng: _theta_init(cfg, theta_star, rng, xs.shape[1]), rng_init)
+        return system, theta0, theta_star, np.zeros(theta0.shape[:-1] + (1,)), None
     if kind == "influence_balancing":
         system = InfluenceBalancing(
             cfg.getint("system.n", 6), cfg.getint("system.n_plus", 2),
@@ -327,30 +387,31 @@ def _build_plant(cfg, kind, scheme, T, rng_sample, rng_init):
         return system, theta0, theta_star, 0.5 * np.ones(n), None
     if kind == "momentum":
         xs, ys, theta_star = build_dataset(cfg)
-        indices = sample_indices(scheme, len(xs), T, rng_sample)
+        indices = _per_seed(lambda rng: sample_indices(scheme, len(xs), T, rng), rng_sample)
         loss = SquaredErrorLoss(xs, ys)
         system = make_example(
             "momentum", sample_loss=loss, indices=indices,
             beta=cfg.getfloat("system.beta", 0.5),
         )
-        theta0 = _theta_init(cfg, theta_star, rng_init, xs.shape[1])
-        return system, theta0, theta_star, np.zeros(1), None
+        theta0 = _per_seed(lambda rng: _theta_init(cfg, theta_star, rng, xs.shape[1]), rng_init)
+        return system, theta0, theta_star, np.zeros(theta0.shape[:-1] + (1,)), None
     raise ConfigurationError(f"unknown system kind {kind!r}")
 
 
 def _build_adaptive(cfg, algo, scheme, T, schedule, rng_sample, rng_init):
-    """Momentum system + adaptive rule for adam/rmsprop/ong configs."""
+    """Momentum system + adaptive rule for adam/rmsprop/ong configs; seed-
+    batched (not ong) for lists of seed generators, as `_build_plant`."""
     kind = cfg.get("system.kind", "linear_regression")
     if kind == "period3":
         coef = cfg.getfloat("system.coef", 3.0)
         loss = LinearCoefficientLoss([coef, -1.0, -1.0])
-        indices = sample_indices("cycling", 3, T, rng_sample)
+        indices = _per_seed(lambda rng: sample_indices("cycling", 3, T, rng), rng_sample)
         theta_star = np.array([-1.0])
         lo, hi = -1.0, 1.0
     elif kind == "linear_regression":
         xs, ys, theta_star = build_dataset(cfg)
         loss = SquaredErrorLoss(xs, ys)
-        indices = sample_indices(scheme, len(xs), T, rng_sample)
+        indices = _per_seed(lambda rng: sample_indices(scheme, len(xs), T, rng), rng_sample)
         lo = hi = None
     else:
         raise ConfigurationError(f"adaptive algorithms do not support system kind {kind!r}")
@@ -382,7 +443,7 @@ def _build_adaptive(cfg, algo, scheme, T, schedule, rng_sample, rng_init):
         )
         setup = AdamSetup(system=system, rule=rule, theta_dim=p, psi_dim=p * p)
 
-    theta0_core = _theta_init(cfg, theta_star, rng_init, setup.theta_dim)
+    theta0_core = _per_seed(lambda rng: _theta_init(cfg, theta_star, rng, setup.theta_dim), rng_init)
     if lo is not None:
         theta0_core = np.clip(theta0_core, lo, hi)
     psi0 = None
@@ -400,11 +461,12 @@ def _build_adaptive(cfg, algo, scheme, T, schedule, rng_sample, rng_init):
         class _BlockProjected:
             def apply(self, t, theta, w):
                 out = np.asarray(theta, dtype=float) - np.asarray(w, dtype=float)
-                out[: setup.theta_dim] = np.clip(out[: setup.theta_dim], lo, hi)
+                out[..., : setup.theta_dim] = np.clip(out[..., : setup.theta_dim], lo, hi)
                 return out
 
         phi = _BlockProjected()
-    return setup.system, setup.rule, phi, theta0, theta_star, np.zeros(1), setup.theta_dim
+    s0 = np.zeros(theta0.shape[:-1] + (1,))
+    return setup.system, setup.rule, phi, theta0, theta_star, s0, setup.theta_dim
 
 
 def summarize_trials(results, tol: float = 1e-2):
@@ -424,10 +486,38 @@ def summarize_trials(results, tol: float = 1e-2):
     return rows
 
 
-def _trial_job(args):
-    cfg_values, seed = args
-    cfg = ExperimentConfig(cfg_values)
-    return seed, run_trial(cfg, seed)
+def _trials_job(args):
+    """run_trials on (config values, seeds); the unit of work of a pool."""
+    cfg_values, seeds = args
+    return run_trials(ExperimentConfig(cfg_values), seeds)
+
+
+def _point_job(args):
+    """_trials_job for a sweep point: its records, or the text of the
+    error that stopped it (failures are data in a sweep)."""
+    try:
+        return _trials_job(args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _seed_chunks(seeds, jobs):
+    """seeds in at most `jobs` contiguous chunks of near-equal size."""
+    chunks = np.array_split(np.asarray(seeds, dtype=int), max(1, min(jobs, len(seeds))))
+    return [chunk.tolist() for chunk in chunks]
+
+
+def _map_jobs(job, tasks, jobs):
+    """[job(task) for task in tasks], over one pool of `jobs` spawned
+    processes when jobs > 1; the results keep the order of the tasks."""
+    if jobs > 1 and len(tasks) > 1:
+        import multiprocessing  # only here: it costs every CLI start otherwise
+
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(tasks)),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(job, tasks))
+    return [job(task) for task in tasks]
 
 
 def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False):
@@ -440,21 +530,15 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
     _validate_config(cfg, force)
     exp_dir = os.path.join(outdir, cfg.name)
     arms = cfg.arms()
+    tasks = [(arm, arm_cfg.values, chunk)
+             for arm, arm_cfg in arms for chunk in _seed_chunks(cfg.seeds, jobs)]
     results = {}
-    for arm, arm_cfg in arms:
-        tasks = [(arm_cfg.values, seed) for seed in cfg.seeds]
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                for seed, record in pool.map(_trial_job, tasks):
-                    results[(arm, seed)] = record
-        else:
-            for task in tasks:
-                seed, record = _trial_job(task)
-                results[(arm, seed)] = record
+    for (arm, _, _), records in zip(tasks, _map_jobs(_trials_job, [t[1:] for t in tasks], jobs)):
+        results.update(((arm, seed), record) for seed, record in records.items())
+    for arm, _ in arms:
+        subdir = exp_dir if len(arms) == 1 else os.path.join(exp_dir, arm)
         for seed in cfg.seeds:
-            record = results[(arm, seed)]
-            subdir = exp_dir if len(arms) == 1 else os.path.join(exp_dir, arm)
-            record.to_csv(os.path.join(subdir, f"{seed}.csv"))
+            results[(arm, seed)].to_csv(os.path.join(subdir, f"{seed}.csv"))
     write_csv_atomic(
         os.path.join(exp_dir, "summary.csv"),
         ("arm", "seed", "converged", "final_dist", "abort_t"),
@@ -497,24 +581,40 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
     grid_keys = [k.split(".", 1)[1] for k in sweep_keys]
     grid_values = [cfg.getlist(k) for k in sweep_keys]
     exp_dir = os.path.join(outdir, cfg.name)
-    rows = []
+    chunks = _seed_chunks(cfg.seeds, jobs)
+    points, tasks = [], []
     for combo in product(*grid_values):
-        overrides = dict(zip(grid_keys, combo))
-        point_cfg = cfg.with_overrides(overrides)
-        label = "_".join(str(v).replace(".", "p") for v in combo)
+        point_cfg = cfg.with_overrides(dict(zip(grid_keys, combo)))
         try:
             _validate_config(point_cfg, force)
-            results = {}
-            for seed in cfg.seeds:
-                results[("main", seed)] = run_trial(point_cfg, seed)
-            finals = np.array([r.final_dist() for r in results.values()])
-            tol = cfg.getfloat("experiment.tol", 1e-2)
-            conv = [(not r.aborted) and r.final_dist() <= tol for r in results.values()]
-            for seed in cfg.seeds:
-                results[("main", seed)].to_csv(os.path.join(exp_dir, label, f"{seed}.csv"))
-            rows.append(list(combo) + [float(np.nanmean(finals)), float(np.mean(conv)), ""])
+            error = None
+            tasks += [(point_cfg.values, chunk) for chunk in chunks]
         except Exception as exc:  # failures are data; the sweep continues
-            rows.append(list(combo) + [float("nan"), 0.0, f"{type(exc).__name__}: {exc}"])
+            error = f"{type(exc).__name__}: {exc}"
+        points.append((combo, error))
+    outcomes = iter(_map_jobs(_point_job, tasks, jobs))
+    rows = []
+    for combo, error in points:
+        results = {}
+        if error is None:
+            for outcome in [next(outcomes) for _ in chunks]:
+                if isinstance(outcome, str):
+                    error = error or outcome
+                else:
+                    results.update(outcome)
+        if error is None:
+            label = "_".join(str(v).replace(".", "p") for v in combo)
+            try:
+                finals = np.array([r.final_dist() for r in results.values()])
+                tol = cfg.getfloat("experiment.tol", 1e-2)
+                conv = [(not r.aborted) and r.final_dist() <= tol for r in results.values()]
+                for seed in cfg.seeds:
+                    results[seed].to_csv(os.path.join(exp_dir, label, f"{seed}.csv"))
+                rows.append(list(combo) + [float(np.nanmean(finals)), float(np.mean(conv)), ""])
+                continue
+            except Exception as exc:  # failures are data; the sweep continues
+                error = f"{type(exc).__name__}: {exc}"
+        rows.append(list(combo) + [float("nan"), 0.0, error])
     write_csv_atomic(
         os.path.join(exp_dir, "sweep.csv"),
         grid_keys + ["mean_final_dist", "converged_frac", "error"],

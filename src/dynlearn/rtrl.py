@@ -28,6 +28,13 @@ used only through the system's products, and the gradient is
 (dl_t/ds . v_state) v_param, so no dense J is ever formed. A dense J with
 a `RankOneInjector` (J plus the injected error E_t) is the slow oracle
 of that path.
+
+The dense learner also runs seed-batched: s (S, n), J (S, n, p) and
+theta (S, p) hold S seeds of one arm, on a system, rule and update
+operator that act row by row (see `dynamics._SeedBatchable`). Every row is
+bit-identical to its seed run alone: the row products are stacked
+matmuls (or `dynamics.row_dot`), which run the same kernels as the 2-D
+ones.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ContractViolation, NumericOverflow, ParamJacobian, System, guard
+from .dynamics import ContractViolation, NumericOverflow, ParamJacobian, System, guard, row_dot
 from .rankone import RankOneInjector, RankOnePair
 from .records import RecordBuilder, TrialRecord
 from .schedules import StepSchedule
@@ -58,7 +65,8 @@ class LearnerState:
 
     J is a dense (dim S_t) x p matrix or a RankOnePair standing for one.
     v is the update direction v_t of the step that produced this state
-    (None before the first step).
+    (None before the first step). Seed-batched, s, J, theta and v carry a
+    leading seed axis.
     """
 
     t: int
@@ -75,9 +83,10 @@ class LearnerState:
         else:
             self.J = np.atleast_2d(np.asarray(self.J, dtype=float))
             shape = self.J.shape
-        if shape != (len(self.s), len(self.theta)):
+        dims = self.s.shape + self.theta.shape[-1:]
+        if shape != dims or self.s.shape[:-1] != self.theta.shape[:-1]:
             raise ContractViolation(
-                f"Jacobian shape {shape} inconsistent with dims ({len(self.s)}, {len(self.theta)})"
+                f"Jacobian shape {shape} inconsistent with dims {dims}"
             )
 
 
@@ -90,13 +99,15 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
     `d_transition_dtheta_add` into the product dT_t/ds . J. A
     RankOnePair J is advanced by the injector's `propagate`, which must
     then be a RankOneInjector (checked before any system call). s_t is
-    guarded as stage "transition", then J_t as stage "jacobian".
+    guarded as stage "transition", then J_t as stage "jacobian". A J of
+    shape (S, n, p) advances S seeds at once (seed-batched, no injector).
     """
     rank_one = isinstance(J, RankOnePair)
     if rank_one and not isinstance(injector, RankOneInjector):
         raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
+    batched = not rank_one and J.ndim == 3
     jac_s = np.atleast_2d(sys.d_transition_ds(t, s, theta))
-    s_new = guard(np.asarray(sys.transition(t, s, theta), dtype=float), "transition", t)
+    s_new = guard(np.asarray(sys.transition(t, s, theta), dtype=float), "transition", t, batched)
 
     if rank_one:
         J_new = injector.propagate(t, J, s, theta, jac_s, ParamJacobian(sys, t, s, theta), rng)
@@ -112,8 +123,9 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
             # The dense oracle of the pair path; next_error needs dT/dtheta.
             jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
             J_new = jac_s @ J + jac_th + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
-        guard(J_new, "jacobian", t)
-        g = np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new
+        guard(J_new, "jacobian", t, batched)
+        dl = np.atleast_1d(sys.d_loss_ds(t, s_new))
+        g = np.matmul(dl[:, None, :], J_new)[:, 0] if batched else dl @ J_new
     return s_new, J_new, g
 
 
@@ -122,19 +134,21 @@ def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
     """Advance the learner by one step (see module docstring for order).
 
     (s, J) advance through `forward_step`, which refuses a RankOnePair J
-    without a RankOneInjector before any system call.
+    without a RankOneInjector before any system call. A seed-batched state
+    advances all its rows; an overflow names the failing rows.
     """
     if eta_t < 0:
         raise ContractViolation("step size must be >= 0")
     t = ls.t + 1
+    batched = ls.theta.ndim == 2
     s_new, J_new, v = forward_step(sys, t, ls.s, ls.theta, ls.J, injector, rng)
     if rule is not None:
         v = rule.apply(t, v, s_new, ls.theta)
-    guard(v, "update-direction", t)
+    guard(v, "update-direction", t, batched)
 
     w = eta_t * v
     theta_new = phi.apply(t, ls.theta, w) if phi is not None else ls.theta - w
-    guard(theta_new, "parameter", t)
+    guard(theta_new, "parameter", t, batched)
     # Internal arrays already satisfy the LearnerState contract; skip the
     # dataclass re-validation in this hot path.
     out = LearnerState.__new__(LearnerState)
@@ -172,7 +186,8 @@ def open_loop_gradient(sys: System, s0, theta, t: int) -> np.ndarray:
 
 def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
                  phi=None, injector=None, T: int = 1, rng=None, theta_star=None,
-                 dist_dims=None, record_every: int = 1, config_meta=None) -> TrialRecord:
+                 dist_dims=None, record_every: int = 1,
+                 config_meta=None) -> TrialRecord | list[TrialRecord]:
     """Run T learning steps and record the trial.
 
     An overflow anywhere aborts the trial and records the abort time;
@@ -182,12 +197,23 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
     when theta is augmented with preconditioner statistics). With a
     RankOneInjector the learner carries the injector's pair, starting from
     its initial_pair, instead of a dense J; J0 must then be None or zero.
+
+    Seed-batched: theta0 of shape (S, p) and s0 of shape (S, n) run S seeds
+    through one learner (dense J, no injector), config_meta is a list of S
+    dicts and the result a list of S TrialRecords, each identical to the
+    record of its seed run alone. A row that overflows at step t ends
+    there as it would alone; it is dropped (`take_seeds` of the system,
+    rule and operator, where they have one) and step t is redone for the
+    other rows from the same state.
     """
     if T < 1:
         raise ContractViolation("horizon T must be >= 1")
     theta0 = np.asarray(theta0, dtype=float)
+    batched = theta0.ndim == 2
     dims = (len(np.atleast_1d(s0)), len(theta0))
     if injector is not None:
+        if batched:
+            raise ContractViolation("seed-batched learning takes no injector")
         injector.reset()
     if isinstance(injector, RankOneInjector):
         # The learner carries the injector's pair in place of a dense J.
@@ -196,26 +222,62 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
                 "a rank-one injector starts from its initial_pair; J0 must be None or zero")
         J0 = injector.pair if injector.pair is not None else RankOnePair.zero(*dims)
     elif J0 is None:
-        J0 = np.zeros(dims)
+        J0 = np.zeros(np.atleast_1d(s0).shape + theta0.shape[-1:])
     ls = LearnerState(t=0, s=s0, J=J0, theta=theta0)
 
-    def dist(theta):
+    def dists(theta):
         if theta_star is None:
-            return np.nan
-        d = theta[:dist_dims] - np.asarray(theta_star, dtype=float)[:dist_dims]
-        return float(np.linalg.norm(d))
+            return [np.nan] * (len(theta) if theta.ndim == 2 else 1)
+        return _norms(theta[..., :dist_dims] - np.asarray(theta_star, dtype=float)[:dist_dims])
 
-    builder = RecordBuilder(config_meta)
-    builder.add(0, dist(theta0), np.nan, np.nan)
-    try:
-        for t in range(1, T + 1):
+    # One builder per row of the learner state, in row order.
+    live = [RecordBuilder(meta) for meta in (config_meta if batched else [config_meta])]
+    builders = list(live)
+    final_theta = {}
+    for builder, dist in zip(live, dists(theta0)):
+        builder.add(0, dist, np.nan, np.nan)
+    t = 1
+    while t <= T:
+        try:
             ls = rtrl_step(sys, ls, schedule.eta(t), rule, phi, injector, rng)
-            if t % record_every == 0 or t == T:
-                builder.add(t, dist(ls.theta), sys.loss(t, ls.s), float(np.linalg.norm(ls.v)))
-    except NumericOverflow as exc:
-        builder.abort_t = exc.t
-        builder.add(exc.t, dist(ls.theta), np.nan, np.nan)
-    return builder.build(final_theta=ls.theta)
+        except NumericOverflow as exc:
+            failed = range(len(live)) if exc.rows is None else exc.rows
+            for r in failed:
+                theta = ls.theta[r] if batched else ls.theta
+                live[r].abort_t = exc.t
+                live[r].add(exc.t, dists(theta)[0], np.nan, np.nan)
+                final_theta[live[r]] = theta
+            keep = np.setdiff1d(np.arange(len(live)), failed)
+            if not len(keep):
+                break
+            # Drop the failed rows and redo step t for the others.
+            live = [live[r] for r in keep]
+            ls = LearnerState(t=ls.t, s=ls.s[keep], J=ls.J[keep], theta=ls.theta[keep])
+            sys, rule, phi = (_take_seeds(part, keep) for part in (sys, rule, phi))
+            continue
+        if t % record_every == 0 or t == T:
+            losses = np.atleast_1d(sys.loss(t, ls.s))
+            for builder, dist, loss, gnorm in zip(live, dists(ls.theta), losses, _norms(ls.v)):
+                builder.add(t, dist, loss, gnorm)
+        t += 1
+    for r, builder in enumerate(live):
+        final_theta[builder] = ls.theta[r] if batched else ls.theta
+    records = [builder.build(final_theta=final_theta[builder]) for builder in builders]
+    return records if batched else records[0]
+
+
+def _norms(x):
+    """[||x||] for a vector, or the norms of the rows of a seed-batched x."""
+    if x.ndim == 1:
+        return [float(np.linalg.norm(x))]
+    return np.sqrt(row_dot(x, x))
+
+
+def _take_seeds(part, rows):
+    """A system, rule or operator restricted to the seed rows `rows`; one
+    without per-seed data (no `take_seeds`) serves every row as it is."""
+    take = getattr(part, "take_seeds", None)
+    return part if take is None else take(rows)
 
 
 def deviation(sys: System, theta_anchor, states, t0: int, t1: int,

@@ -14,6 +14,7 @@ B Lambda + Lambda^T B = I.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,11 @@ class AdaptiveRule(UpdateRule):
     c*eta_t coupling (also schedule-dependent: c_t = (1-beta2)/eta_t),
     which deliberately leaves the regime covered by the local convergence
     guarantees; it exists for the divergence experiments.
+
+    A preconditioner marked `diagonal` returns the diagonal of P, which
+    then scales v_core elementwise. Seed-batched: with theta and v of shape
+    (S, p), a statistic built on per-seed index rows and a diagonal
+    preconditioner, each row is updated as it would be alone.
     """
 
     def __init__(self, stat_fn, precond, c, theta_dim, psi_dim,
@@ -99,6 +105,7 @@ class AdaptiveRule(UpdateRule):
         self.timing = timing
         self.schedule = schedule
         self.fixed_beta2 = fixed_beta2
+        self.diagonal = getattr(precond, "diagonal", False)
 
     def coupling(self, t):
         if self.fixed_beta2 is None:
@@ -108,22 +115,38 @@ class AdaptiveRule(UpdateRule):
     def apply(self, t, v, s, theta):
         theta = np.asarray(theta, dtype=float)
         v = np.asarray(v, dtype=float)
-        core = theta[: self.theta_dim]
-        psi = theta[self.theta_dim :]
-        stat = np.ravel(self.stat_fn(t, core))
-        if not np.all(np.isfinite(stat)):
+        core = theta[..., : self.theta_dim]
+        psi = theta[..., self.theta_dim :]
+        stat = self.stat_fn(t, core)
+        stat = np.reshape(stat, psi.shape) if theta.ndim == 2 else np.ravel(stat)
+        if not np.isfinite(stat).all():
             raise FloatingPointError("statistic evaluated to non-finite entries")
         c_t = self.coupling(t)
         psi_dir = c_t * (psi - stat)
         psi_used = psi
         if self.timing == "psi_first":
             psi_used = psi - self.schedule.eta(t) * psi_dir
-        P = np.atleast_2d(self.precond(core, psi_used))
-        return np.concatenate([P @ v[: self.theta_dim], psi_dir])
+        P = self.precond(core, psi_used)
+        v_core = v[..., : self.theta_dim]
+        # Off the diagonal P @ v adds only exact zeros, so scaling by the
+        # diagonal gives the same bits without building the p x p matrix.
+        core_dir = P * v_core if self.diagonal else np.atleast_2d(P) @ v_core
+        return np.concatenate([core_dir, psi_dir], axis=-1)
+
+    def take_seeds(self, rows):
+        """The same rule restricted to the seed rows `rows` of a
+        seed-batched statistic."""
+        out = copy.copy(self)
+        out.stat_fn = self.stat_fn.take_seeds(rows)
+        return out
 
 
 def squared_grad_statistic(sample_loss, indices):
-    """Psi_t(theta) = elementwise square of the per-sample gradient."""
+    """Psi_t(theta) = elementwise square of the per-sample gradient.
+
+    On 2-D indices (one row per seed) it is seed-batched, and its
+    `take_seeds(rows)` keeps the given rows.
+    """
     from .dynamics import _index_lookup
 
     idx = _index_lookup(indices)
@@ -131,6 +154,7 @@ def squared_grad_statistic(sample_loss, indices):
     def stat(t, theta):
         return sample_loss.grad(idx(t), theta) ** 2
 
+    stat.take_seeds = lambda rows: squared_grad_statistic(sample_loss, idx.take(rows))
     return stat
 
 
@@ -148,11 +172,13 @@ def outer_grad_statistic(sample_loss, indices):
 
 
 def rmsprop_preconditioner(eps=1e-8):
-    """P(theta, psi) = diag(psi + eps)^(-1)."""
+    """P(theta, psi) = diag(psi + eps)^(-1), returned as its diagonal
+    1 / (psi + eps) (marked `diagonal` for `AdaptiveRule`)."""
 
     def precond(theta, psi):
-        return np.diag(1.0 / (psi + eps))
+        return 1.0 / (psi + eps)
 
+    precond.diagonal = True
     return precond
 
 
@@ -175,7 +201,8 @@ class AdamSetup:
     Jacobian of the momentum system is exactly the momentum variable
     J_t = beta1 J_{t-1} + (1 - beta1) grad l_t, and the rule applies the
     psi-preconditioner to it. psi0 defaults to the first observed
-    statistic. Bias-correction factors are not applied.
+    statistic. Bias-correction factors are not applied. Seed-batched
+    (2-D indices), theta0 has one row per seed.
     """
 
     system: System
@@ -186,8 +213,8 @@ class AdamSetup:
     def initial_theta(self, theta0, psi0=None):
         theta0 = np.asarray(theta0, dtype=float)
         if psi0 is None:
-            psi0 = np.ravel(self.rule.stat_fn(1, theta0))
-        return np.concatenate([theta0, np.asarray(psi0, dtype=float)])
+            psi0 = np.reshape(self.rule.stat_fn(1, theta0), theta0.shape[:-1] + (-1,))
+        return np.concatenate([theta0, np.asarray(psi0, dtype=float)], axis=-1)
 
 
 def rule_adam(sample_loss, indices, beta1, c, eps=1e-8, timing="simultaneous",

@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, printed pass/fail lines.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines as they complete. The long-horizon criteria (5, 6) parallelize
-their seeds over processes.
+lines as they complete. The long-horizon criteria (5, 6) run the eight
+seeds of each arm through one seed-batched learner (`harness.run_trials`).
 """
 
-import concurrent.futures
 import itertools
 import time
 
@@ -20,7 +19,7 @@ from dynlearn.dynamics import (
     TanhSystem,
     compound_loss,
 )
-from dynlearn.harness import ExperimentConfig, _trial_job
+from dynlearn.harness import ExperimentConfig, run_trials
 from dynlearn.rankone import (
     RankOneInjector,
     RankOnePair,
@@ -48,12 +47,6 @@ from dynlearn.updates import is_positive_stable, solve_lyapunov
 def report(criterion, ok, detail=""):
     print(f"[criterion {criterion:>2}] {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def run_trials_parallel(cfg_values, seeds, workers=8):
-    tasks = [(cfg_values, s) for s in seeds]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(_trial_job, tasks))
 
 
 def fd_gradient(sys, s0, theta, t, h=1e-6):
@@ -193,7 +186,7 @@ def test_criterion_5_cycling_admits_small_exponents():
     outcomes = {}
     for scheme, b in [("cycling", 0.3), ("cycling", 0.7), ("iid", 0.7), ("iid", 0.3)]:
         cfg = {**CRIT5_BASE, "sampling.scheme": scheme, "schedule.b": str(b)}
-        recs = run_trials_parallel(cfg, range(8))
+        recs = run_trials(ExperimentConfig(cfg), range(8))
         finals = np.array([recs[s].final_dist() for s in range(8)])
         outcomes[(scheme, b)] = finals
     ok = all(
@@ -222,8 +215,8 @@ def test_criterion_6_beta2_dichotomy():
         "schedule.gamma": "0.5", "schedule.b": "0.7",
         "init.theta0": "near_optimum", "init.radius": "1.0",
     }
-    adaptive = run_trials_parallel(base, range(8))
-    fixed = run_trials_parallel({**base, "algorithm.fixed_beta2": "0.99"}, range(8))
+    adaptive = run_trials(ExperimentConfig(base), range(8))
+    fixed = run_trials(ExperimentConfig({**base, "algorithm.fixed_beta2": "0.99"}), range(8))
     med_a = float(np.median([adaptive[s].final_dist() for s in range(8)]))
     med_f = float(np.median([fixed[s].final_dist() for s in range(8)]))
     report(6, med_a <= med_f / 10.0 or (med_a == 0.0 and med_f == 0.0),

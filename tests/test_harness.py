@@ -146,6 +146,27 @@ def test_sweep_rows(tmp_path):
     assert len(lines) == 1 + 8
 
 
+def test_sweep_files_identical_across_jobs(tmp_path):
+    # Seed-batched and looped arms, a failing point, three seeds split
+    # into two chunks: sweep.csv and every trial CSV match byte for byte.
+    cfg = small_config(**{
+        "experiment.name": "gridjobs",
+        "experiment.seeds": "0,1,2",
+        "experiment.horizon": 200,
+        "sweep.schedule.b": "0.5, 2.0",
+        "sweep.algorithm.name": "sgd, uoro, adam",
+    })
+    dirs = [run_sweep(cfg, str(tmp_path / f"jobs{jobs}"), jobs=jobs) for jobs in (1, 2)]
+    files = [sorted(os.path.relpath(os.path.join(root, f), d)
+                    for root, _, fs in os.walk(d) for f in fs) for d in dirs]
+    assert files[0] == files[1] and len(files[0]) == 1 + 3 * 3
+    for name in files[0]:
+        a, b = (open(os.path.join(d, name), "rb").read() for d in dirs)
+        assert a == b, name
+    with open(os.path.join(dirs[0], "sweep.csv")) as fh:
+        assert sum("ConfigurationError" in line for line in fh) == 3
+
+
 def test_sweep_partial_failure_recorded(tmp_path):
     cfg = small_config(**{
         "experiment.name": "gridfail",

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dynlearn.records import TrialRecord, config_hash, write_csv_atomic
+from dynlearn.records import TrialRecord, config_hash, write_csv_atomic, write_csv_columns
 
 
 def sample_record(abort_t=None, intervals=False):
@@ -63,3 +63,32 @@ def test_config_hash_stable_and_sensitive():
     b = config_hash({"y": "z", "x": 1})
     assert a == b
     assert config_hash({"x": 2, "y": "z"}) != a
+
+
+def test_column_writer_matches_csv_writer(tmp_path, monkeypatch):
+    # The column-wise trial writer must give the bytes of csv.writer with
+    # per-cell formatting, on special floats, ints, aborted rows and the
+    # interval_k column, across blocks of rows.
+    import dynlearn.records as records
+
+    monkeypatch.setattr(records, "CSV_BLOCK_ROWS", 5)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -5e-324, 1.7976931348623157e308,
+                0.1 + 0.2, 1e16, 123456789.0, -2.5]
+    n = len(specials)
+    rec = TrialRecord(
+        t=np.arange(n) * 1000,
+        theta_dist=np.array(specials),
+        loss=np.array(specials[::-1]),
+        grad_norm=np.arange(n, dtype=float) / 3.0,
+        abort_t=6000,
+        interval_k=np.array([0, 1, 2, 3, 2**40, -7, 5, 6, 7, 8, 9, 10]),
+    )
+    expected, got = tmp_path / "rows.csv", tmp_path / "columns.csv"
+    for record in (sample_record(), sample_record(abort_t=0), rec):
+        write_csv_atomic(str(expected), record.header(), zip(*record.columns()))
+        record.to_csv(str(got))
+        assert got.read_bytes() == expected.read_bytes()
+    lines = got.read_bytes().split(b"\r\n")
+    assert lines[1] == b"0,nan,-2.5,0.0,0,0" and lines[7] == b"6000,-5e-324,1e-300,2.0,1,5"
+    write_csv_columns(str(got), ["a", "b"], [np.array([1, -2]), np.array([-0.0, np.nan])])
+    assert got.read_bytes() == b"a,b\r\n1,-0.0\r\n-2,nan\r\n"

@@ -70,6 +70,25 @@ def test_rule_affine_combination_identity():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_rmsprop_diagonal_equals_the_matrix_product():
+    # Scaling by the diagonal gives the bits of diag(1/(psi+eps)) @ v.
+    xs, ys, _ = regression_dataset()
+    loss = SquaredErrorLoss(xs, ys)
+    idx = sample_indices("cycling", len(xs), 50)
+    diag = AdaptiveRule(squared_grad_statistic(loss, idx), rmsprop_preconditioner(1e-8),
+                        c=0.5, theta_dim=4, psi_dim=4)
+    assert diag.diagonal
+    matrix = AdaptiveRule(squared_grad_statistic(loss, idx),
+                          lambda theta, psi: np.diag(1.0 / (psi + 1e-8)),
+                          c=0.5, theta_dim=4, psi_dim=4)
+    assert not matrix.diagonal
+    rng = philox(12)
+    for t in range(1, 50):
+        theta = np.concatenate([rng.normal(size=4), np.abs(rng.normal(size=4)) * 10.0 ** rng.integers(-9, 3)])
+        v = rng.normal(size=8) * 10.0 ** rng.integers(-6, 6)
+        assert np.array_equal(diag.apply(t, v, None, theta), matrix.apply(t, v, None, theta))
+
+
 def test_preconditioned_lambda_positive_stable():
     rng = philox(3)
     n = 5
