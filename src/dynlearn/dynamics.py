@@ -96,17 +96,11 @@ def guard(x, stage, t, batched=False):
 def row_dot(a, b):
     """Row-wise dot products of two (S, k) arrays.
 
-    Each entry is bit-identical to the 1-D product a[r] @ b[r]: numpy's
-    vecdot (numpy >= 2) and a stacked matmul of (1, k) by (k, 1) run the
-    same dot kernel per row, while einsum and (a * b).sum(1) may round
-    differently in the last bit.
+    Each entry is bit-identical to the 1-D product a[r] @ b[r]: a stacked
+    matmul of (1, k) by (k, 1) runs the same dot kernel per row, while
+    einsum and (a * b).sum(1) may round differently in the last bit.
     """
-    if _vecdot is not None:
-        return _vecdot(a, b)
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-_vecdot = getattr(np, "vecdot", None)
 
 
 def _pow2(x):

@@ -13,8 +13,9 @@ files are written atomically.
 arm in `SEED_BATCHED` advance together through one seed-batched learner
 (see `rtrl.run_learning`), which writes the same bytes as running them
 one by one; any other arm runs `run_trial` per seed. With jobs > 1 the
-seeds of each arm are split into `jobs` chunks, one batch per task, over
-one process pool per call.
+arms (or sweep points) are spread over one process pool per call, and
+an arm's seeds are split only as far as the pool needs tasks, never
+below two seeds per chunk for a batched arm.
 """
 
 from __future__ import annotations
@@ -232,12 +233,16 @@ def run_trials(cfg: ExperimentConfig, seeds) -> dict:
     (one seed alone is cheaper per step without the seed axis).
     """
     seeds = [int(seed) for seed in seeds]
-    algo = cfg.get("algorithm.name", "sgd")
-    batched = (algo, cfg.get("system.kind", "linear_regression")) in SEED_BATCHED and (
-        algo in ("adam", "rmsprop") or cfg.get("algorithm.rule", "identity") in ("", "identity"))
-    if batched and len(seeds) > 1:
+    if _seed_batched(cfg) and len(seeds) > 1:
         return dict(zip(seeds, _run(cfg, seeds)))
     return {seed: run_trial(cfg, seed) for seed in seeds}
+
+
+def _seed_batched(cfg: ExperimentConfig) -> bool:
+    """Whether run_trials advances the seeds of cfg's arm together."""
+    algo = cfg.get("algorithm.name", "sgd")
+    return (algo, cfg.get("system.kind", "linear_regression")) in SEED_BATCHED and (
+        algo in ("adam", "rmsprop") or cfg.get("algorithm.rule", "identity") in ("", "identity"))
 
 
 def _seed_streams(cfg: ExperimentConfig, seed: int):
@@ -249,10 +254,16 @@ def _seed_streams(cfg: ExperimentConfig, seed: int):
 
 def _per_seed(draw, rngs):
     """draw(rng) for one seed's generator, or the draws for a list of
-    seed generators stacked one row per seed."""
-    if isinstance(rngs, list):
-        return np.stack([draw(rng) for rng in rngs])
-    return draw(rngs)
+    seed generators stacked one row per seed (filled row by row, so a
+    long index array is not held twice)."""
+    if not isinstance(rngs, list):
+        return draw(rngs)
+    first = draw(rngs[0])
+    out = np.empty((len(rngs),) + first.shape, dtype=first.dtype)
+    out[0] = first
+    for r, rng in enumerate(rngs[1:], start=1):
+        out[r] = draw(rng)
+    return out
 
 
 def _run(cfg: ExperimentConfig, seed):
@@ -501,23 +512,24 @@ def _point_job(args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _seed_chunks(seeds, jobs):
-    """seeds in at most `jobs` contiguous chunks of near-equal size."""
-    chunks = np.array_split(np.asarray(seeds, dtype=int), max(1, min(jobs, len(seeds))))
-    return [chunk.tolist() for chunk in chunks]
+def _seed_chunks(cfg: ExperimentConfig, seeds, jobs: int, units: int):
+    """The seeds of one of `units` arms or points in contiguous chunks:
+    enough for the units to give `jobs` workers a task each, and of at
+    least two seeds each when the arm is seed-batched."""
+    min_size = 2 if _seed_batched(cfg) else 1
+    n = max(1, min(-(-jobs // units), len(seeds) // min_size))
+    return [chunk.tolist() for chunk in np.array_split(np.asarray(seeds, dtype=int), n)]
 
 
 def _map_jobs(job, tasks, jobs):
-    """[job(task) for task in tasks], over one pool of `jobs` spawned
-    processes when jobs > 1; the results keep the order of the tasks."""
+    """job(task) for each task, yielded in the order of the tasks, over
+    one pool of `jobs` processes when jobs > 1."""
     if jobs > 1 and len(tasks) > 1:
-        import multiprocessing  # only here: it costs every CLI start otherwise
-
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(tasks)),
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(job, tasks))
-    return [job(task) for task in tasks]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            yield from pool.map(job, tasks)
+    else:
+        for task in tasks:
+            yield job(task)
 
 
 def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False):
@@ -530,19 +542,22 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
     _validate_config(cfg, force)
     exp_dir = os.path.join(outdir, cfg.name)
     arms = cfg.arms()
-    tasks = [(arm, arm_cfg.values, chunk)
-             for arm, arm_cfg in arms for chunk in _seed_chunks(cfg.seeds, jobs)]
-    results = {}
-    for (arm, _, _), records in zip(tasks, _map_jobs(_trials_job, [t[1:] for t in tasks], jobs)):
-        results.update(((arm, seed), record) for seed, record in records.items())
-    for arm, _ in arms:
+    tol = cfg.getfloat("experiment.tol", 1e-2)
+    tasks = [(arm, (arm_cfg.values, chunk)) for arm, arm_cfg in arms
+             for chunk in _seed_chunks(arm_cfg, cfg.seeds, jobs, len(arms))]
+    # Each chunk's CSVs are written as it arrives and only its summary
+    # rows are kept, so memory does not grow with the number of trials.
+    rows = []
+    for (arm, _), records in zip(tasks, _map_jobs(_trials_job, [t[1] for t in tasks], jobs)):
         subdir = exp_dir if len(arms) == 1 else os.path.join(exp_dir, arm)
-        for seed in cfg.seeds:
-            results[(arm, seed)].to_csv(os.path.join(subdir, f"{seed}.csv"))
+        for seed in records:
+            records[seed].to_csv(os.path.join(subdir, f"{seed}.csv"))
+        rows += summarize_trials({(arm, seed): r for seed, r in records.items()}, tol=tol)
+        del records  # before the next chunk runs
     write_csv_atomic(
         os.path.join(exp_dir, "summary.csv"),
         ("arm", "seed", "converged", "final_dist", "abort_t"),
-        summarize_trials(results, tol=cfg.getfloat("experiment.tol", 1e-2)),
+        sorted(rows, key=lambda row: (row[0], row[1])),
     )
     return exp_dir
 
@@ -568,6 +583,27 @@ def _validate_config(cfg: ExperimentConfig, force: bool):
         raise ConfigurationError("; ".join(violations))
 
 
+def _sweep_row(combo, error, outcomes, point_dir, seeds, tol):
+    """The sweep.csv row of one grid point from the outcomes of its
+    chunks (records, or error text); writes the point's trial CSVs."""
+    results = {}
+    for outcome in outcomes:
+        if isinstance(outcome, str):
+            error = error or outcome
+        else:
+            results.update(outcome)
+    if error is None:
+        try:
+            finals = np.array([r.final_dist() for r in results.values()])
+            conv = [(not r.aborted) and r.final_dist() <= tol for r in results.values()]
+            for seed in seeds:
+                results[seed].to_csv(os.path.join(point_dir, f"{seed}.csv"))
+            return list(combo) + [float(np.nanmean(finals)), float(np.mean(conv)), ""]
+        except Exception as exc:  # failures are data; the sweep continues
+            error = f"{type(exc).__name__}: {exc}"
+    return list(combo) + [float("nan"), 0.0, error]
+
+
 def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False):
     """Cartesian sweep over [sweep] keys; aggregates one row per point.
 
@@ -581,40 +617,28 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
     grid_keys = [k.split(".", 1)[1] for k in sweep_keys]
     grid_values = [cfg.getlist(k) for k in sweep_keys]
     exp_dir = os.path.join(outdir, cfg.name)
-    chunks = _seed_chunks(cfg.seeds, jobs)
-    points, tasks = [], []
+    points = []
     for combo in product(*grid_values):
         point_cfg = cfg.with_overrides(dict(zip(grid_keys, combo)))
         try:
             _validate_config(point_cfg, force)
             error = None
-            tasks += [(point_cfg.values, chunk) for chunk in chunks]
         except Exception as exc:  # failures are data; the sweep continues
             error = f"{type(exc).__name__}: {exc}"
-        points.append((combo, error))
-    outcomes = iter(_map_jobs(_point_job, tasks, jobs))
-    rows = []
-    for combo, error in points:
-        results = {}
-        if error is None:
-            for outcome in [next(outcomes) for _ in chunks]:
-                if isinstance(outcome, str):
-                    error = error or outcome
-                else:
-                    results.update(outcome)
-        if error is None:
-            label = "_".join(str(v).replace(".", "p") for v in combo)
-            try:
-                finals = np.array([r.final_dist() for r in results.values()])
-                tol = cfg.getfloat("experiment.tol", 1e-2)
-                conv = [(not r.aborted) and r.final_dist() <= tol for r in results.values()]
-                for seed in cfg.seeds:
-                    results[seed].to_csv(os.path.join(exp_dir, label, f"{seed}.csv"))
-                rows.append(list(combo) + [float(np.nanmean(finals)), float(np.mean(conv)), ""])
-                continue
-            except Exception as exc:  # failures are data; the sweep continues
-                error = f"{type(exc).__name__}: {exc}"
-        rows.append(list(combo) + [float("nan"), 0.0, error])
+        points.append((combo, point_cfg, error))
+    units = sum(error is None for _, _, error in points)
+    chunks = [[] if error else _seed_chunks(point_cfg, cfg.seeds, jobs, units)
+              for _, point_cfg, error in points]
+    tasks = [(point_cfg.values, chunk)
+             for (_, point_cfg, _), point_chunks in zip(points, chunks) for chunk in point_chunks]
+    outcomes = _map_jobs(_point_job, tasks, jobs)
+    tol = cfg.getfloat("experiment.tol", 1e-2)
+    # A point's CSVs are written as soon as its chunks arrive, and its
+    # records dropped before the next point runs.
+    rows = [_sweep_row(combo, error, [next(outcomes) for _ in point_chunks],
+                       os.path.join(exp_dir, "_".join(str(v).replace(".", "p") for v in combo)),
+                       cfg.seeds, tol)
+            for (combo, _, error), point_chunks in zip(points, chunks)]
     write_csv_atomic(
         os.path.join(exp_dir, "sweep.csv"),
         grid_keys + ["mean_final_dist", "converged_frac", "error"],

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,11 +154,14 @@ class TrialRecord:
 
 
 class RecordBuilder:
-    """Accumulates rows during a run; avoids growing numpy arrays."""
+    """Accumulates rows during a run; avoids growing numpy arrays. The
+    columns are typed arrays, 8 bytes a cell, since a seed-batched run
+    keeps the builders of all its seeds at once, and `build` hands them
+    to the record without a copy (the builder takes no rows after it)."""
 
     def __init__(self, config_meta=None, with_intervals=False):
-        self.ts, self.dists, self.losses, self.gnorms = [], [], [], []
-        self.intervals = [] if with_intervals else None
+        self.ts, self.intervals = array("q"), array("q") if with_intervals else None
+        self.dists, self.losses, self.gnorms = array("d"), array("d"), array("d")
         self.abort_t = None
         self.meta = dict(config_meta) if config_meta else {}
 
@@ -171,12 +175,12 @@ class RecordBuilder:
 
     def build(self, final_theta=None):
         return TrialRecord(
-            t=np.array(self.ts, dtype=int),
-            theta_dist=np.array(self.dists),
-            loss=np.array(self.losses),
-            grad_norm=np.array(self.gnorms),
+            t=np.frombuffer(self.ts, dtype=np.int64),
+            theta_dist=np.frombuffer(self.dists),
+            loss=np.frombuffer(self.losses),
+            grad_norm=np.frombuffer(self.gnorms),
             abort_t=self.abort_t,
-            interval_k=None if self.intervals is None else np.array(self.intervals, dtype=int),
+            interval_k=None if self.intervals is None else np.frombuffer(self.intervals, dtype=np.int64),
             config_hash=config_hash(self.meta) if self.meta else "",
             final_theta=None if final_theta is None else np.asarray(final_theta, dtype=float),
             meta=self.meta,

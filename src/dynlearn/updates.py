@@ -80,7 +80,7 @@ class AdaptiveRule(UpdateRule):
     which deliberately leaves the regime covered by the local convergence
     guarantees; it exists for the divergence experiments.
 
-    A preconditioner marked `diagonal` returns the diagonal of P, which
+    A preconditioner may return the diagonal of P, shaped as v_core, which
     then scales v_core elementwise. Seed-batched: with theta and v of shape
     (S, p), a statistic built on per-seed index rows and a diagonal
     preconditioner, each row is updated as it would be alone.
@@ -105,7 +105,6 @@ class AdaptiveRule(UpdateRule):
         self.timing = timing
         self.schedule = schedule
         self.fixed_beta2 = fixed_beta2
-        self.diagonal = getattr(precond, "diagonal", False)
 
     def coupling(self, t):
         if self.fixed_beta2 is None:
@@ -130,7 +129,7 @@ class AdaptiveRule(UpdateRule):
         v_core = v[..., : self.theta_dim]
         # Off the diagonal P @ v adds only exact zeros, so scaling by the
         # diagonal gives the same bits without building the p x p matrix.
-        core_dir = P * v_core if self.diagonal else np.atleast_2d(P) @ v_core
+        core_dir = P * v_core if np.shape(P) == v_core.shape else np.atleast_2d(P) @ v_core
         return np.concatenate([core_dir, psi_dir], axis=-1)
 
     def take_seeds(self, rows):
@@ -173,12 +172,11 @@ def outer_grad_statistic(sample_loss, indices):
 
 def rmsprop_preconditioner(eps=1e-8):
     """P(theta, psi) = diag(psi + eps)^(-1), returned as its diagonal
-    1 / (psi + eps) (marked `diagonal` for `AdaptiveRule`)."""
+    1 / (psi + eps)."""
 
     def precond(theta, psi):
         return 1.0 / (psi + eps)
 
-    precond.diagonal = True
     return precond
 
 

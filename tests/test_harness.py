@@ -147,24 +147,68 @@ def test_sweep_rows(tmp_path):
 
 
 def test_sweep_files_identical_across_jobs(tmp_path):
-    # Seed-batched and looped arms, a failing point, three seeds split
-    # into two chunks: sweep.csv and every trial CSV match byte for byte.
+    # Seed-batched and looped arms and a failing point; at jobs=4 each of
+    # the three valid points is split in two chunks: sweep.csv and every
+    # trial CSV at jobs=2 and 4 match jobs=1 byte for byte.
     cfg = small_config(**{
         "experiment.name": "gridjobs",
-        "experiment.seeds": "0,1,2",
+        "experiment.seeds": "0,1,2,3",
         "experiment.horizon": 200,
         "sweep.schedule.b": "0.5, 2.0",
         "sweep.algorithm.name": "sgd, uoro, adam",
     })
-    dirs = [run_sweep(cfg, str(tmp_path / f"jobs{jobs}"), jobs=jobs) for jobs in (1, 2)]
+    dirs = [run_sweep(cfg, str(tmp_path / f"jobs{jobs}"), jobs=jobs) for jobs in (1, 2, 4)]
     files = [sorted(os.path.relpath(os.path.join(root, f), d)
                     for root, _, fs in os.walk(d) for f in fs) for d in dirs]
-    assert files[0] == files[1] and len(files[0]) == 1 + 3 * 3
+    assert files[0] == files[1] == files[2] and len(files[0]) == 1 + 3 * 4
     for name in files[0]:
-        a, b = (open(os.path.join(d, name), "rb").read() for d in dirs)
-        assert a == b, name
+        a, *others = (open(os.path.join(d, name), "rb").read() for d in dirs)
+        assert all(a == b for b in others), name
     with open(os.path.join(dirs[0], "sweep.csv")) as fh:
         assert sum("ConfigurationError" in line for line in fh) == 3
+
+
+def test_seed_chunks_spread_arms_before_seeds():
+    # Arms or points fill the pool first; a seed-batched arm is never cut
+    # below two seeds, a looped one may run one seed per task.
+    from dynlearn.harness import _seed_chunks
+
+    seeds = list(range(8))
+    sgd, uoro = small_config(), small_config(**{"algorithm.name": "uoro"})
+    assert _seed_chunks(sgd, seeds, 1, 1) == [seeds]
+    assert _seed_chunks(sgd, seeds, 2, 2) == [seeds]
+    assert _seed_chunks(sgd, seeds, 2, 1) == [seeds[:4], seeds[4:]]
+    assert _seed_chunks(sgd, seeds, 8, 2) == [seeds[i:i + 2] for i in range(0, 8, 2)]
+    assert _seed_chunks(sgd, seeds, 32, 1) == [seeds[i:i + 2] for i in range(0, 8, 2)]
+    assert _seed_chunks(sgd, [3], 4, 1) == [[3]]
+    assert _seed_chunks(uoro, seeds, 8, 1) == [[seed] for seed in seeds]
+    assert _seed_chunks(uoro, seeds, 8, 3) == [seeds[:3], seeds[3:6], seeds[6:]]
+
+
+def test_outputs_written_before_the_next_chunk_runs(tmp_path, monkeypatch):
+    # A point's (or arm's) trial CSVs are on disk before the next task
+    # starts, so the records of a long sweep are not all held at once.
+    import dynlearn.harness as harness
+
+    seen = []
+
+    def job(run):
+        def traced(args):
+            seen.append(sorted(p.name for p in tmp_path.rglob("*.csv")))
+            return run(args)
+        return traced
+
+    monkeypatch.setattr(harness, "_point_job", job(harness._point_job))
+    run_sweep(small_config(**{"experiment.name": "stream", "experiment.horizon": 50,
+                              "sweep.schedule.b": "0.5, 0.7"}), str(tmp_path / "sweep"))
+    assert seen == [[], ["0.csv", "1.csv"]]
+    seen.clear()
+    monkeypatch.setattr(harness, "_trials_job", job(harness._trials_job))
+    run_experiment(small_config(**{"experiment.name": "arms", "experiment.horizon": 50,
+                                   "arms.a": "schedule.b=0.5", "arms.b": "schedule.b=0.7"}),
+                   str(tmp_path / "run"))
+    assert seen == [["0.csv", "0.csv", "1.csv", "1.csv", "sweep.csv"],
+                    ["0.csv", "0.csv", "0.csv", "1.csv", "1.csv", "1.csv", "sweep.csv"]]
 
 
 def test_sweep_partial_failure_recorded(tmp_path):

@@ -170,17 +170,11 @@ def test_batched_learner_contracts():
     assert len(records) == 3 and all(len(r.t) == 5 for r in records)
 
 
-@pytest.mark.parametrize("vecdot", [True, False], ids=["vecdot", "matmul"])
-def test_batched_losses_round_as_scalars(vecdot, monkeypatch):
+def test_batched_losses_round_as_scalars():
     # Row r of a seed-batched loss equals the scalar computation bit for
     # bit; an array ** 2 (x * x) would differ from the scalar's pow in the
-    # last bit for about one value in a thousand. Both spellings of the
-    # row dot product (numpy >= 2 and older) are checked.
-    import dynlearn.dynamics as dynamics
+    # last bit for about one value in a thousand.
     from dynlearn.dynamics import LinearCoefficientLoss, SquaredErrorLoss
-
-    if not vecdot:
-        monkeypatch.setattr(dynamics, "_vecdot", None)
 
     rng = np.random.default_rng(np.random.Philox(key=5))
     xs, ys = rng.normal(size=(16, 4)), rng.normal(size=16)
