@@ -121,7 +121,9 @@ class System(ABC):
     State dimension may vary with t; `state_dim(t)` gives dim(S_t).
     `transition(t, s, theta)` maps S_{t-1} x Theta -> S_t, and the two
     transition Jacobians have shapes dim(S_t) x dim(S_{t-1}) and
-    dim(S_t) x p. Losses are defined for t >= 1.
+    dim(S_t) x p. Losses are defined for t >= 1. Methods treat s and theta
+    as read-only, and callers never write into them after a call: a system
+    may keep what it computed for the same s and theta objects.
     """
 
     param_dim: int
@@ -444,6 +446,10 @@ class RNNSystem(_ConstantDim, System):
     The parameter is the flat concatenation [W (row-major), W', B] with
     p = n^2 + n*m + n. Loss is 0.5 ||s_t - y_t||^2 against a target
     sequence (default zero targets).
+
+    A learner step evaluates the cell once: every method reads it from a
+    one-entry memo keyed by t and the s and theta objects (read-only, see
+    `System`).
     """
 
     def __init__(self, n, m, inputs=None, targets=None):
@@ -453,6 +459,12 @@ class RNNSystem(_ConstantDim, System):
         self.param_dim = n * n + n * m + n
         self.inputs = inputs
         self.targets = targets
+        # Flat indices into an n x p matrix of row i's non-zero dT/dtheta
+        # entries d_i [s, x_t, 1], in the W, W' and B blocks.
+        i = np.arange(n)[:, None]
+        cols = np.hstack([i * n + np.arange(n), n * n + i * m + np.arange(m), n * n + n * m + i])
+        self._add_idx = i * self.param_dim + cols
+        self._last = None
 
     def _unpack(self, theta):
         n, m = self.n, self.m
@@ -477,63 +489,62 @@ class RNNSystem(_ConstantDim, System):
             return np.zeros(self.n)
         return np.atleast_1d(self.targets(t))
 
-    def _preactivation(self, t, s, theta):
+    def _cell(self, t, s, theta):
+        """(sig, slope, W, x_t) at (t, s, theta): the cell's output, its
+        derivative sig (1 - sig), the recurrent weights and the input."""
+        last = self._last
+        if last is not None and last[0] == t and last[1] is s and last[2] is theta:
+            return last[3]
         W, Wx, B = self._unpack(theta)
+        x = self._input(t)
         h = W @ s + B
         if self.m:
-            h = h + Wx @ self._input(t)
-        return h
+            h = h + Wx @ x
+        sig = _sigmoid(h)
+        cell = (sig, sig * (1.0 - sig), W, x)
+        self._last = (t, s, theta, cell)
+        return cell
 
     def transition(self, t, s, theta):
-        return _sigmoid(self._preactivation(t, s, theta))
-
-    def _slope(self, t, s, theta):
-        sig = _sigmoid(self._preactivation(t, s, theta))
-        return sig * (1.0 - sig)
+        # A copy, so that no caller can write into the memo.
+        return self._cell(t, s, theta)[0].copy()
 
     def d_transition_ds(self, t, s, theta):
-        W, _, _ = self._unpack(theta)
-        return self._slope(t, s, theta)[:, None] * W
+        _, d, W, _ = self._cell(t, s, theta)
+        return d[:, None] * W
 
     def d_transition_dtheta(self, t, s, theta):
         n, m = self.n, self.m
-        d = self._slope(t, s, theta)
+        _, d, _, x = self._cell(t, s, theta)
         # d(pre_i)/dW_{ab} = delta_{ia} s_b, and similarly for W' and B.
         jac = np.zeros((n, self.param_dim))
         jac[:, : n * n] = np.kron(np.eye(n), s[None, :])
         if m:
-            jac[:, n * n : n * n + n * m] = np.kron(np.eye(n), self._input(t)[None, :])
+            jac[:, n * n : n * n + n * m] = np.kron(np.eye(n), x[None, :])
         jac[:, n * n + n * m :] = np.eye(n)
         return d[:, None] * jac
 
     def d_transition_dtheta_add(self, t, s, theta, M):
-        # Row i of dT/dtheta is d_i [e_i (x) s, e_i (x) x_t, e_i]: only the
-        # i-th row of each block (W, W', B) is non-zero, O(n^2 + nm).
-        n = self.n
-        d = self._slope(t, s, theta)
+        # Row i of dT/dtheta is d_i [e_i (x) s, e_i (x) x_t, e_i]: only
+        # n + m + 1 entries per row are non-zero, O(n^2 + nm).
+        _, d, _, x = self._cell(t, s, theta)
         M = np.ascontiguousarray(M)
-        start = 0
-        for v in (s, self._input(t), np.ones(1)):
-            k = len(v)
-            # blocks[i, a, :] are the entries of row i of M for row a of
-            # the block; the view's diagonal a = i gets d_i v.
-            blocks = M[:, start : start + n * k].reshape(n, n, k)
-            np.einsum("iik->ik", blocks)[...] += np.outer(d, v)
-            start += n * k
+        M.reshape(-1)[self._add_idx] += np.outer(d, np.concatenate([s, x, [1.0]]))
         return M
 
     def d_transition_dtheta_vjp(self, t, s, theta, u):
         # Row i of dT/dtheta is d_i [e_i (x) s, e_i (x) x_t, e_i]: O(n^2 + nm).
-        g = u * self._slope(t, s, theta)
+        _, d, _, x = self._cell(t, s, theta)
+        g = u * d
         parts = [np.outer(g, s).ravel()]
         if self.m:
-            parts.append(np.outer(g, self._input(t)).ravel())
+            parts.append(np.outer(g, x).ravel())
         parts.append(g)
         return np.concatenate(parts)
 
     def d_transition_dtheta_row_norms(self, t, s, theta):
-        x = self._input(t)
-        return np.abs(self._slope(t, s, theta)) * np.sqrt(s @ s + x @ x + 1.0)
+        _, d, _, x = self._cell(t, s, theta)
+        return np.abs(d) * np.sqrt(s @ s + x @ x + 1.0)
 
     def loss(self, t, s):
         r = s - self._target(t)

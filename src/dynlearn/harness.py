@@ -272,12 +272,9 @@ def _run(cfg: ExperimentConfig, seed):
     algo = cfg.get("algorithm.name", "sgd")
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algo!r}")
+    _check_counts(cfg, COUNT_KEYS)
     T = cfg.horizon
-    if T < 1:
-        raise ConfigurationError(f"experiment.horizon must be >= 1, got {T}")
     record_every = cfg.getint("experiment.record_every", 1)
-    if record_every < 1:
-        raise ConfigurationError(f"experiment.record_every must be >= 1, got {record_every}")
     schedule = StepSchedule(cfg.getfloat("schedule.gamma", 0.1), cfg.getfloat("schedule.b", 0.7))
     if isinstance(seed, list):
         streams = [_seed_streams(cfg, s) for s in seed]
@@ -326,6 +323,18 @@ def _run(cfg: ExperimentConfig, seed):
         injector=injector, T=T, rng=rng_inject, theta_star=theta_star,
         dist_dims=dist_dims, record_every=record_every, config_meta=meta,
     )
+
+
+# Integer keys that must be >= 1 (their defaults are).
+COUNT_KEYS = ("experiment.horizon", "experiment.record_every")
+
+
+def _check_counts(cfg: ExperimentConfig, keys):
+    """ConfigurationError unless each of these COUNT_KEYS is >= 1."""
+    for key in keys:
+        value = cfg.getint(key, 1)
+        if value < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {value}")
 
 
 def _parse_truncation(cfg) -> TruncationSchedule:
@@ -521,6 +530,16 @@ def _seed_chunks(cfg: ExperimentConfig, seeds, jobs: int, units: int):
     return [chunk.tolist() for chunk in np.array_split(np.asarray(seeds, dtype=int), n)]
 
 
+def _usable_jobs(jobs: int) -> int:
+    """jobs, capped at the CPUs this process may run on: more workers than
+    that only cut seed batches smaller."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus)
+
+
 def _map_jobs(job, tasks, jobs):
     """job(task) for each task, yielded in the order of the tasks, over
     one pool of `jobs` processes when jobs > 1."""
@@ -540,6 +559,7 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
     force is not set.
     """
     _validate_config(cfg, force)
+    jobs = _usable_jobs(jobs)
     exp_dir = os.path.join(outdir, cfg.name)
     arms = cfg.arms()
     tol = cfg.getfloat("experiment.tol", 1e-2)
@@ -609,13 +629,17 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
 
     Each [sweep] entry is a dotted config key with comma-separated
     values. Failures of individual grid points are recorded in their row
-    (error column) and the sweep continues.
+    (error column) and the sweep continues; a horizon or record_every
+    below 1 that no [sweep] entry sets raises ConfigurationError before
+    any trial runs.
     """
     sweep_keys = sorted(k for k in cfg.values if k.startswith("sweep."))
     if not sweep_keys:
         raise ConfigurationError("config has no [sweep] section")
     grid_keys = [k.split(".", 1)[1] for k in sweep_keys]
     grid_values = [cfg.getlist(k) for k in sweep_keys]
+    _check_counts(cfg, [key for key in COUNT_KEYS if key not in grid_keys])
+    jobs = _usable_jobs(jobs)
     exp_dir = os.path.join(outdir, cfg.name)
     points = []
     for combo in product(*grid_values):

@@ -17,7 +17,7 @@ computes; the equivalence is exercised directly by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -164,11 +164,13 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
 
     theta = np.asarray(theta0, dtype=float)
     s = np.asarray(s0, dtype=float)
+    ref = None if theta_star is None else np.asarray(theta_star, dtype=float)[:dist_dims]
 
     def dist(th):
-        if theta_star is None:
+        if ref is None:
             return np.nan
-        return float(np.linalg.norm(th[:dist_dims] - np.asarray(theta_star, dtype=float)[:dist_dims]))
+        d = th[:dist_dims] - ref
+        return sqrt(d.dot(d))  # np.linalg.norm's formula
 
     builder = RecordBuilder(config_meta, with_intervals=True)
     builder.add(0, dist(theta), np.nan, np.nan, interval=0)
@@ -187,7 +189,7 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
             else:
                 theta_new, grad, s = _per_step_update(sys, s, theta, t_lo, t_hi, eta, phi)
             theta = guard(theta_new, "parameter", t_hi)
-            builder.add(t_hi, dist(theta), sys.loss(t_hi, s), float(np.linalg.norm(grad)), interval=k + 1)
+            builder.add(t_hi, dist(theta), sys.loss(t_hi, s), sqrt(grad.dot(grad)), interval=k + 1)
     except NumericOverflow as exc:
         builder.abort_t = exc.t
         builder.add(exc.t, dist(theta), np.nan, np.nan, interval=k + 1)

@@ -175,7 +175,7 @@ def test_reset_wrapper():
     assert np.array_equal(wrapped.d_transition_ds(3, states[2], np.array([1.0])), np.zeros((1, 1)))
 
 
-@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_rnn_products_match_dense_parameter_jacobian(m):
     rng = philox(40 + m)
     n = 4

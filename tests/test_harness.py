@@ -146,10 +146,12 @@ def test_sweep_rows(tmp_path):
     assert len(lines) == 1 + 8
 
 
-def test_sweep_files_identical_across_jobs(tmp_path):
+def test_sweep_files_identical_across_jobs(tmp_path, monkeypatch):
     # Seed-batched and looped arms and a failing point; at jobs=4 each of
     # the three valid points is split in two chunks: sweep.csv and every
-    # trial CSV at jobs=2 and 4 match jobs=1 byte for byte.
+    # trial CSV at jobs=2 and 4 match jobs=1 byte for byte. Four usable
+    # CPUs are reported, so that jobs=4 is not capped on a smaller host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     cfg = small_config(**{
         "experiment.name": "gridjobs",
         "experiment.seeds": "0,1,2,3",
@@ -209,6 +211,53 @@ def test_outputs_written_before_the_next_chunk_runs(tmp_path, monkeypatch):
                    str(tmp_path / "run"))
     assert seen == [["0.csv", "0.csv", "1.csv", "1.csv", "sweep.csv"],
                     ["0.csv", "0.csv", "0.csv", "1.csv", "1.csv", "1.csv", "sweep.csv"]]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    tasks, and runs them in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+        RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, job, tasks):
+        self.tasks = list(tasks)
+        return map(job, self.tasks)
+
+
+@pytest.mark.parametrize("affinity, cpu_count", [(2, 64), (None, 3)])
+def test_jobs_capped_at_usable_cpus(affinity, cpu_count, tmp_path, monkeypatch):
+    # jobs=8 asks for more workers than the process may use: the pool gets
+    # the usable CPUs (affinity, or cpu_count without an affinity call),
+    # and a seed-batched arm is cut into that many chunks, not eight.
+    import concurrent.futures
+
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cpus = affinity or cpu_count
+    RecordingPool.made = []
+    seeds = ",".join(str(i) for i in range(12))
+    run_experiment(small_config(**{"experiment.seeds": seeds, "experiment.horizon": 20}),
+                   str(tmp_path / "run"), jobs=8)
+    run_sweep(small_config(**{"experiment.seeds": seeds, "experiment.horizon": 20,
+                              "sweep.schedule.b": "0.5"}), str(tmp_path / "sweep"), jobs=8)
+    assert [pool.max_workers for pool in RecordingPool.made] == [cpus, cpus]
+    for pool in RecordingPool.made:
+        assert [len(seeds) for _, seeds in pool.tasks] == [12 // cpus] * cpus
 
 
 def test_sweep_partial_failure_recorded(tmp_path):
@@ -272,6 +321,37 @@ def test_cli_run_bad_value_exit_2(override, message, tmp_path, capsys, monkeypat
                      "--set", override, "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["experiment.horizon", "experiment.record_every"])
+def test_cli_sweep_grid_wide_bad_count_exit_2(key, tmp_path, capsys, monkeypatch):
+    # No [sweep] entry sets the key, so every point would fail: the sweep
+    # exits 2 before any trial runs and writes nothing.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    out = tmp_path / "o"
+    code = cli_main(["sweep", os.path.join(CONFIG_DIR, "influence_balancing_tbptt.ini"),
+                     "--set", f"{key}=0", "--out", str(out)])
+    assert code == 2
+    assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_point_bad_count_is_an_error_row(tmp_path):
+    # A horizon that only one grid point sets fails that point alone.
+    path = write_config(tmp_path, small_config(**{
+        "experiment.name": "pointfail", "sweep.experiment.horizon": "0, 20"}))
+    code = cli_main(["sweep", path, "--out", str(tmp_path / "o")])
+    assert code == 0
+    with open(tmp_path / "o" / "pointfail" / "sweep.csv") as fh:
+        lines = fh.read().strip().splitlines()
+    assert len(lines) == 3
+    assert "ConfigurationError: experiment.horizon must be >= 1, got 0" in lines[1]
+    assert lines[2].endswith(",")
 
 
 def test_cli_check_schedule(capsys):
