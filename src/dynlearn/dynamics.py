@@ -67,8 +67,11 @@ class ConfigurationError(ValueError):
     """Invalid construction parameters or experiment configuration."""
 
 
-# Arrays with more entries than this are guarded without a temporary.
+# Arrays with more entries than this are guarded without a temporary;
+# arrays with at most GUARD_SCALAR_SIZE entries are guarded in Python
+# floats, which beats one numpy reduction below about 28 entries.
 GUARD_NO_TEMP_SIZE = 4096
+GUARD_SCALAR_SIZE = 24
 
 
 def guard(x, stage, t, batched=False):
@@ -76,12 +79,21 @@ def guard(x, stage, t, batched=False):
     magnitude; then NumericOverflow(stage, t). Every overflow check of the
     library goes through here. With batched=True the leading axis of x runs
     over seeds, and the error names the failing rows."""
-    # max and min are NaN when any entry is NaN, so the comparisons cover
-    # both the overflow threshold and non-finite entries. Large arrays
-    # (a dense J) are checked as max <= L and min >= -L, which allocates
-    # nothing; on small ones one |x| reduction is cheaper than two.
-    if getattr(x, "size", 0) > GUARD_NO_TEMP_SIZE:
+    # A comparison with NaN is false, and max and min are NaN when any
+    # entry is NaN, so each test covers both the overflow threshold and
+    # non-finite entries. Large arrays (a dense J) are checked as
+    # max <= L and min >= -L, which allocates nothing; on smaller ones one
+    # |x| reduction is cheaper than two, and on the smallest (a state of
+    # a few entries) a loop over Python floats is cheaper still.
+    size = getattr(x, "size", 0)
+    if size > GUARD_NO_TEMP_SIZE:
         ok = x.max() <= OVERFLOW_LIMIT and x.min() >= -OVERFLOW_LIMIT
+    elif 0 < size <= GUARD_SCALAR_SIZE:
+        ok = True
+        for v in x.ravel().tolist():
+            if not -OVERFLOW_LIMIT <= v <= OVERFLOW_LIMIT:
+                ok = False
+                break
     else:
         ok = np.abs(x).max() <= OVERFLOW_LIMIT
     if ok:
@@ -265,6 +277,9 @@ class LinearSystem(_ConstantDim, System):
 
     def d_transition_dtheta(self, t, s, theta):
         return self.B.copy()
+
+    def d_transition_dtheta_vjp(self, t, s, theta, u):
+        return u @ self.B
 
     def loss(self, t, s):
         return float(self.w @ s)
@@ -630,6 +645,7 @@ class InfluenceBalancing(_ConstantDim, System):
         u = np.where(np.arange(n) < n_plus, 1.0, -1.0)
         self.A = A
         self.u = u
+        self._u_col = u[:, None]  # dT/dtheta, constant
         self._dim = n
         self.param_dim = 1
 
@@ -644,7 +660,10 @@ class InfluenceBalancing(_ConstantDim, System):
         return self.A.copy()
 
     def d_transition_dtheta(self, t, s, theta):
-        return self.u[:, None].copy()
+        return self._u_col.copy()
+
+    def d_transition_dtheta_vjp(self, t, s, theta, u):
+        return u @ self._u_col
 
     def loss(self, t, s):
         return float(s[0] ** 2)

@@ -43,7 +43,7 @@ from .records import config_hash, write_csv_atomic
 from .rtrl import run_learning
 from .schedules import ExponentProfile, StepSchedule, sample_indices, validate_exponents
 from .tbptt import TruncationSchedule, run_tbptt
-from .updates import PreconditionedRule, rule_adam
+from .updates import PreconditionedRule, ProjectedUpdate, rule_adam
 
 __all__ = ["ExperimentConfig", "run_experiment", "run_sweep", "run_trials", "summarize_trials"]
 
@@ -109,12 +109,20 @@ class ExperimentConfig:
         return self.values.get(dotted, default)
 
     def getfloat(self, dotted, default=None):
-        val = self.values.get(dotted)
-        return default if val is None else float(val)
+        return self._number(dotted, default, float)
 
     def getint(self, dotted, default=None):
+        return self._number(dotted, default, int)
+
+    def _number(self, dotted, default, kind):
         val = self.values.get(dotted)
-        return default if val is None else int(val)
+        if val is None:
+            return default
+        try:
+            return kind(val)
+        except (TypeError, ValueError):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigurationError(f"{dotted} must be {what}, got {val!r}") from None
 
     def getlist(self, dotted, default=()):
         val = self.values.get(dotted)
@@ -475,16 +483,8 @@ def _build_adaptive(cfg, algo, scheme, T, schedule, rng_sample, rng_init):
         ridge = cfg.getfloat("algorithm.psi0_ridge", 1.0)
         psi0 = (np.outer(g, g) + ridge * np.eye(p)).ravel()
     theta0 = setup.initial_theta(theta0_core, psi0=psi0)
-    phi = None
-    if lo is not None:
-        # Project the parameter block only; statistics are unconstrained.
-        class _BlockProjected:
-            def apply(self, t, theta, w):
-                out = np.asarray(theta, dtype=float) - np.asarray(w, dtype=float)
-                out[..., : setup.theta_dim] = np.clip(out[..., : setup.theta_dim], lo, hi)
-                return out
-
-        phi = _BlockProjected()
+    # Project the parameter block only; statistics are unconstrained.
+    phi = None if lo is None else ProjectedUpdate(lo, hi, block=setup.theta_dim)
     s0 = np.zeros(theta0.shape[:-1] + (1,))
     return setup.system, setup.rule, phi, theta0, theta_star, s0, setup.theta_dim
 

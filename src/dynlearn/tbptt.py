@@ -72,15 +72,19 @@ class TruncationSchedule:
                 t += ceil(t**self.A)
                 yield t
 
+    def intervals(self, T: int):
+        """Yield the intervals (t_lo, t_hi] that cover (0, T] lazily, the
+        last one clipped at T."""
+        bounds = self.boundaries()
+        t_lo = next(bounds)
+        while t_lo < T:
+            t_hi = min(next(bounds), T)
+            yield t_lo, t_hi
+            t_lo = t_hi
+
     def boundaries_up_to(self, T: int) -> np.ndarray:
         """All boundaries <= T, ending with T itself (last interval clipped)."""
-        out = []
-        for t in self.boundaries():
-            if t >= T:
-                break
-            out.append(t)
-        out.append(T)
-        return np.array(out, dtype=int)
+        return np.array([t_lo for t_lo, _ in self.intervals(T)] + [T], dtype=int)
 
 
 @dataclass
@@ -95,11 +99,15 @@ def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
     """Forward pass storing states, then one adjoint sweep. Returns
     (summed gradient, stored states)."""
     theta = np.asarray(theta, dtype=float)
-    states = [np.asarray(s_start, dtype=float)]
+    transition, d_loss_ds = sys.transition, sys.d_loss_ds
+    d_transition_ds, vjp = sys.d_transition_ds, sys.d_transition_dtheta_vjp
+    s = np.asarray(s_start, dtype=float)
+    states = [s]
     for t in range(t_start + 1, t_end + 1):
-        states.append(guard(sys.transition(t, states[-1], theta), "transition", t))
-        if counters is not None:
-            counters.forward_steps += 1
+        s = guard(transition(t, s, theta), "transition", t)
+        states.append(s)
+    if counters is not None:
+        counters.forward_steps += t_end - t_start
 
     grad = np.zeros(len(theta))
     lam = None  # adjoint row vector, not yet allocated
@@ -107,14 +115,12 @@ def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
         s_t = states[t - t_start]
         s_prev = states[t - t_start - 1]
         if lam is None:
-            lam = np.atleast_1d(sys.d_loss_ds(t, s_t)).astype(float)
+            lam = np.atleast_1d(d_loss_ds(t, s_t)).astype(float)
         else:
-            lam = np.atleast_1d(sys.d_loss_ds(t, s_t)) + lam @ np.atleast_2d(
-                sys.d_transition_ds(t + 1, s_t, theta)
-            )
-        grad += sys.d_transition_dtheta_vjp(t, s_prev, theta, lam)
-        if counters is not None:
-            counters.backward_steps += 1
+            lam = np.atleast_1d(d_loss_ds(t, s_t)) + lam @ np.atleast_2d(d_transition_ds(t + 1, s_t, theta))
+        grad += vjp(t, s_prev, theta, lam)
+    if counters is not None:
+        counters.backward_steps += t_end - t_start
     return grad, states
 
 
@@ -172,15 +178,18 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
         d = th[:dist_dims] - ref
         return sqrt(d.dot(d))  # np.linalg.norm's formula
 
+    eta_at, loss = schedule.eta, sys.loss
     builder = RecordBuilder(config_meta, with_intervals=True)
     builder.add(0, dist(theta), np.nan, np.nan, interval=0)
-    bounds = trunc.boundaries_up_to(T)
+    # One row per interval, appended straight into the builder's columns.
+    add_t, add_dist, add_loss, add_gnorm, add_k = (
+        column.append for column in (builder.ts, builder.dists, builder.losses,
+                                     builder.gnorms, builder.intervals))
     try:
-        for k in range(len(bounds) - 1):
-            t_lo, t_hi = int(bounds[k]), int(bounds[k + 1])
+        for k, (t_lo, t_hi) in enumerate(trunc.intervals(T), start=1):
             if reset_state is not None:
                 s = np.asarray(reset_state, dtype=float)
-            eta = schedule.eta(t_hi)
+            eta = eta_at(t_hi)
             if update_mode == "aggregate":
                 grad, states = _interval_pass(sys, s, theta, t_lo, t_hi)
                 s = states[-1]
@@ -189,10 +198,15 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
             else:
                 theta_new, grad, s = _per_step_update(sys, s, theta, t_lo, t_hi, eta, phi)
             theta = guard(theta_new, "parameter", t_hi)
-            builder.add(t_hi, dist(theta), sys.loss(t_hi, s), sqrt(grad.dot(grad)), interval=k + 1)
+            dist_k, loss_k, gnorm_k = dist(theta), float(loss(t_hi, s)), sqrt(grad.dot(grad))
+            add_t(t_hi)
+            add_dist(dist_k)
+            add_loss(loss_k)
+            add_gnorm(gnorm_k)
+            add_k(k)
     except NumericOverflow as exc:
         builder.abort_t = exc.t
-        builder.add(exc.t, dist(theta), np.nan, np.nan, interval=k + 1)
+        builder.add(exc.t, dist(theta), np.nan, np.nan, interval=k)
     return builder.build(final_theta=theta)
 
 

@@ -254,14 +254,23 @@ class ClippedUpdate(ParamUpdateOp):
 
 
 class ProjectedUpdate(ParamUpdateOp):
-    """Plain step followed by a box projection (per-coordinate clamp)."""
+    """Plain step followed by a box projection (per-coordinate clamp).
 
-    def __init__(self, lo, hi):
+    With block=d only the leading block theta[..., :d] is projected (the
+    parameter of an adaptive rule, whose statistics follow it unclamped).
+    """
+
+    def __init__(self, lo, hi, block=None):
         self.lo = lo
         self.hi = hi
+        self.block = block
 
     def apply(self, t, theta, w):
-        return np.clip(np.asarray(theta, dtype=float) - np.asarray(w, dtype=float), self.lo, self.hi)
+        out = np.asarray(theta, dtype=float) - np.asarray(w, dtype=float)
+        if self.block is None:
+            return np.clip(out, self.lo, self.hi)
+        out[..., : self.block] = np.clip(out[..., : self.block], self.lo, self.hi)
+        return out
 
 
 def extended_hessian_fd(sys: System, rule, theta_star, t: int, s0, h=1e-5) -> np.ndarray:

@@ -16,6 +16,7 @@ from dynlearn.dynamics import (
     ResetWrapper,
     RNNSystem,
     SquaredErrorLoss,
+    System,
     check_jacobians,
     compound_loss,
     make_example,
@@ -192,6 +193,26 @@ def test_rnn_products_match_dense_parameter_jacobian(m):
                            rtol=1e-14, atol=1e-15)
         assert np.allclose(rnn.d_transition_dtheta_row_norms(t, s, theta),
                            np.linalg.norm(dense, axis=1), rtol=1e-14, atol=0)
+
+
+def test_constant_parameter_jacobian_vjp_overrides_match_the_dense_default():
+    # InfluenceBalancing and LinearSystem multiply u by a dT/dtheta built at
+    # construction: the dense default's matmul, bit for bit.
+    rng = philox(46)
+    systems = [
+        InfluenceBalancing(6, 2), InfluenceBalancing(9, 4, delta=0.3),
+        LinearSystem([[0.5]], [[1.0]]),
+        LinearSystem(0.3 * rng.normal(size=(4, 4)), rng.normal(size=(4, 3))),
+    ]
+    for sysm in systems:
+        assert type(sysm).d_transition_dtheta_vjp is not System.d_transition_dtheta_vjp
+        n, p = sysm.state_dim(1), sysm.param_dim
+        for t in range(1, 21):
+            s, theta, u = rng.normal(size=n), rng.normal(size=p), rng.normal(size=n)
+            got = sysm.d_transition_dtheta_vjp(t, s, theta, u)
+            assert np.array_equal(got, u @ np.atleast_2d(sysm.d_transition_dtheta(t, s, theta)))
+            assert np.array_equal(got, System.d_transition_dtheta_vjp(sysm, t, s, theta, u))
+        assert check_jacobians(sysm, 1, s, theta)[1]
 
 
 def test_check_jacobians_catches_a_wrong_product():

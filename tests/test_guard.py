@@ -2,14 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynlearn.dynamics import GUARD_NO_TEMP_SIZE, LinearSystem, NumericOverflow, guard
+from dynlearn.dynamics import (
+    GUARD_NO_TEMP_SIZE,
+    GUARD_SCALAR_SIZE,
+    OVERFLOW_LIMIT,
+    LinearSystem,
+    NumericOverflow,
+    guard,
+)
 from dynlearn.rtrl import deviation, open_loop_updates, run_learning
 from dynlearn.schedules import StepSchedule
 from dynlearn.tbptt import TruncationSchedule, run_tbptt
 
 
-@pytest.mark.parametrize("value, passes", [
+THRESHOLD_CASES = [
     (np.nan, False),
     (np.inf, False),
     (-np.inf, False),
@@ -17,20 +26,71 @@ from dynlearn.tbptt import TruncationSchedule, run_tbptt
     (-1e12, True),
     (np.nextafter(1e12, np.inf), False),
     (-np.nextafter(1e12, np.inf), False),
-])
+]
+
+# One size in each of the three tiers (a loop over Python floats, one |x|
+# reduction, max and min), and both sides of the first cut-off.
+TIER_SIZES = (3, GUARD_SCALAR_SIZE, GUARD_SCALAR_SIZE + 1, GUARD_NO_TEMP_SIZE + 1)
+
+
+def assert_verdict(x, passes, **kwargs):
+    if passes:
+        assert guard(x, "stage", 7, **kwargs) is x
+        return None
+    with pytest.raises(NumericOverflow) as exc:
+        guard(x, "stage", 7, **kwargs)
+    assert (exc.value.stage, exc.value.t) == ("stage", 7)
+    return exc.value
+
+
+@pytest.mark.parametrize("value, passes", THRESHOLD_CASES)
 def test_guard_threshold(value, passes):
-    # Both sides of the size gate (an |x| reduction below it, max and min
-    # above it), with the tested entry first, in the middle and last.
-    for size in (3, GUARD_NO_TEMP_SIZE + 1):
+    # Every tier, with the tested entry first, in the middle and last.
+    assert GUARD_SCALAR_SIZE + 1 < GUARD_NO_TEMP_SIZE
+    for size in TIER_SIZES:
         for where in (0, size // 2, -1):
             x = np.linspace(-2.0, 0.5, size).reshape(1, -1)
             x[0, where] = value
-            if passes:
-                assert guard(x, "stage", 7) is x
-            else:
-                with pytest.raises(NumericOverflow) as exc:
-                    guard(x, "stage", 7)
-                assert (exc.value.stage, exc.value.t) == ("stage", 7), (size, where)
+            exc = assert_verdict(x, passes)
+            assert exc is None or exc.rows is None, (size, where)
+
+
+@pytest.mark.parametrize("value, passes", THRESHOLD_CASES)
+def test_guard_threshold_on_scalars(value, passes):
+    # A 0-d array, a numpy scalar and a Python float.
+    for x in (np.array(value), np.float64(value), float(value)):
+        assert_verdict(x, passes)
+
+
+@pytest.mark.parametrize("value, passes", THRESHOLD_CASES)
+def test_guard_batched_names_the_failing_rows(value, passes):
+    # (S, k) arrays in every tier; rows 1 and 3 of 5 hold the tested value.
+    for k in (2, GUARD_SCALAR_SIZE // 5 + 1, GUARD_NO_TEMP_SIZE // 5 + 1):
+        x = np.linspace(-2.0, 0.5, 5 * k).reshape(5, k)
+        x[1, 0] = value
+        x[3, -1] = value
+        exc = assert_verdict(x, passes, batched=True)
+        if exc is not None:
+            assert exc.rows.tolist() == [1, 3], k
+
+
+SPECIALS = [np.nan, np.inf, -np.inf, 1e12, -1e12,
+            np.nextafter(1e12, np.inf), -np.nextafter(1e12, np.inf)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), size=st.integers(1, 64))
+def test_guard_matches_the_abs_max_oracle(data, size):
+    x = np.array(data.draw(st.lists(
+        st.floats(-1e12, 1e12), min_size=size, max_size=size)))
+    for where in data.draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        x[where] = data.draw(st.sampled_from(SPECIALS))
+    oracle = bool(np.abs(x).max() <= OVERFLOW_LIMIT)
+    if oracle:
+        assert guard(x, "stage", 7) is x
+    else:
+        with pytest.raises(NumericOverflow):
+            guard(x, "stage", 7)
 
 
 def test_guard_on_a_dense_jacobian_allocates_nothing_of_its_size():

@@ -341,6 +341,36 @@ def test_cli_sweep_grid_wide_bad_count_exit_2(key, tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_cli_run_non_numeric_value_exit_2(tmp_path, capsys, monkeypatch):
+    import dynlearn.harness as harness
+
+    def no_learning(*args, **kwargs):
+        raise AssertionError("a learner ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_learning", no_learning)
+    out = tmp_path / "o"
+    code = cli_main(["run", os.path.join(CONFIG_DIR, "rnn_stability.ini"),
+                     "--set", "schedule.gamma=abc", "--out", str(out)])
+    assert code == 2
+    assert "schedule.gamma must be a number, got 'abc'" in capsys.readouterr().err
+    assert not list(out.rglob("*.csv"))
+
+
+def test_cli_sweep_non_numeric_count_exit_2(tmp_path, capsys, monkeypatch):
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    out = tmp_path / "o"
+    code = cli_main(["sweep", os.path.join(CONFIG_DIR, "influence_balancing_tbptt.ini"),
+                     "--set", "experiment.horizon=abc", "--out", str(out)])
+    assert code == 2
+    assert "experiment.horizon must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_point_bad_count_is_an_error_row(tmp_path):
     # A horizon that only one grid point sets fails that point alone.
     path = write_config(tmp_path, small_config(**{

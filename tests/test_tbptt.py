@@ -35,6 +35,10 @@ def test_truncation_schedule_construction():
 def test_truncation_schedule_fixed():
     trunc = TruncationSchedule.fixed(3)
     assert list(trunc.boundaries_up_to(10)) == [0, 3, 6, 9, 10]
+    assert list(trunc.intervals(10)) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert list(trunc.boundaries_up_to(9)) == [0, 3, 6, 9]
+    assert list(trunc.intervals(9)) == [(0, 3), (3, 6), (6, 9)]
+    assert list(trunc.intervals(0)) == [] and list(trunc.boundaries_up_to(0)) == [0]
 
 
 def test_truncation_schedule_asymptotics():
@@ -135,6 +139,22 @@ def test_backward_pass_touches_each_state_once():
     bptt_interval_gradient(sysm, s0, theta, 5, 17, counters=counters)
     assert counters.backward_steps == 12
     assert counters.forward_steps == 12
+
+
+def test_counters_add_up_to_the_horizon_over_a_growing_run():
+    # The counters move once per interval, by the interval's length: over
+    # the intervals of grow:0.4 they count exactly T steps each way.
+    sysm = InfluenceBalancing(6, 2)
+    theta = np.array([0.5])
+    s = sysm.stationary_state(theta)
+    sched, T = StepSchedule(0.05, 0.7), 1000
+    intervals = list(TruncationSchedule.growing(0.4).intervals(T))
+    assert len(intervals) > 50 and intervals[-1][1] == T
+    counters = BpttCounters()
+    for t_lo, t_hi in intervals:
+        theta = theta - sched.eta(t_hi) * bptt_interval_gradient(sysm, s, theta, t_lo, t_hi, counters)
+        assert counters.forward_steps == counters.backward_steps == t_hi
+    assert counters.forward_steps == counters.backward_steps == T
 
 
 def test_run_tbptt_nonrecurrent_equals_accumulated_sgd():

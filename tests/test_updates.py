@@ -168,16 +168,9 @@ def test_fixed_beta2_two_arm_dichotomy():
                           schedule=sched, fixed_beta2=fixed_beta2)
         rng = philox(seed)
         theta0 = setup.initial_theta(np.array([rng.uniform(-1.0, 1.0)]))
-        phi = ProjectedUpdate(-1.0, 1.0)
-
-        class BlockProj:
-            def apply(self, t, theta, w):
-                out = np.asarray(theta, float) - np.asarray(w, float)
-                out[:1] = np.clip(out[:1], -1.0, 1.0)
-                return out
-
+        phi = ProjectedUpdate(-1.0, 1.0, block=1)
         rec = run_learning(setup.system, np.zeros(1), theta0, None, sched,
-                           rule=setup.rule, phi=BlockProj(), T=T,
+                           rule=setup.rule, phi=phi, T=T,
                            theta_star=np.array([-1.0]), dist_dims=1, record_every=1000)
         return rec.final_dist()
 
@@ -226,6 +219,21 @@ def test_phi_projected():
     phi = ProjectedUpdate(-1.0, 1.0)
     assert phi.apply(1, np.array([0.5]), np.array([2.0]))[0] == -1.0
     assert phi.apply(1, np.array([0.5]), np.array([-2.0]))[0] == 1.0
+
+
+def test_phi_projected_leading_block():
+    # block=d clips theta[..., :d] only, with the same subtract and clip as
+    # a projection of the whole vector; batched rows are clipped alike.
+    rng = philox(8)
+    theta = 3.0 * rng.normal(size=(4, 5))
+    w = 3.0 * rng.normal(size=(4, 5))
+    for block in (1, 3, 5):
+        out = ProjectedUpdate(-1.0, 1.0, block=block).apply(1, theta, w)
+        whole = ProjectedUpdate(-1.0, 1.0).apply(1, theta, w)
+        assert np.array_equal(out[:, :block], whole[:, :block])
+        assert np.array_equal(out[:, block:], theta[:, block:] - w[:, block:])
+        assert np.array_equal(ProjectedUpdate(-1.0, 1.0, block=block).apply(1, theta[2], w[2]), out[2])
+    assert not np.array_equal(out, theta - w)  # some entry was clipped
 
 
 # --- extended Hessians and Lambda ---------------------------------------------
