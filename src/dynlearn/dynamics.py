@@ -278,9 +278,6 @@ class LinearSystem(_ConstantDim, System):
     def d_transition_dtheta(self, t, s, theta):
         return self.B.copy()
 
-    def d_transition_dtheta_vjp(self, t, s, theta, u):
-        return u @ self.B
-
     def loss(self, t, s):
         return float(self.w @ s)
 

@@ -166,12 +166,14 @@ class RecordBuilder:
         self.meta = dict(config_meta) if config_meta else {}
 
     def add(self, t, dist, loss, gnorm, interval=None):
-        self.ts.append(int(t))
-        self.dists.append(float(dist))
-        self.losses.append(float(loss))
-        self.gnorms.append(float(gnorm))
+        # The typed arrays convert each cell themselves: t and interval as
+        # integers (a float raises), the rest as float() would.
+        self.ts.append(t)
+        self.dists.append(dist)
+        self.losses.append(loss)
+        self.gnorms.append(gnorm)
         if self.intervals is not None:
-            self.intervals.append(0 if interval is None else int(interval))
+            self.intervals.append(0 if interval is None else interval)
 
     def build(self, final_theta=None):
         return TrialRecord(

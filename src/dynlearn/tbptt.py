@@ -82,10 +82,6 @@ class TruncationSchedule:
             yield t_lo, t_hi
             t_lo = t_hi
 
-    def boundaries_up_to(self, T: int) -> np.ndarray:
-        """All boundaries <= T, ending with T itself (last interval clipped)."""
-        return np.array([t_lo for t_lo, _ in self.intervals(T)] + [T], dtype=int)
-
 
 @dataclass
 class BpttCounters:
@@ -106,8 +102,8 @@ def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
     for t in range(t_start + 1, t_end + 1):
         s = guard(transition(t, s, theta), "transition", t)
         states.append(s)
-    if counters is not None:
-        counters.forward_steps += t_end - t_start
+        if counters is not None:
+            counters.forward_steps += 1
 
     grad = np.zeros(len(theta))
     lam = None  # adjoint row vector, not yet allocated
@@ -119,8 +115,8 @@ def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
         else:
             lam = np.atleast_1d(d_loss_ds(t, s_t)) + lam @ np.atleast_2d(d_transition_ds(t + 1, s_t, theta))
         grad += vjp(t, s_prev, theta, lam)
-    if counters is not None:
-        counters.backward_steps += t_end - t_start
+        if counters is not None:
+            counters.backward_steps += 1
     return grad, states
 
 
@@ -180,11 +176,8 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
 
     eta_at, loss = schedule.eta, sys.loss
     builder = RecordBuilder(config_meta, with_intervals=True)
-    builder.add(0, dist(theta), np.nan, np.nan, interval=0)
-    # One row per interval, appended straight into the builder's columns.
-    add_t, add_dist, add_loss, add_gnorm, add_k = (
-        column.append for column in (builder.ts, builder.dists, builder.losses,
-                                     builder.gnorms, builder.intervals))
+    add = builder.add
+    add(0, dist(theta), np.nan, np.nan, 0)
     try:
         for k, (t_lo, t_hi) in enumerate(trunc.intervals(T), start=1):
             if reset_state is not None:
@@ -198,15 +191,10 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
             else:
                 theta_new, grad, s = _per_step_update(sys, s, theta, t_lo, t_hi, eta, phi)
             theta = guard(theta_new, "parameter", t_hi)
-            dist_k, loss_k, gnorm_k = dist(theta), float(loss(t_hi, s)), sqrt(grad.dot(grad))
-            add_t(t_hi)
-            add_dist(dist_k)
-            add_loss(loss_k)
-            add_gnorm(gnorm_k)
-            add_k(k)
+            add(t_hi, dist(theta), loss(t_hi, s), sqrt(grad.dot(grad)), k)
     except NumericOverflow as exc:
         builder.abort_t = exc.t
-        builder.add(exc.t, dist(theta), np.nan, np.nan, interval=k)
+        add(exc.t, dist(theta), np.nan, np.nan, k)
     return builder.build(final_theta=theta)
 
 

@@ -9,6 +9,7 @@ from dynlearn.dynamics import (
     ConfigurationError,
     InfluenceBalancing,
     NonRecurrentRegression,
+    NumericOverflow,
     RNNSystem,
     System,
     make_example,
@@ -34,11 +35,9 @@ def test_truncation_schedule_construction():
 
 def test_truncation_schedule_fixed():
     trunc = TruncationSchedule.fixed(3)
-    assert list(trunc.boundaries_up_to(10)) == [0, 3, 6, 9, 10]
     assert list(trunc.intervals(10)) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    assert list(trunc.boundaries_up_to(9)) == [0, 3, 6, 9]
     assert list(trunc.intervals(9)) == [(0, 3), (3, 6), (6, 9)]
-    assert list(trunc.intervals(0)) == [] and list(trunc.boundaries_up_to(0)) == [0]
+    assert list(trunc.intervals(0)) == []
 
 
 def test_truncation_schedule_asymptotics():
@@ -142,8 +141,8 @@ def test_backward_pass_touches_each_state_once():
 
 
 def test_counters_add_up_to_the_horizon_over_a_growing_run():
-    # The counters move once per interval, by the interval's length: over
-    # the intervals of grow:0.4 they count exactly T steps each way.
+    # Over the intervals of grow:0.4 the counters count exactly T steps
+    # each way.
     sysm = InfluenceBalancing(6, 2)
     theta = np.array([0.5])
     s = sysm.stationary_state(theta)
@@ -155,6 +154,21 @@ def test_counters_add_up_to_the_horizon_over_a_growing_run():
         theta = theta - sched.eta(t_hi) * bptt_interval_gradient(sysm, s, theta, t_lo, t_hi, counters)
         assert counters.forward_steps == counters.backward_steps == t_hi
     assert counters.forward_steps == counters.backward_steps == T
+
+
+def test_counters_keep_the_steps_before_an_overflow():
+    # A transition that overflows at t = 7 stops the forward pass of
+    # (3, 10]; the three steps taken before it stay counted.
+    class Blowup(InfluenceBalancing):
+        def transition(self, t, s, theta):
+            out = super().transition(t, s, theta)
+            return out + 1e13 if t == 7 else out
+
+    sysm = Blowup(6, 2)
+    counters = BpttCounters()
+    with pytest.raises(NumericOverflow):
+        bptt_interval_gradient(sysm, np.zeros(6), np.array([0.5]), 3, 10, counters)
+    assert (counters.forward_steps, counters.backward_steps) == (3, 0)
 
 
 def test_run_tbptt_nonrecurrent_equals_accumulated_sgd():
@@ -197,8 +211,9 @@ def test_run_tbptt_interval_column_and_boundaries():
                     TruncationSchedule.growing(0.4), 30, theta_star=np.zeros(1))
     assert rec.interval_k is not None
     assert list(rec.interval_k) == list(range(len(rec.t)))
-    bounds = TruncationSchedule.growing(0.4).boundaries_up_to(30)
-    assert list(rec.t) == list(bounds)
+    intervals = list(TruncationSchedule.growing(0.4).intervals(30))
+    assert list(rec.t) == [0] + [t_hi for _, t_hi in intervals]
+    assert [t_lo for t_lo, _ in intervals] == list(rec.t[:-1])
 
 
 def test_run_tbptt_per_step_close_to_aggregate():
