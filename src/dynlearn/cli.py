@@ -19,11 +19,10 @@ import numpy as np
 
 from .dynamics import ConfigurationError
 from .diagnostics import check_stability, local_optimum_report
-from .harness import ExperimentConfig, run_experiment, run_sweep, run_trial, _build_plant
+from .harness import ExperimentConfig, run_experiment, run_sweep, system_kind
 from .rankone import UnbiasednessReport, verify_unbiased
 from .records import write_csv_atomic
-from .rtrl import open_loop_updates
-from .schedules import ExponentProfile, sample_indices, validate_exponents
+from .schedules import ExponentProfile, validate_exponents
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,14 +71,16 @@ def cmd_check_schedule(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_check_stability(args):
-    cfg = ExperimentConfig.load(args.config)
+def _check_plant(cfg, horizon):
+    """The plant of cfg's system kind that exact RTRL trains, built on one
+    generator (index rows drawn first, then theta0)."""
     rng = np.random.default_rng(np.random.Philox(key=0))
-    system, theta0, theta_star, s0, _ = _build_plant(
-        cfg, cfg.get("system.kind", "linear_regression"),
-        cfg.get("sampling.scheme", "cycling"), args.horizon, rng, rng,
-    )
-    cert = check_stability(system, theta_star, s0, args.horizon, k_max=args.k_max)
+    return system_kind(cfg, "rtrl").build(cfg, cfg.get("sampling.scheme", "cycling"), horizon, rng, rng)
+
+
+def cmd_check_stability(args):
+    plant = _check_plant(ExperimentConfig.load(args.config), args.horizon)
+    cert = check_stability(plant.system, plant.theta_star, plant.s0, args.horizon, k_max=args.k_max)
     if cert is None:
         print(f"no contraction certificate up to k={args.k_max}")
         return EXIT_FAIL
@@ -88,14 +89,9 @@ def cmd_check_stability(args):
 
 
 def cmd_check_optimum(args):
-    cfg = ExperimentConfig.load(args.config)
-    rng = np.random.default_rng(np.random.Philox(key=0))
-    system, theta0, theta_star, s0, _ = _build_plant(
-        cfg, cfg.get("system.kind", "linear_regression"),
-        cfg.get("sampling.scheme", "cycling"), max(args.horizon, 500), rng, rng,
-    )
-    theta = theta_star if args.theta is None else np.array([float(x) for x in args.theta.split(",")])
-    report = local_optimum_report(system, None, theta, args.horizon, s0)
+    plant = _check_plant(ExperimentConfig.load(args.config), max(args.horizon, 500))
+    theta = plant.theta_star if args.theta is None else np.array([float(x) for x in args.theta.split(",")])
+    report = local_optimum_report(plant.system, None, theta, args.horizon, plant.s0)
     print(report.to_text(), end="")
     if args.lambda_csv:
         from .updates import export_matrix_csv, solve_lyapunov

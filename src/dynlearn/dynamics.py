@@ -11,6 +11,7 @@ finite-difference checker used by the tests.
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 from abc import ABC, abstractmethod
 
@@ -787,40 +788,26 @@ class ResetWrapper(System):
         return self.base.d_loss_ds(t, s)
 
 
-def make_example(kind: str, **params) -> System:
-    """Factory for the concrete example systems.
+EXAMPLES = {
+    "linear": LinearSystem,
+    "nonrecurrent": NonRecurrentRegression,
+    "rnn": RNNSystem,
+    "momentum": MomentumSystem,
+    "influence_balancing": InfluenceBalancing,
+}
 
-    Kinds: `nonrecurrent` (regression, state = prediction), `rnn`,
-    `momentum`, `influence_balancing`, `linear`.
-    """
+
+def make_example(kind: str, **params) -> System:
+    """EXAMPLES[kind](**params): one of the concrete example systems,
+    built from its constructor's keyword arguments."""
+    cls = EXAMPLES.get(kind)
+    if cls is None:
+        raise ConfigurationError(f"unknown system kind {kind!r}")
     try:
-        if kind == "linear":
-            return LinearSystem(
-                params["A"], params["B"], params.get("C"),
-                inputs=params.get("inputs"), loss_weights=params.get("loss_weights"),
-            )
-        if kind == "nonrecurrent":
-            return NonRecurrentRegression(
-                params["xs"], params["ys"], params["indices"],
-                param_dim=params.get("param_dim"), core_dim=params.get("core_dim"),
-            )
-        if kind == "rnn":
-            return RNNSystem(
-                params["n"], params["m"],
-                inputs=params.get("inputs"), targets=params.get("targets"),
-            )
-        if kind == "momentum":
-            return MomentumSystem(
-                params["sample_loss"], params["indices"], params["beta"],
-                param_dim=params.get("param_dim"), core_dim=params.get("core_dim"),
-            )
-        if kind == "influence_balancing":
-            return InfluenceBalancing(
-                params.get("n", 6), params.get("n_plus", 2), params.get("delta", 0.05)
-            )
-    except KeyError as exc:
-        raise ConfigurationError(f"missing parameter {exc} for system kind {kind!r}") from exc
-    raise ConfigurationError(f"unknown system kind {kind!r}")
+        inspect.signature(cls).bind(**params)
+    except TypeError as exc:
+        raise ConfigurationError(f"system kind {kind!r}: {exc}") from None
+    return cls(**params)
 
 
 def check_jacobians(sys: System, t, s, theta, h=1e-6, rtol=1e-5):

@@ -9,10 +9,13 @@ per grid point. Everything is deterministic from (config, seed): streams
 are keyed by the config hash and seed, trials never share state, and
 files are written atomically.
 
-`run_trials` is the one dispatcher of an arm's seeds. The seeds of an
-arm in `SEED_BATCHED` advance together through one seed-batched learner
-(see `rtrl.run_learning`), which writes the same bytes as running them
-one by one; any other arm runs `run_trial` per seed. With jobs > 1 the
+`SYSTEM_KINDS` maps each config system kind to its builder, the
+algorithms that run on it and those of them whose seeds batch; every
+check of a kind or an algorithm reads it. `run_trials` is the one
+dispatcher of an arm's seeds. The seeds of an arm in `SEED_BATCHED`
+(computed from the table) advance together through one seed-batched
+learner (see `rtrl.run_learning`), which writes the same bytes as
+running them one by one; any other arm runs `run_trial` per seed. With jobs > 1 the
 arms (or sweep points) are spread over one process pool per call, and
 an arm's seeds are split only as far as the pool needs tasks, never
 below two seeds per chunk for a batched arm.
@@ -33,32 +36,20 @@ from .dynamics import (
     ConfigurationError,
     InfluenceBalancing,
     LinearCoefficientLoss,
+    MomentumSystem,
     NonRecurrentRegression,
     RNNSystem,
     SquaredErrorLoss,
-    make_example,
 )
 from .rankone import RankOneInjector
 from .records import config_hash, write_csv_atomic
 from .rtrl import run_learning
 from .schedules import ExponentProfile, StepSchedule, sample_indices, validate_exponents
 from .tbptt import TruncationSchedule, run_tbptt
-from .updates import PreconditionedRule, ProjectedUpdate, rule_adam
+from .updates import (AdamSetup, AdaptiveRule, PreconditionedRule, ProjectedUpdate,
+                      inverse_matrix_preconditioner, outer_grad_statistic, rule_adam)
 
 __all__ = ["ExperimentConfig", "run_experiment", "run_sweep", "run_trials", "summarize_trials"]
-
-ALGORITHMS = ("sgd", "rtrl", "uoro", "nobacktrack", "tbptt", "adam", "rmsprop", "ong")
-
-# (algorithm, system kind) pairs whose seeds differ only in their sample
-# index sequences and theta_0: `run_trials` advances all seeds of such an
-# arm through one seed-batched learner. sgd and rtrl qualify only with
-# the identity rule.
-SEED_BATCHED = {
-    ("sgd", "linear_regression"), ("sgd", "momentum"),
-    ("rtrl", "linear_regression"), ("rtrl", "momentum"),
-    ("adam", "linear_regression"), ("adam", "period3"),
-    ("rmsprop", "linear_regression"), ("rmsprop", "period3"),
-}
 
 
 @dataclass
@@ -250,7 +241,7 @@ def _seed_batched(cfg: ExperimentConfig) -> bool:
     """Whether run_trials advances the seeds of cfg's arm together."""
     algo = cfg.get("algorithm.name", "sgd")
     return (algo, cfg.get("system.kind", "linear_regression")) in SEED_BATCHED and (
-        algo in ("adam", "rmsprop") or cfg.get("algorithm.rule", "identity") in ("", "identity"))
+        algo in ADAPTIVE or cfg.get("algorithm.rule", "identity") in ("", "identity"))
 
 
 def _seed_streams(cfg: ExperimentConfig, seed: int):
@@ -278,11 +269,9 @@ def _run(cfg: ExperimentConfig, seed):
     """run_trial for one seed; for a list of seeds, the list of their
     records from one seed-batched learner (SEED_BATCHED arms only)."""
     algo = cfg.get("algorithm.name", "sgd")
-    if algo not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {algo!r}")
+    kind = system_kind(cfg)
     _check_counts(cfg, COUNT_KEYS)
     T = cfg.horizon
-    record_every = cfg.getint("experiment.record_every", 1)
     schedule = StepSchedule(cfg.getfloat("schedule.gamma", 0.1), cfg.getfloat("schedule.b", 0.7))
     if isinstance(seed, list):
         streams = [_seed_streams(cfg, s) for s in seed]
@@ -291,45 +280,23 @@ def _run(cfg: ExperimentConfig, seed):
     else:
         rng_sample, rng_init, rng_inject = _seed_streams(cfg, seed)
         meta = {**cfg.values, "trial.seed": str(seed)}
-    scheme = cfg.get("sampling.scheme", "cycling")
-    kind = cfg.get("system.kind", "linear_regression")
-
+    plant = kind.build(cfg, cfg.get("sampling.scheme", "cycling"), T, rng_sample, rng_init)
     if algo == "tbptt":
-        system, theta0, theta_star, s0, dist_dims = _build_plant(cfg, kind, scheme, T, rng_sample, rng_init)
-        trunc = _parse_truncation(cfg)
-        profile = None
-        if cfg.get("exponents.a") is not None and trunc.A is not None:
-            profile = ExponentProfile(
-                a=cfg.getfloat("exponents.a"),
-                gamma_loss=cfg.getfloat("exponents.gamma_loss", 0.0),
-                algorithm_class="tbptt",
-                A=trunc.A,
-            )
-        return run_tbptt(
-            system, s0, theta0, schedule, trunc, T,
-            theta_star=theta_star, dist_dims=dist_dims, profile=profile,
-            force=cfg.get("experiment.force", "0") == "1", config_meta=meta,
-        )
-
-    if algo in ("adam", "rmsprop", "ong"):
-        system, rule, phi, theta0, theta_star, s0, dist_dims = _build_adaptive(
-            cfg, algo, scheme, T, schedule, rng_sample, rng_init
-        )
-        return run_learning(
-            system, s0, theta0, None, schedule, rule=rule, phi=phi, T=T,
-            theta_star=theta_star, dist_dims=dist_dims,
-            record_every=record_every, config_meta=meta,
-        )
-
-    system, theta0, theta_star, s0, dist_dims = _build_plant(cfg, kind, scheme, T, rng_sample, rng_init)
+        return run_tbptt(plant.system, plant.s0, plant.theta0, schedule, _parse_truncation(cfg), T,
+                         theta_star=plant.theta_star, config_meta=meta)
+    if algo in ADAPTIVE:
+        system, rule, phi, theta0, dist_dims = _adaptive(cfg, algo, plant, schedule)
+    else:
+        system, phi, theta0, dist_dims = plant.system, None, plant.theta0, None
+        rule = rule_from_string(cfg.get("algorithm.rule", "identity"), theta0.shape[-1])
     injector = None
     if algo in ("uoro", "nobacktrack"):
         injector = RankOneInjector("uoro" if algo == "uoro" else "nbt")
-    rule = rule_from_string(cfg.get("algorithm.rule", "identity"), theta0.shape[-1])
     return run_learning(
-        system, s0, theta0, None, schedule, rule=rule,
-        injector=injector, T=T, rng=rng_inject, theta_star=theta_star,
-        dist_dims=dist_dims, record_every=record_every, config_meta=meta,
+        system, plant.s0, theta0, None, schedule, rule=rule, phi=phi,
+        injector=injector, T=T, rng=rng_inject, theta_star=plant.theta_star,
+        dist_dims=dist_dims, record_every=cfg.getint("experiment.record_every", 1),
+        config_meta=meta,
     )
 
 
@@ -376,117 +343,152 @@ def _theta_init(cfg, theta_star, rng_init, p):
     return theta0
 
 
-def _build_plant(cfg, kind, scheme, T, rng_sample, rng_init):
-    """System + initial conditions for the non-adaptive algorithms.
+@dataclass
+class Plant:
+    """What a system kind builds from a config. theta0 and s0 have one row
+    per seed when built from lists of seed generators."""
 
-    For lists of seed generators (linear_regression and momentum only) the
-    system is seed-batched and theta0, s0 have one row per seed.
-    """
-    if kind == "linear_regression":
-        xs, ys, theta_star = build_dataset(cfg)
-        indices = _per_seed(lambda rng: sample_indices(scheme, len(xs), T, rng), rng_sample)
-        system = NonRecurrentRegression(xs, ys, indices)
-        theta0 = _per_seed(lambda rng: _theta_init(cfg, theta_star, rng, xs.shape[1]), rng_init)
-        return system, theta0, theta_star, np.zeros(theta0.shape[:-1] + (1,)), None
-    if kind == "influence_balancing":
-        system = InfluenceBalancing(
-            cfg.getint("system.n", 6), cfg.getint("system.n_plus", 2),
-            cfg.getfloat("system.delta", 0.05),
-        )
-        theta_star = np.zeros(1)
-        theta0 = _theta_init(cfg, theta_star, rng_init, 1)
-        if cfg.get("system.s0") == "stationary":
-            s0 = system.stationary_state(theta0)
-        else:
-            s0 = _parse_state(cfg.get("system.s0"), system.state_dim(0))
-        return system, theta0, theta_star, s0, None
-    if kind == "rnn":
-        n = cfg.getint("system.n", 2)
-        m = cfg.getint("system.m", 1)
-        data_rng = np.random.default_rng(np.random.Philox(key=cfg.getint("system.data_seed", 1234)))
-        xs = data_rng.normal(size=(T + 2, m))
-        system = RNNSystem(n, m, inputs=lambda t: xs[t])
-        w_scale = cfg.getfloat("system.w_scale", 0.5)
-        W = w_scale * data_rng.normal(size=(n, n)) / np.sqrt(n)
-        Wx = data_rng.normal(size=(n, m))
-        B = 0.1 * data_rng.normal(size=n)
-        theta_star = RNNSystem.pack(W, Wx, B)
-        theta0 = _theta_init(cfg, theta_star, rng_init, system.param_dim)
-        return system, theta0, theta_star, 0.5 * np.ones(n), None
-    if kind == "momentum":
-        xs, ys, theta_star = build_dataset(cfg)
-        indices = _per_seed(lambda rng: sample_indices(scheme, len(xs), T, rng), rng_sample)
-        loss = SquaredErrorLoss(xs, ys)
-        system = make_example(
-            "momentum", sample_loss=loss, indices=indices,
-            beta=cfg.getfloat("system.beta", 0.5),
-        )
-        theta0 = _per_seed(lambda rng: _theta_init(cfg, theta_star, rng, xs.shape[1]), rng_init)
-        return system, theta0, theta_star, np.zeros(theta0.shape[:-1] + (1,)), None
-    raise ConfigurationError(f"unknown system kind {kind!r}")
+    theta_star: np.ndarray
+    theta0: np.ndarray
+    s0: np.ndarray
+    system: object = None  # the system the plain algorithms train
+    loss: object = None  # the sample loss the adaptive rules train, on `indices`
+    indices: np.ndarray = None
+    box: tuple = None  # (lo, hi) the parameter is projected onto
 
 
-def _build_adaptive(cfg, algo, scheme, T, schedule, rng_sample, rng_init):
-    """Momentum system + adaptive rule for adam/rmsprop/ong configs; seed-
-    batched (not ong) for lists of seed generators, as `_build_plant`."""
-    kind = cfg.get("system.kind", "linear_regression")
-    if kind == "period3":
-        coef = cfg.getfloat("system.coef", 3.0)
-        loss = LinearCoefficientLoss([coef, -1.0, -1.0])
-        indices = _per_seed(lambda rng: sample_indices("cycling", 3, T, rng), rng_sample)
-        theta_star = np.array([-1.0])
-        lo, hi = -1.0, 1.0
-    elif kind == "linear_regression":
-        xs, ys, theta_star = build_dataset(cfg)
-        loss = SquaredErrorLoss(xs, ys)
-        indices = _per_seed(lambda rng: sample_indices(scheme, len(xs), T, rng), rng_sample)
-        lo = hi = None
-    else:
-        raise ConfigurationError(f"adaptive algorithms do not support system kind {kind!r}")
+def _regression(cfg, scheme, T, rng_sample, rng_init):
+    xs, ys, theta_star = build_dataset(cfg)
+    indices = _per_seed(lambda rng: sample_indices(scheme, len(xs), T, rng), rng_sample)
+    theta0 = _per_seed(lambda rng: _theta_init(cfg, theta_star, rng, xs.shape[1]), rng_init)
+    return Plant(theta_star, theta0, np.zeros(theta0.shape[:-1] + (1,)),
+                 system=NonRecurrentRegression(xs, ys, indices),
+                 loss=SquaredErrorLoss(xs, ys), indices=indices)
 
-    beta1 = cfg.getfloat("algorithm.beta1", 0.0 if algo != "adam" else 0.9)
-    fixed_beta2 = cfg.getfloat("algorithm.fixed_beta2")
-    setup = rule_adam(
-        loss, indices, beta1,
-        c=cfg.getfloat("algorithm.c", 1.0),
-        eps=cfg.getfloat("algorithm.eps", 1e-8),
-        schedule=schedule if fixed_beta2 is not None else None,
-        fixed_beta2=fixed_beta2,
+
+def _momentum(cfg, scheme, T, rng_sample, rng_init):
+    plant = _regression(cfg, scheme, T, rng_sample, rng_init)
+    plant.system = MomentumSystem(plant.loss, plant.indices, cfg.getfloat("system.beta", 0.5))
+    return plant
+
+
+def _rnn(cfg, scheme, T, rng_sample, rng_init):
+    n = cfg.getint("system.n", 2)
+    m = cfg.getint("system.m", 1)
+    data_rng = np.random.default_rng(np.random.Philox(key=cfg.getint("system.data_seed", 1234)))
+    xs = data_rng.normal(size=(T + 2, m))
+    system = RNNSystem(n, m, inputs=lambda t: xs[t])
+    w_scale = cfg.getfloat("system.w_scale", 0.5)
+    W = w_scale * data_rng.normal(size=(n, n)) / np.sqrt(n)
+    Wx = data_rng.normal(size=(n, m))
+    B = 0.1 * data_rng.normal(size=n)
+    theta_star = RNNSystem.pack(W, Wx, B)
+    theta0 = _theta_init(cfg, theta_star, rng_init, system.param_dim)
+    return Plant(theta_star, theta0, 0.5 * np.ones(n), system=system)
+
+
+def _influence_balancing(cfg, scheme, T, rng_sample, rng_init):
+    system = InfluenceBalancing(
+        cfg.getint("system.n", 6), cfg.getint("system.n_plus", 2),
+        cfg.getfloat("system.delta", 0.05),
     )
-    if algo == "ong":
-        from .dynamics import MomentumSystem
-        from .updates import (
-            AdamSetup,
-            AdaptiveRule,
-            inverse_matrix_preconditioner,
-            outer_grad_statistic,
-        )
+    theta_star = np.zeros(1)
+    theta0 = _theta_init(cfg, theta_star, rng_init, 1)
+    if cfg.get("system.s0") == "stationary":
+        s0 = system.stationary_state(theta0)
+    else:
+        s0 = _parse_state(cfg.get("system.s0"), system.state_dim(0))
+    return Plant(theta_star, theta0, s0, system=system)
 
-        p = loss.dim
-        system = MomentumSystem(loss, indices, beta1, param_dim=p + p * p, core_dim=p)
-        rule = AdaptiveRule(
-            outer_grad_statistic(loss, indices),
-            inverse_matrix_preconditioner(cfg.getfloat("algorithm.eps", 1e-8)),
-            cfg.getfloat("algorithm.c", 1.0), theta_dim=p, psi_dim=p * p,
-        )
-        setup = AdamSetup(system=system, rule=rule, theta_dim=p, psi_dim=p * p)
 
-    theta0_core = _per_seed(lambda rng: _theta_init(cfg, theta_star, rng, setup.theta_dim), rng_init)
-    if lo is not None:
-        theta0_core = np.clip(theta0_core, lo, hi)
+def _period3(cfg, scheme, T, rng_sample, rng_init):
+    """Sample losses (coef, -1, -1) * theta, cycled; theta in [-1, 1]."""
+    indices = _per_seed(lambda rng: sample_indices("cycling", 3, T, rng), rng_sample)
+    theta_star = np.array([-1.0])
+    theta0 = _per_seed(lambda rng: _theta_init(cfg, theta_star, rng, 1), rng_init)
+    return Plant(theta_star, np.clip(theta0, -1.0, 1.0), np.zeros(theta0.shape[:-1] + (1,)),
+                 loss=LinearCoefficientLoss([cfg.getfloat("system.coef", 3.0), -1.0, -1.0]),
+                 indices=indices, box=(-1.0, 1.0))
+
+
+@dataclass(frozen=True)
+class SystemKind:
+    """A config system kind: its builder, (cfg, scheme, T, rng_sample,
+    rng_init) -> Plant, the algorithms that run on it, and those of them
+    whose seeds run_trials advances together (they differ only in their
+    sample index sequences and theta_0)."""
+
+    build: object
+    algorithms: tuple
+    batched: tuple = ()
+
+
+PLAIN = ("sgd", "rtrl", "uoro", "nobacktrack", "tbptt")
+ADAPTIVE = ("adam", "rmsprop", "ong")
+
+SYSTEM_KINDS = {
+    "linear_regression": SystemKind(_regression, PLAIN + ADAPTIVE, ("sgd", "rtrl", "adam", "rmsprop")),
+    "momentum": SystemKind(_momentum, PLAIN, ("sgd", "rtrl")),
+    "rnn": SystemKind(_rnn, PLAIN),
+    "influence_balancing": SystemKind(_influence_balancing, PLAIN),
+    "period3": SystemKind(_period3, ADAPTIVE, ("adam", "rmsprop")),
+}
+
+# sgd and rtrl batch only with the identity rule (see _seed_batched).
+SEED_BATCHED = {(algo, kind) for kind, entry in SYSTEM_KINDS.items() for algo in entry.batched}
+
+
+def system_kind(cfg: ExperimentConfig, algo=None) -> SystemKind:
+    """The SYSTEM_KINDS entry of cfg's system kind; ConfigurationError
+    unless the kind is known and runs algo (default: cfg's algorithm)."""
+    name = cfg.get("system.kind", "linear_regression")
+    algo = cfg.get("algorithm.name", "sgd") if algo is None else algo
+    entry = SYSTEM_KINDS.get(name)
+    if entry is None:
+        raise ConfigurationError(f"unknown system kind {name!r}; the kinds are {', '.join(SYSTEM_KINDS)}")
+    if algo not in entry.algorithms:
+        raise ConfigurationError(f"system kind {name!r} runs {', '.join(entry.algorithms)}")
+    return entry
+
+
+def _check_kind(cfg: ExperimentConfig, swept=()):
+    """system_kind(cfg) before any trial runs. When a [sweep] entry sets
+    the kind or the algorithm, each point checks its own pair, and only an
+    unswept name that fails every point is checked here."""
+    kind, algo = cfg.get("system.kind", "linear_regression"), cfg.get("algorithm.name", "sgd")
+    if "system.kind" not in swept:
+        if "algorithm.name" not in swept or kind not in SYSTEM_KINDS:
+            system_kind(cfg)
+    elif "algorithm.name" not in swept and algo not in PLAIN + ADAPTIVE:
+        raise ConfigurationError(f"unknown algorithm {algo!r}; the algorithms are {', '.join(PLAIN + ADAPTIVE)}")
+
+
+def _adaptive(cfg, algo, plant, schedule):
+    """(system, rule, phi, theta0, dist_dims) of an adaptive algorithm on a
+    kind's sample loss, seed-batched as the plant is: the augmented
+    parameter (theta, psi) of rule_adam, or for ong of the outer-product
+    statistic, with theta projected onto the plant's box."""
+    loss, indices = plant.loss, plant.indices
+    beta1 = cfg.getfloat("algorithm.beta1", 0.9 if algo == "adam" else 0.0)
+    c, eps = cfg.getfloat("algorithm.c", 1.0), cfg.getfloat("algorithm.eps", 1e-8)
     psi0 = None
     if algo == "ong":
+        p = loss.dim
+        system = MomentumSystem(loss, indices, beta1, param_dim=p + p * p, core_dim=p)
+        rule = AdaptiveRule(outer_grad_statistic(loss, indices), inverse_matrix_preconditioner(eps),
+                            c, theta_dim=p, psi_dim=p * p)
+        setup = AdamSetup(system=system, rule=rule, theta_dim=p, psi_dim=p * p)
         # the first outer-product statistic is rank-one; ridge it so the
         # inverse preconditioner starts well conditioned
-        p = setup.theta_dim
-        g = loss.grad(indices[1], theta0_core)
-        ridge = cfg.getfloat("algorithm.psi0_ridge", 1.0)
-        psi0 = (np.outer(g, g) + ridge * np.eye(p)).ravel()
-    theta0 = setup.initial_theta(theta0_core, psi0=psi0)
+        g = loss.grad(indices[1], plant.theta0)
+        psi0 = (np.outer(g, g) + cfg.getfloat("algorithm.psi0_ridge", 1.0) * np.eye(p)).ravel()
+    else:
+        fixed_beta2 = cfg.getfloat("algorithm.fixed_beta2")
+        setup = rule_adam(loss, indices, beta1, c=c, eps=eps, fixed_beta2=fixed_beta2,
+                          schedule=schedule if fixed_beta2 is not None else None)
     # Project the parameter block only; statistics are unconstrained.
-    phi = None if lo is None else ProjectedUpdate(lo, hi, block=setup.theta_dim)
-    s0 = np.zeros(theta0.shape[:-1] + (1,))
-    return setup.system, setup.rule, phi, theta0, theta_star, s0, setup.theta_dim
+    phi = None if plant.box is None else ProjectedUpdate(*plant.box, block=setup.theta_dim)
+    return setup.system, setup.rule, phi, setup.initial_theta(plant.theta0, psi0=psi0), setup.theta_dim
 
 
 def summarize_trials(results, tol: float = 1e-2):
@@ -555,13 +557,16 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
     """Run all (arm, seed) trials, write per-trial CSVs and summary.csv.
 
     Returns the experiment directory. Raises ConfigurationError before
-    running anything when the exponent declaration fails validation and
-    force is not set.
+    running anything when an arm's system kind does not run its algorithm,
+    or when the exponent declaration fails validation and force is not
+    set.
     """
     _validate_config(cfg, force)
+    arms = cfg.arms()
+    for _, arm_cfg in arms:
+        system_kind(arm_cfg)
     jobs = _usable_jobs(jobs)
     exp_dir = os.path.join(outdir, cfg.name)
-    arms = cfg.arms()
     tol = cfg.getfloat("experiment.tol", 1e-2)
     tasks = [(arm, (arm_cfg.values, chunk)) for arm, arm_cfg in arms
              for chunk in _seed_chunks(arm_cfg, cfg.seeds, jobs, len(arms))]
@@ -630,8 +635,9 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
     Each [sweep] entry is a dotted config key with comma-separated
     values. Failures of individual grid points are recorded in their row
     (error column) and the sweep continues; a horizon or record_every
-    below 1 that no [sweep] entry sets raises ConfigurationError before
-    any trial runs.
+    below 1, or a system kind or algorithm, that fails every point
+    because no [sweep] entry sets it raises ConfigurationError before any
+    trial runs.
     """
     sweep_keys = sorted(k for k in cfg.values if k.startswith("sweep."))
     if not sweep_keys:
@@ -639,12 +645,14 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
     grid_keys = [k.split(".", 1)[1] for k in sweep_keys]
     grid_values = [cfg.getlist(k) for k in sweep_keys]
     _check_counts(cfg, [key for key in COUNT_KEYS if key not in grid_keys])
+    _check_kind(cfg, grid_keys)
     jobs = _usable_jobs(jobs)
     exp_dir = os.path.join(outdir, cfg.name)
     points = []
     for combo in product(*grid_values):
         point_cfg = cfg.with_overrides(dict(zip(grid_keys, combo)))
         try:
+            system_kind(point_cfg)
             _validate_config(point_cfg, force)
             error = None
         except Exception as exc:  # failures are data; the sweep continues
