@@ -19,10 +19,11 @@ import numpy as np
 
 from .dynamics import ConfigurationError
 from .diagnostics import check_stability, local_optimum_report
-from .harness import ExperimentConfig, run_experiment, run_sweep, system_kind
+from .harness import ExperimentConfig, parse_numbers, run_experiment, run_sweep, system_kind
 from .rankone import UnbiasednessReport, verify_unbiased
-from .records import write_csv_atomic
+from .records import write_csv
 from .schedules import ExponentProfile, validate_exponents
+from .updates import export_matrix_csv, solve_lyapunov
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -89,13 +90,16 @@ def cmd_check_stability(args):
 
 
 def cmd_check_optimum(args):
-    plant = _check_plant(ExperimentConfig.load(args.config), max(args.horizon, 500))
-    theta = plant.theta_star if args.theta is None else np.array([float(x) for x in args.theta.split(",")])
+    cfg, horizon = ExperimentConfig.load(args.config), max(args.horizon, 500)
+    theta = _check_plant(cfg, horizon).theta_star
+    if args.theta is not None:
+        theta = np.array(parse_numbers("--theta", args.theta, len(theta)))
+    # The candidate's own trajectory: s0 may depend on theta0 (a stationary
+    # start). Same horizon for both builds: an RNN's theta* depends on it.
+    plant = _check_plant(cfg.with_overrides({"init.theta0": ",".join(map(repr, theta.tolist()))}), horizon)
     report = local_optimum_report(plant.system, None, theta, args.horizon, plant.s0)
     print(report.to_text(), end="")
     if args.lambda_csv:
-        from .updates import export_matrix_csv, solve_lyapunov
-
         export_matrix_csv(args.lambda_csv, report.lambda_matrix, label="lambda")
         if report.positive_stable:
             export_matrix_csv(args.lambda_csv.replace(".csv", "") + "_lyapunov.csv",
@@ -117,7 +121,7 @@ def cmd_check_unbiased(args):
     print(f"max_jacobian_bias: {report.max_jacobian_bias!r}")
     print(f"verdict: {'pass' if report.passed else 'fail'}")
     if args.csv:
-        write_csv_atomic(args.csv, UnbiasednessReport.csv_header, [report.csv_row()])
+        write_csv(args.csv, UnbiasednessReport.csv_header, [[x] for x in report.csv_row()])
         print(f"wrote {args.csv}")
     return EXIT_OK if report.passed else EXIT_FAIL
 

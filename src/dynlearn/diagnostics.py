@@ -109,11 +109,11 @@ class OptimumReport:
 
     def to_text(self):
         lines = [
-            f"avg_update_final: {self.avg_update_norms[-1]!r}",
-            f"avg_update_trend: {' '.join(repr(x) for x in self.avg_update_norms)}",
-            f"a_hat: {self.a_hat!r}",
-            f"rate_r_squared: {self.rate_r_squared!r}",
-            f"lambda_min_real_part: {self.min_real_part!r}",
+            f"avg_update_final: {float(self.avg_update_norms[-1])!r}",
+            f"avg_update_trend: {' '.join(repr(float(x)) for x in self.avg_update_norms)}",
+            f"a_hat: {float(self.a_hat)!r}",
+            f"rate_r_squared: {float(self.rate_r_squared)!r}",
+            f"lambda_min_real_part: {float(self.min_real_part)!r}",
             f"positive_stable: {self.positive_stable}",
             f"verdict: {'pass' if self.passed else 'fail'}",
         ]
@@ -220,17 +220,15 @@ def hessian_continuity_probe(sys: System, rule, theta_star, T: int, s0,
     certificate (no finite procedure certifies equicontinuity); it only
     surfaces gross violations.
     """
-    from .updates import estimate_lambda as _el
-
     rng = rng or np.random.default_rng(0)
     theta_star = np.asarray(theta_star, dtype=float)
-    lam_star, _ = _el(sys, rule, theta_star, T, s0, h=h)
+    lam_star, _ = estimate_lambda(sys, rule, theta_star, T, s0, h=h)
     rows = []
     for _ in range(n_probes):
         direction = rng.normal(size=len(theta_star))
         direction /= np.linalg.norm(direction)
         r = radius * rng.uniform(0.1, 1.0)
-        lam, _ = _el(sys, rule, theta_star + r * direction, T, s0, h=h)
+        lam, _ = estimate_lambda(sys, rule, theta_star + r * direction, T, s0, h=h)
         rows.append((r, float(np.linalg.norm(lam - lam_star))))
     rows.sort()
     return rows

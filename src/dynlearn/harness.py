@@ -42,14 +42,15 @@ from .dynamics import (
     SquaredErrorLoss,
 )
 from .rankone import RankOneInjector
-from .records import config_hash, write_csv_atomic
+from .records import config_hash, write_csv
 from .rtrl import run_learning
 from .schedules import ExponentProfile, StepSchedule, sample_indices, validate_exponents
 from .tbptt import TruncationSchedule, run_tbptt
 from .updates import (AdamSetup, AdaptiveRule, PreconditionedRule, ProjectedUpdate,
                       inverse_matrix_preconditioner, outer_grad_statistic, rule_adam)
 
-__all__ = ["ExperimentConfig", "run_experiment", "run_sweep", "run_trials", "summarize_trials"]
+__all__ = ["ExperimentConfig", "parse_numbers", "run_experiment", "run_sweep", "run_trials",
+           "summarize_trials"]
 
 
 @dataclass
@@ -107,13 +108,7 @@ class ExperimentConfig:
 
     def _number(self, dotted, default, kind):
         val = self.values.get(dotted)
-        if val is None:
-            return default
-        try:
-            return kind(val)
-        except (TypeError, ValueError):
-            what = "an integer" if kind is int else "a number"
-            raise ConfigurationError(f"{dotted} must be {what}, got {val!r}") from None
+        return default if val is None else parse_numbers(dotted, val, 1, kind)[0]
 
     def getlist(self, dotted, default=()):
         val = self.values.get(dotted)
@@ -127,7 +122,7 @@ class ExperimentConfig:
 
     @property
     def seeds(self):
-        return [int(s) for s in self.getlist("experiment.seeds", ["0"])]
+        return [parse_numbers("experiment.seeds", s, 1, int)[0] for s in self.getlist("experiment.seeds", ["0"])]
 
     @property
     def horizon(self):
@@ -155,8 +150,18 @@ class ExperimentConfig:
         return out
 
 
-def _hash_to_int(text: str) -> int:
-    return int(text, 16)
+def parse_numbers(key, text, count, kind=float):
+    """The count comma-separated numbers of config value text, each a
+    kind; ConfigurationError naming the key and the value otherwise."""
+    try:
+        values = [kind(x) for x in str(text).split(",")]
+        if len(values) == count:
+            return values
+    except ValueError:
+        pass
+    noun = "integer" if kind is int else "number"
+    need = f"{'an' if kind is int else 'a'} {noun}" if count == 1 else f"{count} comma-separated {noun}s"
+    raise ConfigurationError(f"{key} must be {need}, got {text!r}")
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -193,13 +198,9 @@ def rule_from_string(spec: str, dim: int):
     if spec.startswith("precond:"):
         kind, _, arg = spec[len("precond:"):].partition(":")
         if kind == "scale":
-            P = float(arg) * np.eye(dim)
+            P = parse_numbers("algorithm.rule", arg, 1)[0] * np.eye(dim)
         elif kind == "diag":
-            entries = np.array([float(x) for x in arg.split(",")], dtype=float)
-            if len(entries) != dim:
-                raise ConfigurationError(
-                    f"diag preconditioner has {len(entries)} entries, parameter has {dim}")
-            P = np.diag(entries)
+            P = np.diag(parse_numbers("algorithm.rule", arg, dim))
         else:
             raise ConfigurationError(f"unknown preconditioner {spec!r}")
         return PreconditionedRule(lambda theta: P)
@@ -209,7 +210,7 @@ def rule_from_string(spec: str, dim: int):
 def _parse_state(text, dim):
     if text is None or text == "zeros":
         return np.zeros(dim)
-    return np.array([float(x) for x in text.split(",")], dtype=float)
+    return np.array(parse_numbers("system.s0", text, dim))
 
 
 def run_trial(cfg: ExperimentConfig, seed: int):
@@ -247,7 +248,7 @@ def _seed_batched(cfg: ExperimentConfig) -> bool:
 def _seed_streams(cfg: ExperimentConfig, seed: int):
     """Independent sampling, initialization and injector generators of one
     trial, keyed by the config hash and the seed."""
-    root = np.random.SeedSequence([_hash_to_int(cfg.hash) % (1 << 63), seed])
+    root = np.random.SeedSequence([int(cfg.hash, 16) % (1 << 63), seed])
     return [np.random.default_rng(np.random.Philox(ss)) for ss in root.spawn(3)]
 
 
@@ -319,9 +320,9 @@ def _parse_truncation(cfg) -> TruncationSchedule:
     if spec:
         mode, _, val = spec.partition(":")
         if mode == "grow":
-            return TruncationSchedule.growing(float(val))
+            return TruncationSchedule.growing(parse_numbers("truncation.spec", val, 1)[0])
         if mode == "fixed":
-            return TruncationSchedule.fixed(int(val))
+            return TruncationSchedule.fixed(parse_numbers("truncation.spec", val, 1, int)[0])
         raise ConfigurationError(f"bad truncation spec {spec!r}")
     if cfg.get("truncation.fixed_length"):
         return TruncationSchedule.fixed(cfg.getint("truncation.fixed_length"))
@@ -337,10 +338,7 @@ def _theta_init(cfg, theta_star, rng_init, p):
         direction = rng_init.normal(size=p)
         direction /= np.linalg.norm(direction)
         return theta_star + radius * rng_init.uniform(0.2, 1.0) * direction
-    theta0 = np.array([float(x) for x in mode.split(",")], dtype=float)
-    if len(theta0) != p:
-        raise ConfigurationError(f"init.theta0 has {len(theta0)} entries, the parameter has {p}")
-    return theta0
+    return np.array(parse_numbers("init.theta0", mode, p))
 
 
 @dataclass
@@ -494,15 +492,13 @@ def _adaptive(cfg, algo, plant, schedule):
 def summarize_trials(results, tol: float = 1e-2):
     """summary.csv rows from {(arm, seed): TrialRecord}.
 
-    converged means the trial finished (no abort) with its final recorded
-    distance within tol; recomputable from the trial CSV alone.
+    converged is TrialRecord.converged(tol).
     """
     rows = []
     for (arm, seed) in sorted(results):
         record = results[(arm, seed)]
-        converged = (not record.aborted) and record.final_dist() <= tol
         rows.append([
-            arm, seed, int(converged), record.final_dist(),
+            arm, seed, int(record.converged(tol)), record.final_dist(),
             -1 if record.abort_t is None else record.abort_t,
         ])
     return rows
@@ -565,6 +561,7 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
     arms = cfg.arms()
     for _, arm_cfg in arms:
         system_kind(arm_cfg)
+        _check_counts(arm_cfg, COUNT_KEYS)
     jobs = _usable_jobs(jobs)
     exp_dir = os.path.join(outdir, cfg.name)
     tol = cfg.getfloat("experiment.tol", 1e-2)
@@ -579,11 +576,8 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
             records[seed].to_csv(os.path.join(subdir, f"{seed}.csv"))
         rows += summarize_trials({(arm, seed): r for seed, r in records.items()}, tol=tol)
         del records  # before the next chunk runs
-    write_csv_atomic(
-        os.path.join(exp_dir, "summary.csv"),
-        ("arm", "seed", "converged", "final_dist", "abort_t"),
-        sorted(rows, key=lambda row: (row[0], row[1])),
-    )
+    write_csv(os.path.join(exp_dir, "summary.csv"), ("arm", "seed", "converged", "final_dist", "abort_t"),
+              list(zip(*sorted(rows, key=lambda row: (row[0], row[1])))))
     return exp_dir
 
 
@@ -620,7 +614,7 @@ def _sweep_row(combo, error, outcomes, point_dir, seeds, tol):
     if error is None:
         try:
             finals = np.array([r.final_dist() for r in results.values()])
-            conv = [(not r.aborted) and r.final_dist() <= tol for r in results.values()]
+            conv = [r.converged(tol) for r in results.values()]
             for seed in seeds:
                 results[seed].to_csv(os.path.join(point_dir, f"{seed}.csv"))
             return list(combo) + [float(np.nanmean(finals)), float(np.mean(conv)), ""]
@@ -671,9 +665,6 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
                        os.path.join(exp_dir, "_".join(str(v).replace(".", "p") for v in combo)),
                        cfg.seeds, tol)
             for (combo, _, error), point_chunks in zip(points, chunks)]
-    write_csv_atomic(
-        os.path.join(exp_dir, "sweep.csv"),
-        grid_keys + ["mean_final_dist", "converged_frac", "error"],
-        rows,
-    )
+    write_csv(os.path.join(exp_dir, "sweep.csv"), grid_keys + ["mean_final_dist", "converged_frac", "error"],
+              list(zip(*rows)))
     return exp_dir

@@ -35,9 +35,10 @@ with y the operator norm of the joint Jacobian [jac_s jac_theta].
 
 Both reductions use jac_theta only through two products, u . jac_theta
 and its row norms, so they accept a `ParamJacobian` (the products of a
-system) as well as a dense matrix. A learner that carries just the pair
-then never forms an n x p matrix: on an RNN a step costs O(n^2 + np),
-against O(n^2 p) for the dense recursion.
+system) as well as a dense matrix, which they wrap behind the same two
+products. A learner that carries just the pair then never forms an
+n x p matrix: on an RNN a step costs O(n^2 + np), against O(n^2 p) for
+the dense recursion.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "joint_jacobian_norm",
     "verify_unbiased",
     "UnbiasednessReport",
-    "ErrorInjector",
     "ZeroInjector",
     "RankOneInjector",
 ]
@@ -130,13 +130,32 @@ def _first_term(pair: RankOnePair, jac_s):
     return norm_equalize(forwarded, pair.v_param)
 
 
+class _DenseJacobian:
+    """A dense dT/dtheta behind ParamJacobian's products."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
+    def vjp(self, u):
+        return u @ self.matrix
+
+    def row_norms(self):
+        return np.linalg.norm(self.matrix, axis=1)
+
+
 def _reduction_args(jac_s, jac_theta, signs):
-    """Validated (jac_s, jac_theta, signs); jac_theta may be a dense
-    matrix or a ParamJacobian, which the reducers use only through
-    `_vjp` and `_row_norms`."""
+    """Validated (jac_s, jac_theta, signs), a dense jac_theta wrapped in
+    _DenseJacobian: the reducers use it only through `vjp` and
+    `row_norms`."""
     jac_s = np.atleast_2d(jac_s)
     if not isinstance(jac_theta, ParamJacobian):
-        jac_theta = np.atleast_2d(jac_theta)
+        jac_theta = _DenseJacobian(np.atleast_2d(jac_theta))
     dim_new = jac_s.shape[0]
     signs = np.asarray(signs, dtype=float)
     if signs.shape != (dim_new,):
@@ -144,20 +163,6 @@ def _reduction_args(jac_s, jac_theta, signs):
     if jac_theta.shape[0] != dim_new:
         raise ContractViolation("jac_s and jac_theta disagree on the new state dimension")
     return jac_s, jac_theta, signs
-
-
-def _vjp(jac_theta, u):
-    """u . jac_theta."""
-    if isinstance(jac_theta, ParamJacobian):
-        return jac_theta.vjp(u)
-    return u @ jac_theta
-
-
-def _row_norms(jac_theta):
-    """Norms of the rows of jac_theta."""
-    if isinstance(jac_theta, ParamJacobian):
-        return jac_theta.row_norms()
-    return np.linalg.norm(jac_theta, axis=1)
 
 
 def nbt_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOnePair:
@@ -176,9 +181,9 @@ def nbt_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOneP
     """
     jac_s, jac_theta, signs = _reduction_args(jac_s, jac_theta, signs)
     v_state, v_param = _first_term(pair, jac_s)
-    rho = np.sqrt(_row_norms(jac_theta))
+    rho = np.sqrt(jac_theta.row_norms())
     weights = np.divide(signs, rho, out=np.zeros_like(rho), where=rho > 0.0)
-    return RankOnePair(v_state + signs * rho, v_param + _vjp(jac_theta, weights))
+    return RankOnePair(v_state + signs * rho, v_param + jac_theta.vjp(weights))
 
 
 def uoro_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOnePair:
@@ -189,7 +194,7 @@ def uoro_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOne
     """
     jac_s, jac_theta, signs = _reduction_args(jac_s, jac_theta, signs)
     v_state, v_param = _first_term(pair, jac_s)
-    sign_state, sign_param = norm_equalize(signs, _vjp(jac_theta, signs))
+    sign_state, sign_param = norm_equalize(signs, jac_theta.vjp(signs))
     return RankOnePair(v_state + sign_state, v_param + sign_param)
 
 
@@ -220,24 +225,17 @@ def error_gauge_bound(dim_state: int, y: float, j_old_norm: float) -> float:
 _REDUCERS = {"nbt": nbt_reduce, "nobacktrack": nbt_reduce, "uoro": uoro_reduce}
 
 
-class ErrorInjector:
-    """Interface: produces the per-step Jacobian error E_t."""
-
-    def next_error(self, t, s_prev, theta_prev, J_prev, jac_s, jac_theta, rng):
-        raise NotImplementedError
-
-    def reset(self):
-        pass
-
-
-class ZeroInjector(ErrorInjector):
+class ZeroInjector:
     """E_t = 0: recovers the exact algorithm bit for bit."""
 
     def next_error(self, t, s_prev, theta_prev, J_prev, jac_s, jac_theta, rng):
         return np.zeros_like(np.atleast_2d(jac_theta))
 
+    def reset(self):
+        pass
 
-class RankOneInjector(ErrorInjector):
+
+class RankOneInjector:
     """Rank-one Jacobian propagation with the UORO or NoBackTrack reducer.
 
     `propagate` advances a pair by one step: it draws the step's signs

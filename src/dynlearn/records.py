@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TrialRecord", "config_hash", "write_csv_atomic", "write_csv_columns"]
+__all__ = ["TrialRecord", "config_hash", "write_csv"]
 
 CSV_FIELDS = ("t", "theta_dist", "loss", "grad_norm", "aborted")
 CSV_BLOCK_ROWS = 1024
@@ -24,64 +24,45 @@ def config_hash(meta) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
+    """A cell as csv.writer writes it: text quoted where it holds a comma,
+    a quote or a line break; an int as str; any other number as the repr
+    of a float."""
     if isinstance(x, str):
-        return x
+        return '"' + x.replace('"', '""') + '"' if any(c in x for c in ',"\r\n') else x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
 
 
-def _write_atomic(path, write):
-    """Call write(fh) on a temp file, then rename it to path, so readers
-    never see partials."""
+def _cells(column):
+    """The cells of a column: a numeric array formatted whole (`tolist`,
+    then str of an int, repr of a float), anything else cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        return map(repr if column.dtype.kind == "f" else str, column.tolist())
+    return map(_cell, column)
+
+
+def write_csv(path, header, columns):
+    """Write the columns under header as a CSV, via a temp file and a
+    rename so readers never see partials. The bytes are csv.writer's
+    (lines end in CRLF), without a formatting call per cell of a numeric
+    array column; with no rows the file is the header alone."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            write(fh)
+            fh.write(",".join(map(_cell, header)) + "\r\n")
+            # Blocks of rows bound the memory of the formatted cells.
+            for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
+                cells = [_cells(c[start : start + CSV_BLOCK_ROWS]) for c in columns]
+                fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_csv_atomic(path, header, rows):
-    """Write a CSV via a temp file + rename so readers never see partials."""
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-
-    _write_atomic(path, write)
-
-
-def _column_cells(column):
-    """The cells of a numeric column as `_fmt` writes them: str of an
-    int, repr of a float."""
-    column = np.asarray(column)
-    if np.issubdtype(column.dtype, np.integer):
-        return map(str, column.tolist())
-    return map(repr, column.astype(float).tolist())
-
-
-def write_csv_columns(path, header, columns):
-    """write_csv_atomic for numeric columns, written column by column:
-    the same bytes (numbers need no quoting, and lines end in CRLF as
-    csv.writer's do) without a formatting call per cell."""
-
-    def write(fh):
-        fh.write(",".join(header) + "\r\n")
-        # Blocks of rows bound the memory of the formatted cells.
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            cells = [_column_cells(c[start : start + CSV_BLOCK_ROWS]) for c in columns]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
-
-    _write_atomic(path, write)
 
 
 @dataclass
@@ -129,8 +110,13 @@ class TrialRecord:
             fields.append("interval_k")
         return fields
 
+    def converged(self, tol: float) -> bool:
+        """Finished (no abort) with the final recorded distance within
+        tol; recomputable from the trial CSV alone."""
+        return not self.aborted and self.final_dist() <= tol
+
     def to_csv(self, path):
-        write_csv_columns(path, self.header(), self.columns())
+        write_csv(path, self.header(), self.columns())
 
     @classmethod
     def from_csv(cls, path):

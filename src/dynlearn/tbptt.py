@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import ConfigurationError, ContractViolation, NumericOverflow, System, guard
 from .records import RecordBuilder, TrialRecord
 from .rtrl import forward_step
-from .schedules import ExponentProfile, StepSchedule, validate_exponents
+from .schedules import StepSchedule
 
 __all__ = ["TruncationSchedule", "BpttCounters", "bptt_interval_gradient", "run_tbptt"]
 
@@ -143,7 +143,6 @@ def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int
 def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
               trunc: TruncationSchedule, T: int, reset_state=None, phi=None,
               update_mode: str = "aggregate", theta_star=None, dist_dims=None,
-              profile: ExponentProfile | None = None, force: bool = False,
               config_meta=None) -> TrialRecord:
     """Interval-wise learning; records one row per interval boundary.
 
@@ -153,16 +152,11 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
     update_mode "aggregate" applies one subtraction with the summed
     gradient (through phi when given); "per_step" applies phi once per
     interval step with the individual gradient pieces, which differs at
-    second order only. When an exponent profile is supplied the (A, b)
-    relation is validated up front; force=True suppresses that check for
-    deliberate failure experiments.
+    second order only. The (A, b) relation of the exponents is checked by
+    the experiment harness, not here.
     """
     if update_mode not in ("aggregate", "per_step"):
         raise ConfigurationError(f"unknown update mode {update_mode!r}")
-    if profile is not None and not force:
-        ok, violations = validate_exponents(profile, schedule.b)
-        if not ok:
-            raise ConfigurationError("; ".join(violations))
 
     theta = np.asarray(theta0, dtype=float)
     s = np.asarray(s0, dtype=float)

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConfigurationError, System
+from .dynamics import ConfigurationError, MomentumSystem, System, _index_lookup
+from .records import write_csv
 from .rtrl import open_loop_updates
 from .schedules import StepSchedule
 
 __all__ = [
-    "UpdateRule",
     "PreconditionedRule",
     "AdaptiveRule",
     "rule_adam",
@@ -33,7 +33,6 @@ __all__ = [
     "outer_grad_statistic",
     "rmsprop_preconditioner",
     "inverse_matrix_preconditioner",
-    "ParamUpdateOp",
     "ClippedUpdate",
     "ProjectedUpdate",
     "extended_hessian_fd",
@@ -44,14 +43,7 @@ __all__ = [
 ]
 
 
-class UpdateRule:
-    """Interface: apply(t, v, s, theta) -> update direction."""
-
-    def apply(self, t, v, s, theta):
-        raise NotImplementedError
-
-
-class PreconditionedRule(UpdateRule):
+class PreconditionedRule:
     """direction = P(theta) v for a known matrix-valued P."""
 
     def __init__(self, precond):
@@ -64,7 +56,7 @@ class PreconditionedRule(UpdateRule):
         return P @ np.asarray(v, dtype=float)
 
 
-class AdaptiveRule(UpdateRule):
+class AdaptiveRule:
     """Online-statistics preconditioning on an augmented parameter.
 
     theta = (theta_core, psi) with psi of length psi_dim. The direction is
@@ -146,8 +138,6 @@ def squared_grad_statistic(sample_loss, indices):
     On 2-D indices (one row per seed) it is seed-batched, and its
     `take_seeds(rows)` keeps the given rows.
     """
-    from .dynamics import _index_lookup
-
     idx = _index_lookup(indices)
 
     def stat(t, theta):
@@ -159,8 +149,6 @@ def squared_grad_statistic(sample_loss, indices):
 
 def outer_grad_statistic(sample_loss, indices):
     """Psi_t(theta) = flattened outer square of the per-sample gradient."""
-    from .dynamics import _index_lookup
-
     idx = _index_lookup(indices)
 
     def stat(t, theta):
@@ -225,8 +213,6 @@ def rule_adam(sample_loss, indices, beta1, c, eps=1e-8, timing="simultaneous",
     """
     if not 0.0 <= beta1 < 1.0:
         raise ConfigurationError("beta1 must lie in [0, 1)")
-    from .dynamics import MomentumSystem
-
     p = sample_loss.dim
     system = MomentumSystem(sample_loss, indices, beta1, param_dim=2 * p, core_dim=p)
     rule = AdaptiveRule(
@@ -238,14 +224,7 @@ def rule_adam(sample_loss, indices, beta1, c, eps=1e-8, timing="simultaneous",
     return AdamSetup(system=system, rule=rule, theta_dim=p, psi_dim=p)
 
 
-class ParamUpdateOp:
-    """Interface: apply(t, theta, w) -> new parameter (w = eta * v)."""
-
-    def apply(self, t, theta, w):
-        raise NotImplementedError
-
-
-class ClippedUpdate(ParamUpdateOp):
+class ClippedUpdate:
     """theta - w / (1 + ||w||): step norm below 1, first order unchanged."""
 
     def apply(self, t, theta, w):
@@ -253,7 +232,7 @@ class ClippedUpdate(ParamUpdateOp):
         return np.asarray(theta, dtype=float) - w / (1.0 + np.linalg.norm(w))
 
 
-class ProjectedUpdate(ParamUpdateOp):
+class ProjectedUpdate:
     """Plain step followed by a box projection (per-coordinate clamp).
 
     With block=d only the leading block theta[..., :d] is projected (the
@@ -352,11 +331,8 @@ def estimate_lambda(sys: System, rule, theta_star, T: int, s0, h=1e-5):
 
 def export_matrix_csv(path, M, label="m"):
     """Write a dense matrix as CSV (one row per matrix row) for inspection."""
-    from .records import write_csv_atomic
-
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    header = [f"{label}{j}" for j in range(M.shape[1])]
-    write_csv_atomic(path, header, M.tolist())
+    write_csv(path, [f"{label}{j}" for j in range(M.shape[1])], list(M.T))
 
 
 def is_positive_stable(M, tol=1e-10):

@@ -111,7 +111,7 @@ def test_criterion_3_unbiasedness(tmp_path):
     import csv as csvmod
 
     from dynlearn.rankone import UnbiasednessReport
-    from dynlearn.records import write_csv_atomic
+    from dynlearn.records import write_csv
 
     rows = []
     for reducer in ("nbt", "uoro"):
@@ -121,7 +121,7 @@ def test_criterion_3_unbiasedness(tmp_path):
             rep = verify_unbiased(reducer, dim=dim, steps=3, seed=40 + dim)
             rows.append([rep.reducer, rep.dim, rep.steps, rep.max_jacobian_bias])
     path = tmp_path / "unbiased.csv"
-    write_csv_atomic(str(path), UnbiasednessReport.csv_header, rows)
+    write_csv(str(path), UnbiasednessReport.csv_header, list(zip(*rows)))
 
     with open(path, newline="") as fh:
         parsed = list(csvmod.DictReader(fh))

@@ -122,6 +122,7 @@ def test_report_text_format():
     report = local_optimum_report(sysm, None, theta_star, 160, np.zeros(1))
     text = report.to_text()
     assert "verdict: pass" in text and "positive_stable: True" in text
+    assert "np." not in text  # plain floats, not numpy scalar reprs
 
 
 def make_record(dists, abort_t=None):

@@ -132,6 +132,21 @@ def test_exponent_validation_blocks_run(tmp_path):
     run_experiment(cfg, str(tmp_path), force=True)  # runs when forced
 
 
+def test_run_tbptt_validation_and_force(tmp_path):
+    # The harness is the one exponent check of a TBPTT run.
+    cfg = small_config(**{
+        "experiment.seeds": "0", "experiment.horizon": 50,
+        "system.kind": "influence_balancing", "system.n": 6, "system.n_plus": 2,
+        "algorithm.name": "tbptt", "schedule.gamma": 0.05, "schedule.b": 0.7,
+        "init.theta0": 0.3, "truncation.spec": "grow:0.55",
+        "exponents.a": 0.2, "exponents.gamma_loss": 0.1,  # A above b - 2*gamma_loss
+    })
+    with pytest.raises(ConfigurationError):
+        run_experiment(cfg, str(tmp_path))
+    exp_dir = run_experiment(cfg, str(tmp_path), force=True)
+    assert len(TrialRecord.from_csv(os.path.join(exp_dir, "0.csv")).t) > 1
+
+
 def test_sweep_rows(tmp_path):
     cfg = small_config(**{
         "experiment.name": "grid",
@@ -304,12 +319,23 @@ def test_cli_run_invalid_exponents_exit_2(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("override, message", [
-    ("experiment.record_every=0", "experiment.record_every"),
-    ("experiment.horizon=0", "experiment.horizon"),
-    ("init.theta0=1,2,3", "init.theta0"),
-])
-def test_cli_run_bad_value_exit_2(override, message, tmp_path, capsys, monkeypatch):
+BAD_VALUES = [
+    ("experiment.record_every=0", "experiment.record_every", "rnn_stability.ini"),
+    ("experiment.horizon=0", "experiment.horizon", "rnn_stability.ini"),
+    ("init.theta0=1,2,3", "init.theta0", "rnn_stability.ini"),
+    ("experiment.seeds=0,abc", "experiment.seeds", "rnn_stability.ini"),
+    ("init.theta0=abc", "init.theta0", "influence_balancing_tbptt.ini"),
+    ("system.s0=1,abc", "system.s0", "influence_balancing_tbptt.ini"),
+    ("truncation.spec=fixed:abc", "truncation.spec", "influence_balancing_tbptt.ini"),
+    ("truncation.spec=grow:abc", "truncation.spec", "influence_balancing_tbptt.ini"),
+    ("algorithm.rule=precond:diag:1,x", "algorithm.rule", "cycling_vs_iid.ini"),
+]
+
+
+# The ids of the rnn_stability.ini cases leave out the config file.
+@pytest.mark.parametrize("override, message, config", BAD_VALUES, ids=[
+    f"{o}-{m}" + ("" if c == "rnn_stability.ini" else f"-{c}") for o, m, c in BAD_VALUES])
+def test_cli_run_bad_value_exit_2(override, message, config, tmp_path, capsys, monkeypatch):
     # Refused as a configuration error before the first learner step.
     import dynlearn.harness as harness
 
@@ -317,10 +343,39 @@ def test_cli_run_bad_value_exit_2(override, message, tmp_path, capsys, monkeypat
         raise AssertionError("a learner ran on a bad config")
 
     monkeypatch.setattr(harness, "run_learning", no_learning)
-    code = cli_main(["run", os.path.join(CONFIG_DIR, "rnn_stability.ini"),
+    monkeypatch.setattr(harness, "run_tbptt", no_learning)
+    code = cli_main(["run", os.path.join(CONFIG_DIR, config),
                      "--set", override, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert f"config error: {message} " in capsys.readouterr().err
+
+
+def test_cli_sweep_bad_point_value_is_an_error_row(tmp_path):
+    # A malformed value that one grid point sets fails that point alone.
+    code = cli_main(["sweep", os.path.join(CONFIG_DIR, "influence_balancing_tbptt.ini"),
+                     "--set", "sweep.truncation.spec=fixed:abc,grow:0.4",
+                     "--set", "experiment.horizon=30", "--out", str(tmp_path / "o")])
+    assert code == 0
+    with open(tmp_path / "o" / "influence_balancing_tbptt" / "sweep.csv") as fh:
+        lines = fh.read().strip().splitlines()
+    # The error text holds a comma, so it is quoted as csv.writer quotes it.
+    assert lines[1] == "fixed:abc,nan,0.0,\"ConfigurationError: truncation.spec must be an integer, got 'abc'\""
+    assert lines[2].startswith("grow:0.4,") and lines[2].endswith(",")
+
+
+def test_cli_run_checks_every_arm_count_first(tmp_path, capsys, monkeypatch):
+    # The second arm's horizon fails before the first arm writes a CSV.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    path = write_config(tmp_path, small_config(**{
+        "arms.a": "schedule.b=0.7", "arms.b": "experiment.horizon=0"}))
+    assert cli_main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert "experiment.horizon must be >= 1, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("key", ["experiment.horizon", "experiment.record_every"])
@@ -420,6 +475,19 @@ def test_cli_check_optimum(capsys, tmp_path):
     code = cli_main(["check", "optimum", "--config", path, "--horizon", "240"])
     assert code == 0
     assert "verdict: pass" in capsys.readouterr().out
+
+
+def test_cli_check_optimum_starts_from_the_candidate(capsys):
+    # s0 = stationary is the candidate's own stationary state, so the
+    # known optimum theta* = 0 of influence balancing passes; the same
+    # holds for an explicit --theta, and a wrong-length one exits 2.
+    path = os.path.join(CONFIG_DIR, "influence_balancing_tbptt.ini")
+    for extra in ([], ["--theta", "0"]):
+        assert cli_main(["check", "optimum", "--config", path] + extra) == 0
+        out = capsys.readouterr().out
+        assert "avg_update_final: 0.0\n" in out and "verdict: pass" in out
+    assert cli_main(["check", "optimum", "--config", path, "--theta", "0,1"]) == 2
+    assert "--theta must be a number, got '0,1'" in capsys.readouterr().err
 
 
 def test_cli_entry_point_subprocess(tmp_path):

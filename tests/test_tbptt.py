@@ -16,7 +16,7 @@ from dynlearn.dynamics import (
     run_trajectory,
 )
 from dynlearn.rtrl import open_loop_updates
-from dynlearn.schedules import ExponentProfile, StepSchedule, sample_indices
+from dynlearn.schedules import StepSchedule, sample_indices
 from dynlearn.tbptt import BpttCounters, TruncationSchedule, bptt_interval_gradient, run_tbptt
 
 
@@ -191,18 +191,6 @@ def test_run_tbptt_nonrecurrent_equals_accumulated_sgd():
         grad = sum(loss.grad(idx[t], theta) for t in range(5 * k + 1, t_hi + 1))
         theta = theta - sched.eta(t_hi) * grad
     assert np.allclose(rec.final_theta, theta, atol=1e-12)
-
-
-def test_run_tbptt_validation_and_force():
-    sysm = InfluenceBalancing(6, 2)
-    sched = StepSchedule(0.05, 0.7)
-    bad = ExponentProfile(0.2, 0.1, "tbptt", A=0.55)  # A above b - 2*gamma_loss
-    with pytest.raises(ConfigurationError):
-        run_tbptt(sysm, np.zeros(6), np.array([0.3]), sched,
-                  TruncationSchedule.growing(0.55), 50, profile=bad)
-    rec = run_tbptt(sysm, np.zeros(6), np.array([0.3]), sched,
-                    TruncationSchedule.growing(0.55), 50, profile=bad, force=True)
-    assert len(rec.t) > 1
 
 
 def test_run_tbptt_interval_column_and_boundaries():
