@@ -48,7 +48,6 @@ from .schedules import (
     StepSchedule,
     ergodic_exponent_estimate,
     moment_rate_range,
-    sampler,
     validate_exponents,
 )
 from .tbptt import TruncationSchedule, bptt_interval_gradient, run_tbptt

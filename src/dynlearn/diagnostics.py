@@ -119,17 +119,6 @@ class OptimumReport:
         ]
         return "\n".join(lines) + "\n"
 
-    csv_header = ("avg_update_final", "a_hat", "min_real_part", "positive_stable", "verdict")
-
-    def csv_row(self):
-        return [
-            float(self.avg_update_norms[-1]),
-            self.a_hat,
-            self.min_real_part,
-            int(self.positive_stable),
-            "pass" if self.passed else "fail",
-        ]
-
 
 def local_optimum_report(sys: System, rule, theta_candidate, T: int, s0,
                          lambda_T: int | None = None, h=1e-5) -> OptimumReport:

@@ -314,9 +314,6 @@ class SquaredErrorLoss:
             return (2.0 * residual)[:, None] * self.xs.take(i, axis=0)
         return 2.0 * (self.predict(i, theta) - self.ys[i]) * self.xs[i]
 
-    def hess(self, i, theta):
-        return 2.0 * np.outer(self.xs[i], self.xs[i])
-
 
 class LinearCoefficientLoss:
     """Per-sample loss l_i(theta) = c_i * theta for scalar theta.
@@ -339,9 +336,6 @@ class LinearCoefficientLoss:
         if np.ndim(theta) == 2:
             return self.coefs.take(i)[:, None]
         return np.array([self.coefs[i]])
-
-    def hess(self, i, theta):
-        return np.zeros((1, 1))
 
 
 def _index_lookup(indices):

@@ -144,7 +144,9 @@ class ExperimentConfig:
             for clause in self.values[key].split(";"):
                 clause = clause.strip()
                 if clause:
-                    dotted, val = clause.split("=", 1)
+                    dotted, eq, val = clause.partition("=")
+                    if not (eq and dotted.strip()):
+                        raise ConfigurationError(f"arm {name!r}: clause {clause!r} is not key=value")
                     overrides[dotted.strip()] = val.strip()
             out.append((name, self.with_overrides(overrides)))
         return out
@@ -173,7 +175,10 @@ def build_dataset(cfg: ExperimentConfig):
         try:
             raw = np.loadtxt(path, delimiter=",", skiprows=0, ndmin=2)
         except ValueError:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            try:
+                raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            except ValueError as exc:
+                raise ConfigurationError(f"system.data_csv {path!r} is not a numeric CSV: {exc}") from None
         if raw.shape[1] < 2:
             raise ConfigurationError(f"dataset {path!r} needs x columns and a y column")
         xs, ys = raw[:, :-1], raw[:, -1]
@@ -314,19 +319,15 @@ def _check_counts(cfg: ExperimentConfig, keys):
 
 
 def _parse_truncation(cfg) -> TruncationSchedule:
-    """Truncation from `truncation.spec` (grow:<A> | fixed:<L>), falling
-    back to the explicit truncation.A / truncation.fixed_length keys."""
-    spec = cfg.get("truncation.spec")
-    if spec:
-        mode, _, val = spec.partition(":")
-        if mode == "grow":
-            return TruncationSchedule.growing(parse_numbers("truncation.spec", val, 1)[0])
-        if mode == "fixed":
-            return TruncationSchedule.fixed(parse_numbers("truncation.spec", val, 1, int)[0])
-        raise ConfigurationError(f"bad truncation spec {spec!r}")
-    if cfg.get("truncation.fixed_length"):
-        return TruncationSchedule.fixed(cfg.getint("truncation.fixed_length"))
-    return TruncationSchedule.growing(cfg.getfloat("truncation.A", 0.4))
+    """Truncation from `truncation.spec`: grow:<A> | fixed:<L>, grow:0.4
+    when unset or empty."""
+    spec = cfg.get("truncation.spec") or "grow:0.4"
+    mode, _, val = spec.partition(":")
+    if mode == "grow":
+        return TruncationSchedule.growing(parse_numbers("truncation.spec", val, 1)[0])
+    if mode == "fixed":
+        return TruncationSchedule.fixed(parse_numbers("truncation.spec", val, 1, int)[0])
+    raise ConfigurationError(f"bad truncation spec {spec!r}")
 
 
 def _theta_init(cfg, theta_star, rng_init, p):
@@ -554,14 +555,17 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
 
     Returns the experiment directory. Raises ConfigurationError before
     running anything when an arm's system kind does not run its algorithm,
-    or when the exponent declaration fails validation and force is not
-    set.
+    or when an arm's exponent declaration fails validation and force is
+    not set.
     """
-    _validate_config(cfg, force)
     arms = cfg.arms()
-    for _, arm_cfg in arms:
+    for arm, arm_cfg in arms:
         system_kind(arm_cfg)
         _check_counts(arm_cfg, COUNT_KEYS)
+        try:
+            _validate_config(arm_cfg, force)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"arm {arm!r}: {exc}") from None
     jobs = _usable_jobs(jobs)
     exp_dir = os.path.join(outdir, cfg.name)
     tol = cfg.getfloat("experiment.tol", 1e-2)

@@ -20,7 +20,6 @@ __all__ = [
     "StepSchedule",
     "ExponentProfile",
     "validate_exponents",
-    "sampler",
     "sample_indices",
     "ergodic_exponent_estimate",
     "ErgodicReport",
@@ -114,49 +113,40 @@ def validate_exponents(profile: ExponentProfile, b: float):
     return (not violations), violations
 
 
-def sampler(scheme: str, N: int, rng=None):
-    """Infinite stream of 0-based sample indices for t = 1, 2, ...
-
-    cycling: (t-1) mod N; reshuffle: a fresh uniform permutation each
-    epoch; iid: uniform with replacement. reshuffle and iid require an
-    rng and are deterministic per stream position.
-    """
-    if N < 1:
-        raise ConfigurationError("dataset size N must be >= 1")
-    if scheme == "cycling":
-        def gen():
-            t = 0
-            while True:
-                yield t % N
-                t += 1
-        return gen()
-    if scheme == "reshuffle":
-        if rng is None:
-            raise ConfigurationError("reshuffle sampling needs an rng")
-        def gen():
-            while True:
-                yield from rng.permutation(N)
-        return gen()
-    if scheme == "iid":
-        if rng is None:
-            raise ConfigurationError("iid sampling needs an rng")
-        def gen():
-            while True:
-                yield int(rng.integers(N))
-        return gen()
-    raise ConfigurationError(f"unknown sampling scheme {scheme!r}")
+SAMPLE_BLOCK = 4096  # steps drawn per numpy call; bounds the temporaries
 
 
 def sample_indices(scheme: str, N: int, T: int, rng=None) -> np.ndarray:
-    """Materialized index array idx[0..T] with idx[t] the sample at step t.
+    """Index array idx[0..T] with idx[t] the 0-based sample at step t.
 
-    idx[0] is a placeholder (steps are 1-based); systems index it by t.
+    cycling: (t-1) mod N; reshuffle: a fresh uniform permutation each
+    epoch; iid: uniform with replacement. reshuffle and iid require an
+    rng. idx[0] is a placeholder (steps are 1-based); systems index it
+    by t. The draws equal one scalar `rng.integers(N)` per step, or one
+    `rng.permutation(N)` per epoch begun, and leave rng in the same state.
     """
-    gen = sampler(scheme, N, rng)
+    if N < 1:
+        raise ConfigurationError("dataset size N must be >= 1")
+    if scheme not in ("cycling", "reshuffle", "iid"):
+        raise ConfigurationError(f"unknown sampling scheme {scheme!r}")
+    if scheme != "cycling" and rng is None:
+        raise ConfigurationError(f"{scheme} sampling needs an rng")
     out = np.empty(T + 1, dtype=int)
     out[0] = 0
-    for t in range(1, T + 1):
-        out[t] = next(gen)
+    epochs = np.empty(0, dtype=int)  # reshuffle: drawn but not yet used
+    for start in range(1, T + 1, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, T + 1)
+        k = stop - start
+        if scheme == "cycling":
+            out[start:stop] = np.arange(start - 1, stop - 1) % N
+        elif scheme == "iid":
+            out[start:stop] = rng.integers(N, size=k)
+        else:
+            if len(epochs) < k:  # only the epochs this block begins
+                count = -(-(k - len(epochs)) // N)
+                fresh = rng.permuted(np.tile(np.arange(N), (count, 1)), axis=1)
+                epochs = np.concatenate([epochs, fresh.ravel()])
+            out[start:stop], epochs = epochs[:k], epochs[k:]
     return out
 
 

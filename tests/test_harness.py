@@ -329,6 +329,7 @@ BAD_VALUES = [
     ("truncation.spec=fixed:abc", "truncation.spec", "influence_balancing_tbptt.ini"),
     ("truncation.spec=grow:abc", "truncation.spec", "influence_balancing_tbptt.ini"),
     ("algorithm.rule=precond:diag:1,x", "algorithm.rule", "cycling_vs_iid.ini"),
+    ("arms.iid=sampling.scheme", "arm 'iid':", "cycling_vs_iid.ini"),
 ]
 
 
@@ -348,6 +349,18 @@ def test_cli_run_bad_value_exit_2(override, message, config, tmp_path, capsys, m
                      "--set", override, "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"config error: {message} " in capsys.readouterr().err
+
+
+def test_cli_run_checks_every_arm_exponents(tmp_path, capsys):
+    # Only the second arm's step exponent breaks the declared exponents.
+    path = write_config(tmp_path, small_config(**{
+        "experiment.horizon": "50", "exponents.a": "0.05",
+        "arms.good": "schedule.b=0.5", "arms.bad": "schedule.b=0.04"}))
+    assert cli_main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert "arm 'bad': need max(a, gamma_loss) + 2*gamma_loss = 0.05 < b = 0.04" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert cli_main(["run", path, "--out", str(tmp_path / "o"), "--force"]) == 0
+    assert (tmp_path / "o" / "smoke" / "bad" / "0.csv").exists()
 
 
 def test_cli_sweep_bad_point_value_is_an_error_row(tmp_path):
@@ -514,6 +527,16 @@ def test_dataset_from_csv(tmp_path):
     rec = run_trial(cfg, 0)
     # theta* = (1, 2, 3) exactly for this dataset
     assert not rec.aborted and rec.final_dist() < 0.2
+
+
+def test_dataset_csv_non_numeric_cell_exit_2(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n1,2\n3,abc\n")
+    code = cli_main(["run", os.path.join(CONFIG_DIR, "cycling_vs_iid.ini"),
+                     "--set", f"system.data_csv={path}", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: system.data_csv {str(path)!r} is not a numeric CSV" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_rule_from_string_precond():

@@ -1,7 +1,9 @@
-"""Step schedules, samplers, exponent constraints, ergodic estimation."""
+"""Step schedules, sample indices, exponent constraints, ergodic estimation."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import philox
 
@@ -12,7 +14,6 @@ from dynlearn.schedules import (
     ergodic_exponent_estimate,
     moment_rate_range,
     sample_indices,
-    sampler,
     validate_exponents,
 )
 
@@ -70,30 +71,86 @@ def test_validate_exponents_spec_cases():
     assert not ok
 
 
-def test_sampler_cycling():
-    gen = sampler("cycling", 3)
-    assert [next(gen) for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+def test_sample_indices_cycling():
+    assert sample_indices("cycling", 3, 7).tolist() == [0, 0, 1, 2, 0, 1, 2, 0]
 
 
-def test_sampler_reshuffle_epochs_are_permutations():
-    gen = sampler("reshuffle", 5, philox(0))
-    for _ in range(10):
-        epoch = sorted(next(gen) for _ in range(5))
-        assert epoch == [0, 1, 2, 3, 4]
+def test_sample_indices_reshuffle_epochs_are_permutations():
+    idx = sample_indices("reshuffle", 5, 50, philox(0))
+    for epoch in idx[1:].reshape(10, 5):
+        assert sorted(epoch) == [0, 1, 2, 3, 4]
 
 
-def test_sampler_iid_frequencies():
-    gen = sampler("iid", 3, philox(1))
-    draws = np.array([next(gen) for _ in range(100_000)])
+def test_sample_indices_iid_frequencies():
+    draws = sample_indices("iid", 3, 100_000, philox(1))[1:]
     for i in range(3):
         freq = np.mean(draws == i)
         assert 0.32 <= freq <= 0.35
 
 
-def test_sampler_determinism():
+def test_sample_indices_determinism():
     a = sample_indices("iid", 7, 50, philox(9))
     b = sample_indices("iid", 7, 50, philox(9))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme, N, rng, message", [
+    ("cycling", 0, None, "dataset size N must be >= 1"),
+    ("iid", 0, philox(0), "dataset size N must be >= 1"),
+    ("sobol", 4, philox(0), "unknown sampling scheme 'sobol'"),
+    ("reshuffle", 4, None, "reshuffle sampling needs an rng"),
+    ("iid", 4, None, "iid sampling needs an rng"),
+])
+def test_sample_indices_refusals(scheme, N, rng, message):
+    with pytest.raises(ConfigurationError, match=message):
+        sample_indices(scheme, N, 10, rng)
+
+
+def per_step_indices(scheme, N, T, rng=None):
+    """The oracle: one Python generator step per index, as sample_indices
+    drew them before it filled blocks."""
+    def gen():
+        t = 0
+        while True:
+            if scheme == "cycling":
+                yield t % N
+                t += 1
+            elif scheme == "reshuffle":
+                yield from rng.permutation(N)
+            else:
+                yield int(rng.integers(N))
+
+    stream = gen()
+    out = np.empty(T + 1, dtype=int)
+    out[0] = 0
+    for t in range(1, T + 1):
+        out[t] = next(stream)
+    return out
+
+
+# T at and around the block edges (4,096 steps per block) is drawn often.
+HORIZONS = st.one_of(st.sampled_from([0, 1, 4095, 4096, 4097, 8191, 8192, 8193]),
+                     st.integers(0, 10_000))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(scheme=st.sampled_from(["cycling", "reshuffle", "iid"]),
+       N=st.one_of(st.integers(1, 5000), st.sampled_from([1, 2, 16, 4096, 2**33 + 7])),
+       T=HORIZONS, seed=st.integers(0, 2**32 - 1))
+@example(scheme="iid", N=2**33 + 7, T=4097, seed=3)
+@example(scheme="reshuffle", N=1, T=4097, seed=4)
+@example(scheme="reshuffle", N=4097, T=8193, seed=5)
+def test_sample_indices_match_per_step_draws(scheme, N, T, seed):
+    # The same indices, dtype and final generator state as the per-step
+    # loop, so trials stay byte-identical and later draws do not shift.
+    # 2**33 + 7 takes numpy's 64-bit integers path; it is an iid case only.
+    assume(N <= 5000 or scheme == "iid")
+    rng, ref_rng = philox(seed), philox(seed)
+    got = sample_indices(scheme, N, T, rng)
+    want = per_step_indices(scheme, N, T, ref_rng)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
 
 
 def test_ergodic_estimate_cycling_cancellation():
