@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "System",
-    "ParamJacobian",
     "ContractViolation",
     "NumericOverflow",
     "ConfigurationError",
@@ -181,28 +180,9 @@ class System(ABC):
         """Euclidean norms of the dim(S_t) rows of dT_t/dtheta."""
         return np.linalg.norm(np.atleast_2d(self.d_transition_dtheta(t, s, theta)), axis=1)
 
-
-class ParamJacobian:
-    """dT_t/dtheta at (s, theta), available only through the system's
-    products; the rank-one reducers accept it in place of the matrix."""
-
-    __slots__ = ("sys", "t", "s", "theta")
-
-    def __init__(self, sys: System, t: int, s: np.ndarray, theta: np.ndarray):
-        self.sys = sys
-        self.t = t
-        self.s = s
-        self.theta = theta
-
-    @property
-    def shape(self):
-        return (self.sys.state_dim(self.t), self.sys.param_dim)
-
-    def vjp(self, u):
-        return self.sys.d_transition_dtheta_vjp(self.t, self.s, self.theta, u)
-
-    def row_norms(self):
-        return self.sys.d_transition_dtheta_row_norms(self.t, self.s, self.theta)
+    # Optional hook known_transition(t, s, theta, s_new), None here: told
+    # that s_new (read-only) is T_t(s, theta), a memo may keep it.
+    known_transition = None
 
 
 def step(sys: System, t: int, s: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -456,7 +436,7 @@ class RNNSystem(_ConstantDim, System):
 
     A learner step evaluates the cell once: every method reads it from a
     one-entry memo keyed by t and the s and theta objects (read-only, see
-    `System`).
+    `System`), or filled by `known_transition`: s_t is the sigmoid itself.
     """
 
     def __init__(self, n, m, inputs=None, targets=None):
@@ -492,8 +472,6 @@ class RNNSystem(_ConstantDim, System):
         return np.atleast_1d(self.inputs(t))
 
     def _target(self, t):
-        if self.targets is None:
-            return np.zeros(self.n)
         return np.atleast_1d(self.targets(t))
 
     def _cell(self, t, s, theta):
@@ -511,6 +489,10 @@ class RNNSystem(_ConstantDim, System):
         cell = (sig, sig * (1.0 - sig), W, x)
         self._last = (t, s, theta, cell)
         return cell
+
+    def known_transition(self, t, s, theta, s_new):
+        # The slope and W as _cell computes them: the entry is bit-equal.
+        self._last = (t, s, theta, (s_new, s_new * (1.0 - s_new), self._unpack(theta)[0], self._input(t)))
 
     def transition(self, t, s, theta):
         # A copy, so that no caller can write into the memo.
@@ -543,22 +525,21 @@ class RNNSystem(_ConstantDim, System):
         # Row i of dT/dtheta is d_i [e_i (x) s, e_i (x) x_t, e_i]: O(n^2 + nm).
         _, d, _, x = self._cell(t, s, theta)
         g = u * d
-        parts = [np.outer(g, s).ravel()]
+        col = g[:, None]  # col * s is np.outer(g, s), without its Python calls
         if self.m:
-            parts.append(np.outer(g, x).ravel())
-        parts.append(g)
-        return np.concatenate(parts)
+            return np.concatenate([(col * s).ravel(), (col * x).ravel(), g])
+        return np.concatenate([(col * s).ravel(), g])
 
     def d_transition_dtheta_row_norms(self, t, s, theta):
         _, d, _, x = self._cell(t, s, theta)
         return np.abs(d) * np.sqrt(s @ s + x @ x + 1.0)
 
     def loss(self, t, s):
-        r = s - self._target(t)
+        r = s if self.targets is None else s - self._target(t)  # s - 0 is s, bit for bit
         return 0.5 * float(r @ r)
 
     def d_loss_ds(self, t, s):
-        return s - self._target(t)
+        return s.copy() if self.targets is None else s - self._target(t)
 
 
 class MomentumSystem(_SeedBatchable, _ConstantDim, System):

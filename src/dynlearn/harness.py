@@ -318,6 +318,18 @@ def _check_counts(cfg: ExperimentConfig, keys):
             raise ConfigurationError(f"{key} must be >= 1, got {value}")
 
 
+def _check_retired(cfg: ExperimentConfig):
+    """ConfigurationError naming the truncation.spec that replaced a
+    truncation.A or truncation.fixed_length key (plain or swept)."""
+    for key, text in cfg.values.items():
+        bare = key.removeprefix("sweep.")
+        mode = {"truncation.A": "grow", "truncation.fixed_length": "fixed"}.get(bare)
+        if mode:
+            spec = ",".join(f"{mode}:{v.strip()}" for v in text.split(","))
+            new_key = key.replace(bare, "truncation.spec")
+            raise ConfigurationError(f"{key} is no longer read; set {new_key} = {spec}")
+
+
 def _parse_truncation(cfg) -> TruncationSchedule:
     """Truncation from `truncation.spec`: grow:<A> | fixed:<L>, grow:0.4
     when unset or empty."""
@@ -560,6 +572,7 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
     """
     arms = cfg.arms()
     for arm, arm_cfg in arms:
+        _check_retired(arm_cfg)
         system_kind(arm_cfg)
         _check_counts(arm_cfg, COUNT_KEYS)
         try:
@@ -635,11 +648,15 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
     (error column) and the sweep continues; a horizon or record_every
     below 1, or a system kind or algorithm, that fails every point
     because no [sweep] entry sets it raises ConfigurationError before any
-    trial runs.
+    trial runs; so do [arms], which a sweep does not run yet.
     """
     sweep_keys = sorted(k for k in cfg.values if k.startswith("sweep."))
     if not sweep_keys:
         raise ConfigurationError("config has no [sweep] section")
+    arms = ", ".join(sorted(k.split(".", 1)[1] for k in cfg.values if k.startswith("arms.")))
+    if arms:
+        raise ConfigurationError(f"sweep does not run [arms] yet (arms {arms}); sweep one arm's config")
+    _check_retired(cfg)
     grid_keys = [k.split(".", 1)[1] for k in sweep_keys]
     grid_values = [cfg.getlist(k) for k in sweep_keys]
     _check_counts(cfg, [key for key in COUNT_KEYS if key not in grid_keys])

@@ -33,12 +33,12 @@ sqrt(||J||) instead of ||J||: every draw satisfies
 
 with y the operator norm of the joint Jacobian [jac_s jac_theta].
 
-Both reductions use jac_theta only through two products, u . jac_theta
-and its row norms, so they accept a `ParamJacobian` (the products of a
-system) as well as a dense matrix, which they wrap behind the same two
-products. A learner that carries just the pair then never forms an
-n x p matrix: on an RNN a step costs O(n^2 + np), against O(n^2 p) for
-the dense recursion.
+A learner never forms the n x p matrix: `pair_step` advances the pair
+by one learner step, exactly as these reducers would, with dT/dtheta
+used only through the system's products u . dT/dtheta and its row norms.
+On an RNN a step then costs O(n^2 + np), against O(n^2 p) for the dense
+recursion. Its signs come from a `SignStream`, one generator call per
+SIGN_BLOCK steps.
 """
 
 from __future__ import annotations
@@ -46,15 +46,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import ConfigurationError, ContractViolation, ParamJacobian, System, TanhSystem
+from .dynamics import ConfigurationError, ContractViolation, System, TanhSystem, guard
 
 __all__ = [
     "RankOnePair",
     "norm_equalize",
     "sample_signs",
+    "SIGN_BLOCK", "SignStream", "pair_step",
     "nbt_reduce",
     "uoro_reduce",
     "error_term",
@@ -99,10 +101,12 @@ def norm_equalize(v1, v2):
     result is (0, 0) (total function, no special cases raised).
     """
     v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
     # sqrt(v . v) is how np.linalg.norm computes a vector norm, minus its
     # call overhead.
-    n1 = math.sqrt(v1.dot(v1))
+    return _equalize(v1, math.sqrt(v1.dot(v1)), np.asarray(v2, dtype=float))
+
+
+def _equalize(v1, n1, v2):  # norm_equalize(v1, v2) given n1 = ||v1||
     n2 = math.sqrt(v2.dot(v2))
     if n1 == 0.0 or n2 == 0.0:
         return np.zeros_like(v1), np.zeros_like(v2)
@@ -130,32 +134,14 @@ def _first_term(pair: RankOnePair, jac_s):
     return norm_equalize(forwarded, pair.v_param)
 
 
-class _DenseJacobian:
-    """A dense dT/dtheta behind ParamJacobian's products."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def vjp(self, u):
-        return u @ self.matrix
-
-    def row_norms(self):
-        return np.linalg.norm(self.matrix, axis=1)
-
-
 def _reduction_args(jac_s, jac_theta, signs):
-    """Validated (jac_s, jac_theta, signs), a dense jac_theta wrapped in
-    _DenseJacobian: the reducers use it only through `vjp` and
-    `row_norms`."""
+    """Validated (jac_s, jac_theta, signs). jac_theta is used only through
+    `shape`, vjp(u) = u . jac_theta and `row_norms()`; a matrix is wrapped."""
     jac_s = np.atleast_2d(jac_s)
-    if not isinstance(jac_theta, ParamJacobian):
-        jac_theta = _DenseJacobian(np.atleast_2d(jac_theta))
+    if not hasattr(jac_theta, "vjp"):
+        m = np.atleast_2d(jac_theta)
+        jac_theta = SimpleNamespace(shape=m.shape, vjp=lambda u: u @ m,
+                                    row_norms=lambda: np.linalg.norm(m, axis=1))
     dim_new = jac_s.shape[0]
     signs = np.asarray(signs, dtype=float)
     if signs.shape != (dim_new,):
@@ -198,6 +184,66 @@ def uoro_reduce(pair: RankOnePair, s, theta, jac_s, jac_theta, signs) -> RankOne
     return RankOnePair(v_state + sign_state, v_param + sign_param)
 
 
+SIGN_BLOCK = 256  # steps whose signs one generator call draws: 128 KiB at dim 64
+
+
+class SignStream:
+    """take(dim) returns (a read-only view of) what sample_signs(dim, rng)
+    would, from one flat draw per SIGN_BLOCK steps (bounded draws do not
+    depend on how they are split into calls), drawing nothing past `steps`."""
+
+    def __init__(self, rng, steps: int):
+        self.rng, self.steps, self.block, self.pos = rng, steps, np.empty(0), 0
+
+    def take(self, dim: int) -> np.ndarray:
+        pos, end = self.pos, self.pos + dim
+        if end > self.block.size:
+            k = max(1, min(SIGN_BLOCK, self.steps))
+            self.steps -= k
+            self.block = np.concatenate([self.block[pos:], sample_signs(k * dim, self.rng)])
+            pos, end = 0, dim
+        self.pos = end
+        return self.block[pos:end]
+
+
+def pair_step(sys: System, t: int, s, theta, pair: RankOnePair, eta: float, rule, phi,
+              nbt: bool, signs: SignStream):
+    """(s_t, pair_t, theta_t, v_t): one learner step that carries a pair.
+
+    Bit for bit the reduction of `nbt_reduce` (nbt true) or `uoro_reduce`
+    with the signs signs.take(dim S_t), dT/dtheta used only through the
+    system's products, and the dense learner's guard stages in its order:
+    transition, jacobian, update-direction, parameter."""
+    jac_s = sys.d_transition_ds(t, s, theta)
+    s_new = guard(sys.transition(t, s, theta), "transition", t)
+    v_state, v_param = jac_s @ pair.v_state, pair.v_param
+    norm = math.sqrt(v_state.dot(v_state))
+    if norm != 0.0:  # else (0, v_param), as in _first_term
+        v_state, v_param = _equalize(v_state, norm, v_param)
+    nu = signs.take(jac_s.shape[0])
+    if nbt:
+        rho = np.sqrt(sys.d_transition_dtheta_row_norms(t, s, theta))
+        weights = np.divide(nu, rho, out=np.zeros(rho.shape), where=rho > 0.0)
+        v_state, v_param = v_state + nu * rho, v_param + sys.d_transition_dtheta_vjp(t, s, theta, weights)
+    else:  # ||nu|| = sqrt(dim S_t) exactly
+        sign_state, sign_param = _equalize(nu, math.sqrt(nu.size), sys.d_transition_dtheta_vjp(t, s, theta, nu))
+        v_state, v_param = v_state + sign_state, v_param + sign_param
+    # The largest entry of v_state (x) v_param is max|v_state| max|v_param|.
+    param_max = np.abs(v_param).max()
+    guard(np.abs(v_state).max() * param_max, "jacobian", t)
+    c = sys.d_loss_ds(t, s_new) @ v_state
+    v = c * v_param
+    if rule is None:  # max_i |c v_i| = |c| max_i |v_i|: rounding is monotone
+        guard(c * param_max, "update-direction", t)
+    else:
+        v = guard(rule.apply(t, v, s_new, theta), "update-direction", t)
+    w = eta * v
+    theta_new = theta - w if phi is None else np.asarray(phi.apply(t, theta, w), dtype=float)
+    pair = RankOnePair.__new__(RankOnePair)  # float arrays already
+    pair.v_state, pair.v_param = v_state, v_param
+    return s_new, pair, guard(theta_new, "parameter", t), v
+
+
 def error_term(J_new, J_old, jac_s, jac_theta) -> np.ndarray:
     """Per-step deviation from the exact Jacobian recursion.
 
@@ -238,10 +284,9 @@ class ZeroInjector:
 class RankOneInjector:
     """Rank-one Jacobian propagation with the UORO or NoBackTrack reducer.
 
-    `propagate` advances a pair by one step: it draws the step's signs
-    and reduces. `run_learning` carries the pair itself, starting from
-    `initial_pair` (zero when None) at every run: no dense Jacobian is
-    formed and dT/dtheta is used only through the system's products.
+    `run_learning` carries the pair itself through `pair_step`, starting
+    from `initial_pair` (zero when None) at every run: no dense Jacobian
+    is formed and dT/dtheta is used only through the system's products.
 
     A learner that carries a dense J calls `next_error` instead. The pair
     then lives here and the injected error is matrix(new) - jac_s .
@@ -254,7 +299,7 @@ class RankOneInjector:
     def __init__(self, reducer="uoro", initial_pair=None):
         if reducer not in _REDUCERS:
             raise ConfigurationError(f"unknown reducer {reducer!r}")
-        self.reducer_name = "uoro" if reducer == "uoro" else "nbt"
+        self.nbt = reducer != "uoro"
         self.reduce = _REDUCERS[reducer]
         self.initial_pair = initial_pair
         self.pair = initial_pair
@@ -262,17 +307,13 @@ class RankOneInjector:
     def reset(self):
         self.pair = self.initial_pair
 
-    def propagate(self, t, pair, s_prev, theta_prev, jac_s, jac_theta, rng) -> RankOnePair:
-        """The pair after step t; jac_theta may be a ParamJacobian."""
-        signs = sample_signs(jac_s.shape[0], rng)
-        return self.reduce(pair, s_prev, theta_prev, jac_s, jac_theta, signs)
-
     def next_error(self, t, s_prev, theta_prev, J_prev, jac_s, jac_theta, rng):
         jac_theta = np.atleast_2d(jac_theta)
         jac_s = np.atleast_2d(jac_s)
         if self.pair is None:
             self.pair = RankOnePair.zero(jac_s.shape[1], jac_theta.shape[1])
-        new_pair = self.propagate(t, self.pair, s_prev, theta_prev, jac_s, jac_theta, rng)
+        signs = sample_signs(jac_s.shape[0], rng)
+        new_pair = self.reduce(self.pair, s_prev, theta_prev, jac_s, jac_theta, signs)
         err = error_term(new_pair.matrix(), self.pair.matrix(), jac_s, jac_theta)
         self.pair = new_pair
         return err

@@ -22,12 +22,12 @@ plain update Phi_t(theta, w) = theta - w.
 
 J_t is either a dense matrix or, for the rank-one algorithms (UORO,
 NoBackTrack), a `RankOnePair` (v_state, v_param) standing for
-v_state (x) v_param. `run_learning` with a `RankOneInjector` carries the
-pair: the injector's reduction replaces the J recursion, dT/dtheta is
-used only through the system's products, and the gradient is
+v_state (x) v_param. A pair advances through `rankone.pair_step`, which
+writes the whole step: the reduction replaces the J recursion, dT/dtheta
+is used only through the system's products, and the gradient is
 (dl_t/ds . v_state) v_param, so no dense J is ever formed. A dense J with
 a `RankOneInjector` (J plus the injected error E_t) is the slow oracle
-of that path.
+of that step.
 
 The dense learner also runs seed-batched: s (S, n), J (S, n, p) and
 theta (S, p) hold S seeds of one arm, on a system, rule and update
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ContractViolation, NumericOverflow, ParamJacobian, System, guard, row_dot
-from .rankone import RankOneInjector, RankOnePair
+from .dynamics import ContractViolation, NumericOverflow, System, guard, row_dot
+from .rankone import RankOneInjector, RankOnePair, SignStream, pair_step
 from .records import RecordBuilder, TrialRecord
 from .schedules import StepSchedule
 
@@ -95,38 +95,26 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
     """(s_t, J_t, g_t) from (s_{t-1}, J_{t-1}) at the parameter theta.
 
     s_t = T_t(s, theta), J_t = dT_t/ds . J + dT_t/dtheta (+ the injector's
-    error E_t) and g_t = dl_t/ds(s_t) . J_t, the gradient row. Without an
-    injector, dT_t/dtheta is added by the system's
-    `d_transition_dtheta_add` into the product dT_t/ds . J. A
-    RankOnePair J is advanced by the injector's `propagate`, which must
-    then be a RankOneInjector (checked before any system call). s_t is
-    guarded as stage "transition", then J_t as stage "jacobian". A J of
-    shape (S, n, p) advances S seeds at once (seed-batched, no injector).
+    error E_t) and g_t = dl_t/ds(s_t) . J_t, the gradient row, for a dense
+    J. Without an injector, dT_t/dtheta is added by the system's
+    `d_transition_dtheta_add` into the product dT_t/ds . J. s_t is guarded
+    as stage "transition", then J_t as stage "jacobian". A J of shape
+    (S, n, p) advances S seeds at once (seed-batched, no injector).
     """
-    rank_one = isinstance(J, RankOnePair)
-    if rank_one and not isinstance(injector, RankOneInjector):
-        raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
-    batched = not rank_one and J.ndim == 3
+    batched = J.ndim == 3
     jac_s = np.atleast_2d(sys.d_transition_ds(t, s, theta))
     s_new = guard(np.asarray(sys.transition(t, s, theta), dtype=float), "transition", t, batched)
-
-    if rank_one:
-        J_new = injector.propagate(t, J, s, theta, jac_s, ParamJacobian(sys, t, s, theta), rng)
-        # The largest entry of v_state (x) v_param is max|v_state| max|v_param|.
-        guard(np.abs(J_new.v_state).max() * np.abs(J_new.v_param).max(), "jacobian", t)
-        g = (np.atleast_1d(sys.d_loss_ds(t, s_new)) @ J_new.v_state) * J_new.v_param
+    if injector is None:
+        # dT/dtheta is added into the fresh product, so a system with a
+        # structured parameter Jacobian never builds the dense matrix.
+        J_new = sys.d_transition_dtheta_add(t, s, theta, jac_s @ J)
     else:
-        if injector is None:
-            # dT/dtheta is added into the fresh product, so a system with
-            # a structured parameter Jacobian never builds the dense matrix.
-            J_new = sys.d_transition_dtheta_add(t, s, theta, jac_s @ J)
-        else:
-            # The dense oracle of the pair path; next_error needs dT/dtheta.
-            jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
-            J_new = jac_s @ J + jac_th + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
-        guard(J_new, "jacobian", t, batched)
-        dl = np.atleast_1d(sys.d_loss_ds(t, s_new))
-        g = np.matmul(dl[:, None, :], J_new)[:, 0] if batched else dl @ J_new
+        # The dense oracle of the pair step; next_error needs dT/dtheta.
+        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
+        J_new = jac_s @ J + jac_th + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
+    guard(J_new, "jacobian", t, batched)
+    dl = np.atleast_1d(sys.d_loss_ds(t, s_new))
+    g = np.matmul(dl[:, None, :], J_new)[:, 0] if batched else dl @ J_new
     return s_new, J_new, g
 
 
@@ -134,30 +122,33 @@ def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
               injector=None, rng=None) -> LearnerState:
     """Advance the learner by one step (see module docstring for order).
 
-    (s, J) advance through `forward_step`, which refuses a RankOnePair J
-    without a RankOneInjector before any system call. A seed-batched state
-    advances all its rows; an overflow names the failing rows.
+    A dense J advances through `forward_step`. A RankOnePair J advances
+    through `rankone.pair_step` with this step's signs drawn from rng, and
+    needs a RankOneInjector (checked before any system call). A
+    seed-batched state advances all its rows; an overflow names the
+    failing rows.
     """
     if eta_t < 0:
         raise ContractViolation("step size must be >= 0")
     t = ls.t + 1
-    batched = ls.theta.ndim == 2
-    s_new, J_new, v = forward_step(sys, t, ls.s, ls.theta, ls.J, injector, rng)
-    if rule is not None:
-        v = rule.apply(t, v, s_new, ls.theta)
-    guard(v, "update-direction", t, batched)
-
-    w = eta_t * v
-    theta_new = phi.apply(t, ls.theta, w) if phi is not None else ls.theta - w
-    guard(theta_new, "parameter", t, batched)
+    if isinstance(ls.J, RankOnePair):
+        if not isinstance(injector, RankOneInjector):
+            raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
+        s_new, J_new, theta_new, v = pair_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi,
+                                               injector.nbt, SignStream(rng, 1))
+    else:
+        batched = ls.theta.ndim == 2
+        s_new, J_new, v = forward_step(sys, t, ls.s, ls.theta, ls.J, injector, rng)
+        if rule is not None:
+            v = rule.apply(t, v, s_new, ls.theta)
+        guard(v, "update-direction", t, batched)
+        w = eta_t * v
+        theta_new = phi.apply(t, ls.theta, w) if phi is not None else ls.theta - w
+        guard(theta_new, "parameter", t, batched)
     # Internal arrays already satisfy the LearnerState contract; skip the
     # dataclass re-validation in this hot path.
     out = LearnerState.__new__(LearnerState)
-    out.t = t
-    out.s = s_new
-    out.J = J_new
-    out.theta = np.asarray(theta_new, dtype=float)
-    out.v = v
+    out.t, out.s, out.J, out.theta, out.v = t, s_new, J_new, np.asarray(theta_new, dtype=float), v
     return out
 
 
@@ -197,7 +188,8 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
     dist_dims restricts the distance to the leading coordinates (useful
     when theta is augmented with preconditioner statistics). With a
     RankOneInjector the learner carries the injector's pair, starting from
-    its initial_pair, instead of a dense J; J0 must then be None or zero.
+    its initial_pair, instead of a dense J; J0 must then be None or zero,
+    and the signs are drawn in blocks (`rankone.SignStream`).
 
     Seed-batched: theta0 of shape (S, p) and s0 of shape (S, n) run S seeds
     through one learner (dense J, no injector), config_meta is a list of S
@@ -216,12 +208,14 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
         if batched:
             raise ContractViolation("seed-batched learning takes no injector")
         injector.reset()
+    signs = None
     if isinstance(injector, RankOneInjector):
         # The learner carries the injector's pair in place of a dense J.
         if J0 is not None and np.any(J0):
             raise ContractViolation(
                 "a rank-one injector starts from its initial_pair; J0 must be None or zero")
         J0 = injector.pair if injector.pair is not None else RankOnePair.zero(*dims)
+        signs = SignStream(rng, T)
     elif J0 is None:
         J0 = np.zeros(np.atleast_1d(s0).shape + theta0.shape[-1:])
     ls = LearnerState(t=0, s=s0, J=J0, theta=theta0)
@@ -241,7 +235,12 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
     t = 1
     while t <= T:
         try:
-            ls = rtrl_step(sys, ls, schedule.eta(t), rule, phi, injector, rng)
+            if signs is None:
+                ls = rtrl_step(sys, ls, schedule.eta(t), rule, phi, injector, rng)
+            else:  # the pair step, without a new LearnerState per step
+                ls.s, ls.J, ls.theta, ls.v = pair_step(sys, t, ls.s, ls.theta, ls.J, schedule.eta(t),
+                                                       rule, phi, injector.nbt, signs)
+                ls.t = t
         except NumericOverflow as exc:
             failed = range(len(live)) if exc.rows is None else exc.rows
             for r in failed:

@@ -92,10 +92,10 @@ class BpttCounters:
 
 
 def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
-    """Forward pass storing states, then one adjoint sweep. Returns
-    (summed gradient, stored states)."""
+    """Forward pass storing states, then one adjoint sweep that hands them
+    to `known_transition`, if any. Returns (summed gradient, states)."""
     theta = np.asarray(theta, dtype=float)
-    transition, d_loss_ds = sys.transition, sys.d_loss_ds
+    transition, d_loss_ds, known = sys.transition, sys.d_loss_ds, sys.known_transition
     d_transition_ds, vjp = sys.d_transition_ds, sys.d_transition_dtheta_vjp
     s = np.asarray(s_start, dtype=float)
     states = [s]
@@ -114,6 +114,8 @@ def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
             lam = np.atleast_1d(d_loss_ds(t, s_t)).astype(float)
         else:
             lam = np.atleast_1d(d_loss_ds(t, s_t)) + lam @ np.atleast_2d(d_transition_ds(t + 1, s_t, theta))
+        if known is not None:  # after step t + 1's last use of the memo
+            known(t, s_prev, theta, s_t)
         grad += vjp(t, s_prev, theta, lam)
         if counters is not None:
             counters.backward_steps += 1

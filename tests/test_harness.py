@@ -439,6 +439,51 @@ def test_cli_sweep_non_numeric_count_exit_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_cli_sweep_with_arms_exit_2(tmp_path, capsys, monkeypatch):
+    # A sweep does not run [arms] yet: it refuses them before any trial,
+    # rather than running the base config alone.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    out = tmp_path / "o"
+    code = cli_main(["sweep", os.path.join(CONFIG_DIR, "cycling_vs_iid.ini"),
+                     "--set", "sweep.schedule.gamma=0.1,0.2", "--set", "experiment.horizon=20",
+                     "--set", "experiment.seeds=0", "--out", str(out)])
+    assert code == 2
+    assert "config error: sweep does not run [arms] yet (arms cycling, iid)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+RETIRED_KEYS = [
+    ("truncation.A=0.3", "truncation.A is no longer read; set truncation.spec = grow:0.3"),
+    ("truncation.fixed_length=5", "truncation.fixed_length is no longer read; set truncation.spec = fixed:5"),
+    ("sweep.truncation.A=0.2,0.3",
+     "sweep.truncation.A is no longer read; set sweep.truncation.spec = grow:0.2,grow:0.3"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("override, message", RETIRED_KEYS, ids=[o for o, _ in RETIRED_KEYS])
+def test_cli_retired_truncation_keys_exit_2(command, override, message, tmp_path, capsys, monkeypatch):
+    # A key no config reads any more names its replacement instead of
+    # running the default truncation.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    out = tmp_path / "o"
+    code = cli_main([command, os.path.join(CONFIG_DIR, "influence_balancing_tbptt.ini"),
+                     "--set", override, "--out", str(out)])
+    assert code == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_point_bad_count_is_an_error_row(tmp_path):
     # A horizon that only one grid point sets fails that point alone.
     path = write_config(tmp_path, small_config(**{
