@@ -616,27 +616,32 @@ class InfluenceBalancing(_ConstantDim, System):
             if i + 1 < n:
                 A[i, i + 1] = 0.5
         u = np.where(np.arange(n) < n_plus, 1.0, -1.0)
+        A.flags.writeable = False  # dT/ds, constant: handed out, never copied
         self.A = A
         self.u = u
         self._u_col = u[:, None]  # dT/dtheta, constant
         self._dim = n
         self.param_dim = 1
+        self._drive = (None, None)  # (theta, u * theta[0]) of the last theta object
 
     def stationary_state(self, theta):
         """Fixed point of the frozen-theta dynamics (linear solve)."""
         return np.linalg.solve(np.eye(self._dim) - self.A, self.u * theta[0])
 
     def transition(self, t, s, theta):
-        return self.A @ s + self.u * theta[0]
+        drive = self._drive  # one product per theta object (read-only, see `System`)
+        if drive[0] is not theta:
+            drive = self._drive = (theta, self.u * theta[0])
+        return self.A.dot(s) + drive[1]
 
     def d_transition_ds(self, t, s, theta):
-        return self.A.copy()
+        return self.A
 
     def d_transition_dtheta(self, t, s, theta):
         return self._u_col.copy()
 
     def d_transition_dtheta_vjp(self, t, s, theta, u):
-        return u @ self._u_col
+        return u.dot(self._u_col)
 
     def loss(self, t, s):
         return float(s[0] ** 2)

@@ -49,8 +49,8 @@ from .tbptt import TruncationSchedule, run_tbptt
 from .updates import (AdamSetup, AdaptiveRule, PreconditionedRule, ProjectedUpdate,
                       inverse_matrix_preconditioner, outer_grad_statistic, rule_adam)
 
-__all__ = ["ExperimentConfig", "parse_numbers", "run_experiment", "run_sweep", "run_trials",
-           "summarize_trials"]
+__all__ = ["ExperimentConfig", "check_unread_keys", "parse_numbers", "run_experiment", "run_sweep",
+           "run_trials", "summarize_trials"]
 
 
 @dataclass
@@ -316,6 +316,23 @@ def _check_counts(cfg: ExperimentConfig, keys):
         value = cfg.getint(key, 1)
         if value < 1:
             raise ConfigurationError(f"{key} must be >= 1, got {value}")
+
+
+def check_unread_keys(cfg: ExperimentConfig, swept=()):
+    """ConfigurationError when cfg sets a key its algorithm ignores: a rule
+    other than identity on tbptt, adam, rmsprop or ong, or a record_every
+    other than 1 on tbptt. Keys in `swept` (a sweep's grid keys) are left
+    to the grid points."""
+    algo, rule = cfg.get("algorithm.name", "sgd"), cfg.get("algorithm.rule", "identity")
+    if "algorithm.name" in swept:
+        return
+    if algo in ("tbptt",) + ADAPTIVE and rule not in ("", "identity") and "algorithm.rule" not in swept:
+        raise ConfigurationError(f"algorithm.rule = {rule} is ignored by {algo}; only "
+                                 "sgd, rtrl, uoro and nobacktrack take an update rule")
+    if algo == "tbptt" and "experiment.record_every" not in swept:
+        if (every := cfg.getint("experiment.record_every", 1)) != 1:
+            raise ConfigurationError(f"experiment.record_every = {every} is ignored by tbptt, "
+                                     "which records one row per interval")
 
 
 def _check_retired(cfg: ExperimentConfig):
@@ -646,9 +663,10 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
     Each [sweep] entry is a dotted config key with comma-separated
     values. Failures of individual grid points are recorded in their row
     (error column) and the sweep continues; a horizon or record_every
-    below 1, or a system kind or algorithm, that fails every point
-    because no [sweep] entry sets it raises ConfigurationError before any
-    trial runs; so do [arms], which a sweep does not run yet.
+    below 1, a system kind or algorithm, or a key the algorithm ignores
+    (`check_unread_keys`), that fails every point because no [sweep] entry
+    sets it raises ConfigurationError before any trial runs; so do [arms],
+    which a sweep does not run yet.
     """
     sweep_keys = sorted(k for k in cfg.values if k.startswith("sweep."))
     if not sweep_keys:
@@ -661,6 +679,7 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
     grid_values = [cfg.getlist(k) for k in sweep_keys]
     _check_counts(cfg, [key for key in COUNT_KEYS if key not in grid_keys])
     _check_kind(cfg, grid_keys)
+    check_unread_keys(cfg, grid_keys)
     jobs = _usable_jobs(jobs)
     exp_dir = os.path.join(outdir, cfg.name)
     points = []
@@ -668,6 +687,7 @@ def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False)
         point_cfg = cfg.with_overrides(dict(zip(grid_keys, combo)))
         try:
             system_kind(point_cfg)
+            check_unread_keys(point_cfg)
             _validate_config(point_cfg, force)
             error = None
         except Exception as exc:  # failures are data; the sweep continues

@@ -17,6 +17,7 @@ computes; the equivalence is exercised directly by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, count, pairwise, repeat, takewhile
 from math import ceil, sqrt
 
 import numpy as np
@@ -58,29 +59,15 @@ class TruncationSchedule:
         return cls(fixed_length=L)
 
     def boundaries(self):
-        """Yield t_0, t_1, t_2, ... lazily."""
-        t = 0
-        yield t
+        """t_0, t_1, t_2, ... lazily."""
         if self.fixed_length is not None:
-            while True:
-                t += self.fixed_length
-                yield t
-        else:
-            t = 1
-            yield t
-            while True:
-                t += ceil(t**self.A)
-                yield t
+            return count(0, self.fixed_length)
+        return chain((0,), accumulate(repeat(self.A), lambda t, A: t + ceil(t**A), initial=1))
 
     def intervals(self, T: int):
-        """Yield the intervals (t_lo, t_hi] that cover (0, T] lazily, the
-        last one clipped at T."""
-        bounds = self.boundaries()
-        t_lo = next(bounds)
-        while t_lo < T:
-            t_hi = min(next(bounds), T)
-            yield t_lo, t_hi
-            t_lo = t_hi
+        """The intervals (t_lo, t_hi] that cover (0, T], lazily, the last
+        one clipped at T; fixed lengths without a Python frame per interval."""
+        return pairwise(chain(takewhile(T.__gt__, self.boundaries()), (T,)))
 
 
 @dataclass
@@ -91,13 +78,17 @@ class BpttCounters:
     backward_steps: int = 0
 
 
-def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
+def _bind(sys):
+    """The system methods an interval pass calls, bound once per run."""
+    return (sys.transition, sys.d_loss_ds, sys.d_transition_ds,
+            sys.d_transition_dtheta_vjp, sys.known_transition)
+
+
+def _interval_pass(methods, s, theta, t_start, t_end, counters=None):
     """Forward pass storing states, then one adjoint sweep that hands them
-    to `known_transition`, if any. Returns (summed gradient, states)."""
-    theta = np.asarray(theta, dtype=float)
-    transition, d_loss_ds, known = sys.transition, sys.d_loss_ds, sys.known_transition
-    d_transition_ds, vjp = sys.d_transition_ds, sys.d_transition_dtheta_vjp
-    s = np.asarray(s_start, dtype=float)
+    to `known_transition`, if any. s and theta are float arrays, methods
+    is `_bind(sys)`. Returns (summed gradient, states)."""
+    transition, d_loss_ds, d_transition_ds, vjp, known = methods
     states = [s]
     for t in range(t_start + 1, t_end + 1):
         s = guard(transition(t, s, theta), "transition", t)
@@ -105,20 +96,26 @@ def _interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
         if counters is not None:
             counters.forward_steps += 1
 
-    grad = np.zeros(len(theta))
-    lam = None  # adjoint row vector, not yet allocated
-    for t in range(t_end, t_start, -1):
-        s_t = states[t - t_start]
-        s_prev = states[t - t_start - 1]
-        if lam is None:
-            lam = np.atleast_1d(d_loss_ds(t, s_t)).astype(float)
-        else:
-            lam = np.atleast_1d(d_loss_ds(t, s_t)) + lam @ np.atleast_2d(d_transition_ds(t + 1, s_t, theta))
-        if known is not None:  # after step t + 1's last use of the memo
+    # The last step starts the adjoint (lam is zero beyond t_end). A
+    # dimension-1 system may return scalars, so a lam that is not a vector
+    # is made one; lam.dot(M) runs the BLAS call of lam @ M, bit for bit.
+    s_prev = states[-2]
+    lam = d_loss_ds(t_end, s)
+    if getattr(lam, "ndim", 0) != 1:
+        lam = np.atleast_1d(lam)
+    if known is not None:  # after step t + 1's last use of the memo
+        known(t_end, s_prev, theta, s)
+    grad = vjp(t_end, s_prev, theta, lam) + 0.0  # a fresh array, rounded as 0 + g
+    for i in range(t_end - t_start - 1, 0, -1):
+        t, s_t, s_prev = t_start + i, s_prev, states[i - 1]
+        lam = d_loss_ds(t, s_t) + lam.dot(d_transition_ds(t + 1, s_t, theta))
+        if lam.ndim != 1:
+            lam = lam.reshape(1)
+        if known is not None:
             known(t, s_prev, theta, s_t)
         grad += vjp(t, s_prev, theta, lam)
-        if counters is not None:
-            counters.backward_steps += 1
+    if counters is not None:
+        counters.backward_steps += t_end - t_start
     return grad, states
 
 
@@ -138,7 +135,8 @@ def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int
     """
     if t_end <= t_start:
         raise ContractViolation("interval must satisfy t_end > t_start")
-    grad, _ = _interval_pass(sys, s_start, theta, t_start, t_end, counters)
+    grad, _ = _interval_pass(_bind(sys), np.asarray(s_start, dtype=float),
+                             np.asarray(theta, dtype=float), t_start, t_end, counters)
     return grad
 
 
@@ -170,7 +168,7 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
         d = th[:dist_dims] - ref
         return sqrt(d.dot(d))  # np.linalg.norm's formula
 
-    eta_at, loss = schedule.eta, sys.loss
+    eta_at, loss, methods = schedule.eta, sys.loss, _bind(sys)
     builder = RecordBuilder(config_meta, with_intervals=True)
     add = builder.add
     add(0, dist(theta), np.nan, np.nan, 0)
@@ -180,7 +178,7 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
                 s = np.asarray(reset_state, dtype=float)
             eta = eta_at(t_hi)
             if update_mode == "aggregate":
-                grad, states = _interval_pass(sys, s, theta, t_lo, t_hi)
+                grad, states = _interval_pass(methods, s, theta, t_lo, t_hi)
                 s = states[-1]
                 w = eta * grad
                 theta_new = phi.apply(t_hi, theta, w) if phi is not None else theta - w

@@ -484,6 +484,81 @@ def test_cli_retired_truncation_keys_exit_2(command, override, message, tmp_path
     assert not out.exists()
 
 
+TBPTT_INI = os.path.join(CONFIG_DIR, "influence_balancing_tbptt.ini")
+RULE_IGNORED = "is ignored by {}; only sgd, rtrl, uoro and nobacktrack take an update rule"
+UNREAD_KEYS = [
+    ("tbptt", "algorithm.rule=bogus", "algorithm.rule = bogus " + RULE_IGNORED.format("tbptt")),
+    ("tbptt", "algorithm.rule=precond:scale:2", "algorithm.rule = precond:scale:2 " + RULE_IGNORED.format("tbptt")),
+    ("tbptt", "experiment.record_every=100",
+     "experiment.record_every = 100 is ignored by tbptt, which records one row per interval"),
+    ("adam", "algorithm.rule=bogus", "algorithm.rule = bogus " + RULE_IGNORED.format("adam")),
+    ("rmsprop", "algorithm.rule=precond:scale:2", "algorithm.rule = precond:scale:2 " + RULE_IGNORED.format("rmsprop")),
+    ("ong", "algorithm.rule=bogus", "algorithm.rule = bogus " + RULE_IGNORED.format("ong")),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("algo, override, message", UNREAD_KEYS, ids=[f"{a}-{o}" for a, o, _ in UNREAD_KEYS])
+def test_cli_unread_keys_exit_2(command, algo, override, message, tmp_path, capsys, monkeypatch):
+    # A value that the algorithm would ignore is refused before any trial.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    path = TBPTT_INI if algo == "tbptt" else write_config(
+        tmp_path, small_config(**{"algorithm.name": algo, "sweep.schedule.b": "0.5, 0.7"}))
+    out = tmp_path / "o"
+    code = cli_main([command, path, "--set", override, "--out", str(out)])
+    assert code == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_checks_every_arm_unread_keys(tmp_path, capsys, monkeypatch):
+    # Only the second arm sets a rule, and no trial of the first arm runs.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    code = cli_main(["run", os.path.join(CONFIG_DIR, "adam_beta2.ini"), "--set",
+                     "arms.fixed=algorithm.fixed_beta2=0.99; algorithm.rule=bogus", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error: algorithm.rule = bogus " + RULE_IGNORED.format("adam") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("swept, failing", [
+    ("sweep.experiment.record_every=1,5", "5"),
+    ("sweep.algorithm.rule=identity,precond:scale:2", "precond:scale:2"),
+])
+def test_cli_sweep_unread_key_point_is_an_error_row(swept, failing, tmp_path):
+    # A value that only some grid points set fails those points alone.
+    code = cli_main(["sweep", TBPTT_INI, "--set", swept, "--set", "sweep.truncation.spec=grow:0.4",
+                     "--set", "experiment.horizon=30", "--set", "experiment.seeds=0",
+                     "--out", str(tmp_path / "o")])
+    assert code == 0
+    rows = (tmp_path / "o" / "influence_balancing_tbptt" / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2
+    bad = [row for row in rows if "ConfigurationError" in row]
+    assert len(bad) == 1 and f" = {failing} is ignored by tbptt" in bad[0]
+    assert [row for row in rows if row not in bad][0].endswith(",")
+
+
+def test_cli_sweep_swept_algorithm_checks_each_point(tmp_path):
+    # With the algorithm swept, the rule fails only the points that ignore it.
+    path = write_config(tmp_path, small_config(**{
+        "experiment.name": "rulegrid", "experiment.horizon": "50", "algorithm.rule": "precond:scale:0.5",
+        "sweep.algorithm.name": "sgd, adam"}))
+    assert cli_main(["sweep", path, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "rulegrid" / "sweep.csv").read_text().strip().splitlines()
+    assert rows[1].startswith("sgd,") and rows[1].endswith(",")
+    assert rows[2].startswith("adam,") and "is ignored by adam" in rows[2]
+
+
 def test_cli_sweep_point_bad_count_is_an_error_row(tmp_path):
     # A horizon that only one grid point sets fails that point alone.
     path = write_config(tmp_path, small_config(**{
