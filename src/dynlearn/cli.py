@@ -19,8 +19,7 @@ import numpy as np
 
 from .dynamics import ConfigurationError
 from .diagnostics import check_stability, local_optimum_report
-from .harness import (ExperimentConfig, check_unread_keys, parse_numbers, run_experiment, run_sweep,
-                      system_kind)
+from .harness import ExperimentConfig, parse_numbers, run_experiment, run_sweep, system_kind
 from .rankone import UnbiasednessReport, verify_unbiased
 from .records import write_csv
 from .schedules import ExponentProfile, validate_exponents
@@ -50,8 +49,6 @@ def _load_config(args):
 
 def cmd_run(args):
     cfg = _load_config(args)
-    for _, arm_cfg in cfg.arms():  # every arm before the first trial
-        check_unread_keys(arm_cfg)
     exp_dir = run_experiment(cfg, _outdir(args), jobs=args.jobs, force=args.force)
     print(f"wrote {exp_dir}")
     return EXIT_OK

@@ -358,16 +358,33 @@ class _SeedIndices:
         return _SeedIndices(self.arr[rows])
 
 
-class _SeedBatchable:
-    """Mixin for systems whose seeds differ only in their index sequence.
+class _Constant(dict):
+    """np.full(shape, value), read-only, made once per shape (`take_seeds`
+    shrinks a seed batch): a constant Jacobian handed out without a copy."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __missing__(self, shape):
+        out = self[shape] = np.full(shape, self.value)
+        out.flags.writeable = False
+        return out
+
+
+class _SeedBatchable(_ConstantDim, System):
+    """Base of the systems of state dimension 1 whose seeds differ only in
+    their index sequence. dT/ds is the constant `_ds` (a `_Constant`), and
+    dT/dtheta is `_row(t, theta)` in the leading core_dim columns, 0 after.
 
     Built on a 2-D index array (one row per seed), such a system takes
-    states (S, n) and parameters (S, p), returns Jacobians with a leading
+    states (S, 1) and parameters (S, p) (s.ndim == 2; a sample loss then
+    takes S indices and S parameter rows), returns Jacobians with a leading
     seed axis and one loss per row, and row r computes exactly what the
     system built on row r alone computes.
     """
 
     _idx: object
+    _dim = 1
 
     def take_seeds(self, rows):
         """The same system restricted to the seed rows `rows`."""
@@ -375,8 +392,23 @@ class _SeedBatchable:
         out._idx = self._idx.take(rows)
         return out
 
+    def d_transition_ds(self, t, s, theta):
+        return self._ds[s.shape[:-1] + (1, 1)]
 
-class NonRecurrentRegression(_SeedBatchable, _ConstantDim, System):
+    def d_transition_dtheta(self, t, s, theta):
+        out = np.zeros(s.shape[:-1] + (1, self.param_dim))
+        out[..., 0, : self.core_dim] = self._row(t, theta)
+        return out
+
+    def d_transition_dtheta_add(self, t, s, theta, M):
+        # The default's bits, minus its calls. Beside zero columns the dense
+        # sum stays (+ 0.0 makes -0.0 0.0; sliced adds cost more here).
+        M += (self.d_transition_dtheta(t, s, theta) if self.core_dim < M.shape[-1]
+              else self._row(t, theta).reshape(M.shape))
+        return M
+
+
+class NonRecurrentRegression(_SeedBatchable):
     """Non-recurrent case: the state is the current prediction.
 
     T_t(s, theta) = <theta_core, x_{i_t}> discards s entirely, and
@@ -394,9 +426,7 @@ class NonRecurrentRegression(_SeedBatchable, _ConstantDim, System):
         self.param_dim = self.core_dim if param_dim is None else param_dim
         if self.core_dim > self.param_dim:
             raise ConfigurationError("core_dim cannot exceed param_dim")
-        self._dim = 1
-
-    # s.ndim == 2 marks a seed-batched call (see _SeedBatchable).
+        self._ds = _Constant(0.0)
 
     def transition(self, t, s, theta):
         i = self._idx(t)
@@ -404,13 +434,8 @@ class NonRecurrentRegression(_SeedBatchable, _ConstantDim, System):
             return row_dot(self.xs.take(i, axis=0), theta[:, : self.core_dim])[:, None]
         return np.array([self.xs[i] @ theta[: self.core_dim]])
 
-    def d_transition_ds(self, t, s, theta):
-        return np.zeros(s.shape[:-1] + (1, 1))
-
-    def d_transition_dtheta(self, t, s, theta):
-        out = np.zeros(s.shape[:-1] + (1, self.param_dim))
-        out[..., 0, : self.core_dim] = self.xs.take(self._idx(t), axis=0)
-        return out
+    def _row(self, t, theta):
+        return self.xs.take(self._idx(t), axis=0)
 
     def loss(self, t, s):
         if s.ndim == 2:
@@ -542,7 +567,7 @@ class RNNSystem(_ConstantDim, System):
         return s.copy() if self.targets is None else s - self._target(t)
 
 
-class MomentumSystem(_SeedBatchable, _ConstantDim, System):
+class MomentumSystem(_SeedBatchable):
     """Scalar state s_t = beta s_{t-1} + (1-beta) l(x_{i_t}, y_{i_t}, theta).
 
     With loss l_t(s) = s, forward Jacobian propagation on this system
@@ -561,10 +586,7 @@ class MomentumSystem(_SeedBatchable, _ConstantDim, System):
         self.beta = beta
         self.core_dim = sample_loss.dim if core_dim is None else core_dim
         self.param_dim = self.core_dim if param_dim is None else param_dim
-        self._dim = 1
-
-    # s.ndim == 2 marks a seed-batched call (see _SeedBatchable); the
-    # sample loss then takes S indices and S parameter rows.
+        self._ds, self._one = _Constant(beta), _Constant(1.0)
 
     def transition(self, t, s, theta):
         i = self._idx(t)
@@ -573,15 +595,8 @@ class MomentumSystem(_SeedBatchable, _ConstantDim, System):
             return (self.beta * s[:, 0] + (1.0 - self.beta) * val)[:, None]
         return np.array([self.beta * s[0] + (1.0 - self.beta) * val])
 
-    def d_transition_ds(self, t, s, theta):
-        return np.full(s.shape[:-1] + (1, 1), self.beta)
-
-    def d_transition_dtheta(self, t, s, theta):
-        i = self._idx(t)
-        out = np.zeros(s.shape[:-1] + (1, self.param_dim))
-        out[..., 0, : self.core_dim] = (1.0 - self.beta) * self.sample_loss.grad(
-            i, theta[..., : self.core_dim])
-        return out
+    def _row(self, t, theta):
+        return (1.0 - self.beta) * self.sample_loss.grad(self._idx(t), theta[..., : self.core_dim])
 
     def loss(self, t, s):
         if s.ndim == 2:
@@ -589,7 +604,7 @@ class MomentumSystem(_SeedBatchable, _ConstantDim, System):
         return float(s[0])
 
     def d_loss_ds(self, t, s):
-        return np.ones(s.shape)
+        return self._one[s.shape]
 
 
 class InfluenceBalancing(_ConstantDim, System):

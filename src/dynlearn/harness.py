@@ -224,8 +224,10 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     The random stream is a counter-based generator keyed by the config
     hash and the seed, split into independent children for sampling,
     initialization, and injector noise, so arms that consume different
-    amounts of randomness stay comparable.
+    amounts of randomness stay comparable. A key the algorithm ignores
+    raises ConfigurationError (`check_unread_keys`).
     """
+    check_unread_keys(cfg)
     return _run(cfg, seed)
 
 
@@ -584,14 +586,15 @@ def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = F
 
     Returns the experiment directory. Raises ConfigurationError before
     running anything when an arm's system kind does not run its algorithm,
-    or when an arm's exponent declaration fails validation and force is
-    not set.
+    sets a key its algorithm ignores (`check_unread_keys`), or has an
+    exponent declaration that fails validation while force is not set.
     """
     arms = cfg.arms()
     for arm, arm_cfg in arms:
         _check_retired(arm_cfg)
         system_kind(arm_cfg)
         _check_counts(arm_cfg, COUNT_KEYS)
+        check_unread_keys(arm_cfg)
         try:
             _validate_config(arm_cfg, force)
         except ConfigurationError as exc:

@@ -15,24 +15,25 @@ and J_t is the exact Jacobian of the state with respect to the parameter,
 which is what the open-loop helpers below compute.
 
 `forward_step` is the one place where the first two lines are written:
-the learner step, the open-loop helpers, the regularized pair of
-`deviation` and TBPTT's per-step mode all advance (s, J) through it. A
-rule or update operator of None is the identity rule U_t(g) = g and the
-plain update Phi_t(theta, w) = theta - w.
+the dense learner step `dense_step`, the open-loop helpers, the
+regularized pair of `deviation` and TBPTT's per-step mode all advance
+(s, J) through it. A rule or update operator of None is the identity
+rule U_t(g) = g and the plain update Phi_t(theta, w) = theta - w.
 
 J_t is either a dense matrix or, for the rank-one algorithms (UORO,
 NoBackTrack), a `RankOnePair` (v_state, v_param) standing for
-v_state (x) v_param. A pair advances through `rankone.pair_step`, which
-writes the whole step: the reduction replaces the J recursion, dT/dtheta
-is used only through the system's products, and the gradient is
-(dl_t/ds . v_state) v_param, so no dense J is ever formed. A dense J with
-a `RankOneInjector` (J plus the injected error E_t) is the slow oracle
-of that step.
+v_state (x) v_param. A pair advances through `rankone.pair_step`: the
+reduction replaces the J recursion, dT/dtheta is used only through the
+system's products, and the gradient is (dl_t/ds . v_state) v_param, so
+no dense J is ever formed. A dense J with a `RankOneInjector` (J plus
+the injected error E_t) is the slow oracle of that step. `run_learning`
+calls either step directly and updates one `LearnerState` in place;
+`rtrl_step` advances a LearnerState by one step of either kind.
 
 The dense learner also runs seed-batched: s (S, n), J (S, n, p) and
 theta (S, p) hold S seeds of one arm, on a system, rule and update
-operator that act row by row (see `dynamics._SeedBatchable`). Every row is
-bit-identical to its seed run alone: the row products are stacked
+operator that act row by row (see `dynamics._SeedBatchable`). Every row
+is bit-identical to its seed run alone: the row products are stacked
 matmuls (or `dynamics.row_dot`), which run the same kernels as the 2-D
 ones.
 """
@@ -49,10 +50,12 @@ from .rankone import RankOneInjector, RankOnePair, SignStream, pair_step
 from .records import RecordBuilder, TrialRecord
 from .schedules import StepSchedule
 
+_FLOAT = np.dtype(float)
+
 __all__ = [
     "LearnerState",
     "forward_step",
-    "rtrl_step",
+    "dense_step", "rtrl_step",
     "open_loop_gradient",
     "open_loop_updates",
     "run_learning",
@@ -102,8 +105,13 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
     (S, n, p) advances S seeds at once (seed-batched, no injector).
     """
     batched = J.ndim == 3
-    jac_s = np.atleast_2d(sys.d_transition_ds(t, s, theta))
-    s_new = guard(np.asarray(sys.transition(t, s, theta), dtype=float), "transition", t, batched)
+    jac_s = sys.d_transition_ds(t, s, theta)
+    if getattr(jac_s, "ndim", 0) < 2:  # a scalar or vector of a system of dimension 1
+        jac_s = np.atleast_2d(jac_s)
+    s_new = sys.transition(t, s, theta)
+    if type(s_new) is not np.ndarray or s_new.dtype is not _FLOAT:
+        s_new = np.asarray(s_new, dtype=float)
+    guard(s_new, "transition", t, batched)
     if injector is None:
         # dT/dtheta is added into the fresh product, so a system with a
         # structured parameter Jacobian never builds the dense matrix.
@@ -113,20 +121,34 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
         jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
         J_new = jac_s @ J + jac_th + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
     guard(J_new, "jacobian", t, batched)
-    dl = np.atleast_1d(sys.d_loss_ds(t, s_new))
+    dl = sys.d_loss_ds(t, s_new)
+    if getattr(dl, "ndim", 0) < 1:
+        dl = np.atleast_1d(dl)
     g = np.matmul(dl[:, None, :], J_new)[:, 0] if batched else dl @ J_new
     return s_new, J_new, g
+
+
+def dense_step(sys: System, t: int, s, theta, J, eta: float, rule, phi, injector=None, rng=None):
+    """(s_t, J_t, theta_t, v_t): one learner step with a dense J, (S, n, p)
+    seed-batched. `forward_step` guards the stages transition and jacobian,
+    then the rule and operator move theta: update-direction, parameter."""
+    batched = J.ndim == 3
+    s_new, J_new, v = forward_step(sys, t, s, theta, J, injector, rng)
+    if rule is not None:
+        v = rule.apply(t, v, s_new, theta)
+    guard(v, "update-direction", t, batched)
+    w = eta * v
+    theta_new = theta - w if phi is None else np.asarray(phi.apply(t, theta, w), dtype=float)
+    return s_new, J_new, guard(theta_new, "parameter", t, batched), v
 
 
 def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
               injector=None, rng=None) -> LearnerState:
     """Advance the learner by one step (see module docstring for order).
 
-    A dense J advances through `forward_step`. A RankOnePair J advances
+    A dense J advances through `dense_step`. A RankOnePair J advances
     through `rankone.pair_step` with this step's signs drawn from rng, and
-    needs a RankOneInjector (checked before any system call). A
-    seed-batched state advances all its rows; an overflow names the
-    failing rows.
+    needs a RankOneInjector (checked before any system call).
     """
     if eta_t < 0:
         raise ContractViolation("step size must be >= 0")
@@ -134,21 +156,12 @@ def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
     if isinstance(ls.J, RankOnePair):
         if not isinstance(injector, RankOneInjector):
             raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
-        s_new, J_new, theta_new, v = pair_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi,
-                                               injector.nbt, SignStream(rng, 1))
+        step = pair_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi, injector.nbt, SignStream(rng, 1))
     else:
-        batched = ls.theta.ndim == 2
-        s_new, J_new, v = forward_step(sys, t, ls.s, ls.theta, ls.J, injector, rng)
-        if rule is not None:
-            v = rule.apply(t, v, s_new, ls.theta)
-        guard(v, "update-direction", t, batched)
-        w = eta_t * v
-        theta_new = phi.apply(t, ls.theta, w) if phi is not None else ls.theta - w
-        guard(theta_new, "parameter", t, batched)
-    # Internal arrays already satisfy the LearnerState contract; skip the
-    # dataclass re-validation in this hot path.
-    out = LearnerState.__new__(LearnerState)
-    out.t, out.s, out.J, out.theta, out.v = t, s_new, J_new, np.asarray(theta_new, dtype=float), v
+        step = dense_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi, injector, rng)
+    out = LearnerState.__new__(LearnerState)  # the step's arrays satisfy the contract
+    out.t = t
+    out.s, out.J, out.theta, out.v = step
     return out
 
 
@@ -208,14 +221,14 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
         if batched:
             raise ContractViolation("seed-batched learning takes no injector")
         injector.reset()
-    signs = None
+    step, step_args = dense_step, (injector, rng)
     if isinstance(injector, RankOneInjector):
         # The learner carries the injector's pair in place of a dense J.
         if J0 is not None and np.any(J0):
             raise ContractViolation(
                 "a rank-one injector starts from its initial_pair; J0 must be None or zero")
         J0 = injector.pair if injector.pair is not None else RankOnePair.zero(*dims)
-        signs = SignStream(rng, T)
+        step, step_args = pair_step, (injector.nbt, SignStream(rng, T))
     elif J0 is None:
         J0 = np.zeros(np.atleast_1d(s0).shape + theta0.shape[-1:])
     ls = LearnerState(t=0, s=s0, J=J0, theta=theta0)
@@ -234,13 +247,10 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
         builder.add(0, dist, np.nan, np.nan)
     t = 1
     while t <= T:
-        try:
-            if signs is None:
-                ls = rtrl_step(sys, ls, schedule.eta(t), rule, phi, injector, rng)
-            else:  # the pair step, without a new LearnerState per step
-                ls.s, ls.J, ls.theta, ls.v = pair_step(sys, t, ls.s, ls.theta, ls.J, schedule.eta(t),
-                                                       rule, phi, injector.nbt, signs)
-                ls.t = t
+        try:  # one LearnerState, updated in place
+            ls.s, ls.J, ls.theta, ls.v = step(sys, t, ls.s, ls.theta, ls.J, schedule.eta(t), rule, phi,
+                                              *step_args)
+            ls.t = t
         except NumericOverflow as exc:
             failed = range(len(live)) if exc.rows is None else exc.rows
             for r in failed:
@@ -254,7 +264,9 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
             # Drop the failed rows and redo step t for the others.
             live = [live[r] for r in keep]
             ls = LearnerState(t=ls.t, s=ls.s[keep], J=ls.J[keep], theta=ls.theta[keep])
-            sys, rule, phi = (_take_seeds(part, keep) for part in (sys, rule, phi))
+            # A part without per-seed data (no take_seeds) serves every row.
+            sys, rule, phi = (part.take_seeds(keep) if hasattr(part, "take_seeds") else part
+                              for part in (sys, rule, phi))
             continue
         if t % record_every == 0 or t == T:
             losses = np.atleast_1d(sys.loss(t, ls.s))
@@ -273,13 +285,6 @@ def _norms(x):
         # np.linalg.norm's own formula, minus its call overhead.
         return [math.sqrt(x.dot(x))]
     return np.sqrt(row_dot(x, x))
-
-
-def _take_seeds(part, rows):
-    """A system, rule or operator restricted to the seed rows `rows`; one
-    without per-seed data (no `take_seeds`) serves every row as it is."""
-    take = getattr(part, "take_seeds", None)
-    return part if take is None else take(rows)
 
 
 def deviation(sys: System, theta_anchor, states, t0: int, t1: int,

@@ -72,10 +72,11 @@ class AdaptiveRule:
     which deliberately leaves the regime covered by the local convergence
     guarantees; it exists for the divergence experiments.
 
-    A preconditioner may return the diagonal of P, shaped as v_core, which
-    then scales v_core elementwise. Seed-batched: with theta and v of shape
-    (S, p), a statistic built on per-seed index rows and a diagonal
-    preconditioner, each row is updated as it would be alone.
+    `apply` takes v and theta as float arrays. A preconditioner may return
+    the diagonal of P, shaped as v_core, which then scales v_core
+    elementwise. Seed-batched: with theta and v of shape (S, p), a statistic
+    built on per-seed index rows and a diagonal preconditioner, each row is
+    updated as it would be alone.
     """
 
     def __init__(self, stat_fn, precond, c, theta_dim, psi_dim,
@@ -104,12 +105,11 @@ class AdaptiveRule:
         return (1.0 - self.fixed_beta2) / self.schedule.eta(t)
 
     def apply(self, t, v, s, theta):
-        theta = np.asarray(theta, dtype=float)
-        v = np.asarray(v, dtype=float)
         core = theta[..., : self.theta_dim]
         psi = theta[..., self.theta_dim :]
         stat = self.stat_fn(t, core)
-        stat = np.reshape(stat, psi.shape) if theta.ndim == 2 else np.ravel(stat)
+        if getattr(stat, "shape", None) != psi.shape:
+            stat = np.reshape(stat, psi.shape)
         if not np.isfinite(stat).all():
             raise FloatingPointError("statistic evaluated to non-finite entries")
         c_t = self.coupling(t)
@@ -121,7 +121,7 @@ class AdaptiveRule:
         v_core = v[..., : self.theta_dim]
         # Off the diagonal P @ v adds only exact zeros, so scaling by the
         # diagonal gives the same bits without building the p x p matrix.
-        core_dir = P * v_core if np.shape(P) == v_core.shape else np.atleast_2d(P) @ v_core
+        core_dir = P * v_core if P.shape == v_core.shape else np.atleast_2d(P) @ v_core
         return np.concatenate([core_dir, psi_dir], axis=-1)
 
     def take_seeds(self, rows):
@@ -245,10 +245,10 @@ class ProjectedUpdate:
         self.block = block
 
     def apply(self, t, theta, w):
+        # np.clip's bits (NaN, and signed zeros: a tie keeps the second
+        # argument, so the bound goes first) minus np.clip's Python calls.
         out = np.asarray(theta, dtype=float) - np.asarray(w, dtype=float)
-        if self.block is None:
-            return np.clip(out, self.lo, self.hi)
-        out[..., : self.block] = np.clip(out[..., : self.block], self.lo, self.hi)
+        out[..., : self.block] = np.minimum(self.hi, np.maximum(self.lo, out[..., : self.block]))
         return out
 
 

@@ -70,6 +70,7 @@ def test_tbptt_algorithm_runs():
         "truncation.spec": "grow:0.4",
         "schedule.gamma": "0.05",
         "schedule.b": "0.7",
+        "experiment.record_every": 1,  # tbptt records one row per interval
     })
     rec = run_trial(cfg, 0)
     assert rec.interval_k is not None
@@ -140,6 +141,7 @@ def test_run_tbptt_validation_and_force(tmp_path):
         "algorithm.name": "tbptt", "schedule.gamma": 0.05, "schedule.b": 0.7,
         "init.theta0": 0.3, "truncation.spec": "grow:0.55",
         "exponents.a": 0.2, "exponents.gamma_loss": 0.1,  # A above b - 2*gamma_loss
+        "experiment.record_every": 1,  # tbptt records one row per interval
     })
     with pytest.raises(ConfigurationError):
         run_experiment(cfg, str(tmp_path))
@@ -529,6 +531,30 @@ def test_cli_run_checks_every_arm_unread_keys(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "config error: algorithm.rule = bogus " + RULE_IGNORED.format("adam") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "run_trial"])
+@pytest.mark.parametrize("algo, override, message", UNREAD_KEYS, ids=[f"{a}-{o}" for a, o, _ in UNREAD_KEYS])
+def test_library_entry_points_refuse_unread_keys(entry, algo, override, message, tmp_path, monkeypatch):
+    # The library entry points refuse what the CLI refuses, before any trial.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    monkeypatch.setattr(harness, "_run", no_trials)
+    base = ExperimentConfig.load(TBPTT_INI) if algo == "tbptt" else small_config(**{"algorithm.name": algo})
+    key, value = override.split("=", 1)
+    cfg = base.with_overrides({key: value})
+    out = tmp_path / "o"
+    with pytest.raises(ConfigurationError) as err:
+        if entry == "run_experiment":
+            run_experiment(cfg, str(out))
+        else:
+            run_trial(cfg, 0)
+    assert str(err.value) == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("swept, failing", [

@@ -107,20 +107,20 @@ def test_all_rows_aborting_ends_the_run(tmp_path):
 
 
 def test_one_call_makes_T_steps_not_S_times_T(monkeypatch):
-    calls = {"rtrl_step": 0}
-    step = rtrl.rtrl_step
+    calls = {"dense_step": 0}
+    step = rtrl.dense_step
 
     def counting(*args, **kwargs):
-        calls["rtrl_step"] += 1
+        calls["dense_step"] += 1
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(rtrl, "rtrl_step", counting)
+    monkeypatch.setattr(rtrl, "dense_step", counting)
     T = 50
     for algo, kind in PAIRS:
-        calls["rtrl_step"] = 0
+        calls["dense_step"] = 0
         records = run_trials(pair_config(algo, kind, **{"experiment.horizon": T}), range(8))
         assert len(records) == 8 and not any(r.aborted for r in records.values())
-        assert calls["rtrl_step"] == T, (algo, kind)
+        assert calls["dense_step"] == T, (algo, kind)
 
 
 @pytest.mark.parametrize("extra, seeds", [
