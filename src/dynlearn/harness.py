@@ -4,10 +4,13 @@ Configs are INI files with dotted access (section.key). A config names a
 system, an algorithm, a step schedule, a sampling scheme, seeds, and a
 horizon; `run_experiment` executes every (arm, seed) trial with an
 independent counter-based random stream and writes one trial CSV per
-seed plus a summary. Grid sweeps reuse the same machinery and aggregate
-per grid point. Everything is deterministic from (config, seed): streams
-are keyed by the config hash and seed, trials never share state, and
-files are written atomically.
+seed plus a summary, and `run_sweep` does the same at every [sweep] grid
+point with one aggregated row per (point, arm). Both go through one
+planner: `_rows` crosses the grid points with the arms and checks each
+row before any trial runs, and `_outcomes` runs the rows' seeds over one
+pool. Everything is deterministic from (config, seed): streams are keyed
+by the config hash and seed, trials never share state, and files are
+written atomically.
 
 `SYSTEM_KINDS` maps each config system kind to its builder, the
 algorithms that run on it and those of them whose seeds batch; every
@@ -15,10 +18,10 @@ check of a kind or an algorithm reads it. `run_trials` is the one
 dispatcher of an arm's seeds. The seeds of an arm in `SEED_BATCHED`
 (computed from the table) advance together through one seed-batched
 learner (see `rtrl.run_learning`), which writes the same bytes as
-running them one by one; any other arm runs `run_trial` per seed. With jobs > 1 the
-arms (or sweep points) are spread over one process pool per call, and
-an arm's seeds are split only as far as the pool needs tasks, never
-below two seeds per chunk for a batched arm.
+running them one by one; any other arm runs `run_trial` per seed. With
+jobs > 1 the rows are spread over the pool, and a row's seeds are split
+only as far as the pool needs tasks, never below two seeds per chunk
+for a batched arm.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import concurrent.futures
 import configparser
 import io
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -50,7 +54,7 @@ from .updates import (AdamSetup, AdaptiveRule, PreconditionedRule, ProjectedUpda
                       inverse_matrix_preconditioner, outer_grad_statistic, rule_adam)
 
 __all__ = ["ExperimentConfig", "check_unread_keys", "parse_numbers", "run_experiment", "run_sweep",
-           "run_trials", "summarize_trials"]
+           "run_trials"]
 
 
 @dataclass
@@ -93,6 +97,11 @@ class ExperimentConfig:
         return out.getvalue()
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
+        """A copy with these dotted keys set; ConfigurationError for a key
+        that is not section.key (words joined by dots)."""
+        for key in overrides:
+            if not re.fullmatch(r"[\w-]+(\.[\w-]+)+", key):
+                raise ConfigurationError(f"override key {key!r} is not section.key")
         merged = dict(self.values)
         merged.update({k: str(v) for k, v in overrides.items()})
         return ExperimentConfig(merged)
@@ -134,21 +143,20 @@ class ExperimentConfig:
 
     def arms(self):
         """(arm_name, config) pairs; a single 'main' arm when no [arms]."""
-        arm_keys = [k for k in self.values if k.startswith("arms.")]
+        arm_keys = sorted(k for k in self.values if k.startswith("arms."))
         if not arm_keys:
             return [("main", self)]
         out = []
-        for key in sorted(arm_keys):
+        for key in arm_keys:
             name = key.split(".", 1)[1]
-            overrides = {}
-            for clause in self.values[key].split(";"):
-                clause = clause.strip()
-                if clause:
-                    dotted, eq, val = clause.partition("=")
-                    if not (eq and dotted.strip()):
-                        raise ConfigurationError(f"arm {name!r}: clause {clause!r} is not key=value")
-                    overrides[dotted.strip()] = val.strip()
-            out.append((name, self.with_overrides(overrides)))
+            clauses = [clause.strip().partition("=") for clause in self.values[key].split(";") if clause.strip()]
+            try:
+                for dotted, eq, _ in clauses:
+                    if not eq:
+                        raise ConfigurationError(f"clause {dotted!r} is not key=value")
+                out.append((name, self.with_overrides({k.strip(): v.strip() for k, _, v in clauses})))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"arm {name!r}: {exc}") from None
         return out
 
 
@@ -278,7 +286,7 @@ def _run(cfg: ExperimentConfig, seed):
     records from one seed-batched learner (SEED_BATCHED arms only)."""
     algo = cfg.get("algorithm.name", "sgd")
     kind = system_kind(cfg)
-    _check_counts(cfg, COUNT_KEYS)
+    _check_counts(cfg)
     T = cfg.horizon
     schedule = StepSchedule(cfg.getfloat("schedule.gamma", 0.1), cfg.getfloat("schedule.b", 0.7))
     if isinstance(seed, list):
@@ -308,33 +316,26 @@ def _run(cfg: ExperimentConfig, seed):
     )
 
 
-# Integer keys that must be >= 1 (their defaults are).
-COUNT_KEYS = ("experiment.horizon", "experiment.record_every")
-
-
-def _check_counts(cfg: ExperimentConfig, keys):
-    """ConfigurationError unless each of these COUNT_KEYS is >= 1."""
-    for key in keys:
+def _check_counts(cfg: ExperimentConfig):
+    """ConfigurationError unless the horizon and record_every, integer
+    keys whose defaults are >= 1, are >= 1."""
+    for key in ("experiment.horizon", "experiment.record_every"):
         value = cfg.getint(key, 1)
         if value < 1:
             raise ConfigurationError(f"{key} must be >= 1, got {value}")
 
 
-def check_unread_keys(cfg: ExperimentConfig, swept=()):
+def check_unread_keys(cfg: ExperimentConfig):
     """ConfigurationError when cfg sets a key its algorithm ignores: a rule
     other than identity on tbptt, adam, rmsprop or ong, or a record_every
-    other than 1 on tbptt. Keys in `swept` (a sweep's grid keys) are left
-    to the grid points."""
+    other than 1 on tbptt."""
     algo, rule = cfg.get("algorithm.name", "sgd"), cfg.get("algorithm.rule", "identity")
-    if "algorithm.name" in swept:
-        return
-    if algo in ("tbptt",) + ADAPTIVE and rule not in ("", "identity") and "algorithm.rule" not in swept:
+    if algo in ("tbptt",) + ADAPTIVE and rule not in ("", "identity"):
         raise ConfigurationError(f"algorithm.rule = {rule} is ignored by {algo}; only "
                                  "sgd, rtrl, uoro and nobacktrack take an update rule")
-    if algo == "tbptt" and "experiment.record_every" not in swept:
-        if (every := cfg.getint("experiment.record_every", 1)) != 1:
-            raise ConfigurationError(f"experiment.record_every = {every} is ignored by tbptt, "
-                                     "which records one row per interval")
+    if algo == "tbptt" and (every := cfg.getint("experiment.record_every", 1)) != 1:
+        raise ConfigurationError(f"experiment.record_every = {every} is ignored by tbptt, "
+                                 "which records one row per interval")
 
 
 def _check_retired(cfg: ExperimentConfig):
@@ -477,20 +478,9 @@ def system_kind(cfg: ExperimentConfig, algo=None) -> SystemKind:
     if entry is None:
         raise ConfigurationError(f"unknown system kind {name!r}; the kinds are {', '.join(SYSTEM_KINDS)}")
     if algo not in entry.algorithms:
-        raise ConfigurationError(f"system kind {name!r} runs {', '.join(entry.algorithms)}")
+        unknown = "" if algo in PLAIN + ADAPTIVE else f"unknown algorithm {algo!r}; "
+        raise ConfigurationError(f"{unknown}system kind {name!r} runs {', '.join(entry.algorithms)}")
     return entry
-
-
-def _check_kind(cfg: ExperimentConfig, swept=()):
-    """system_kind(cfg) before any trial runs. When a [sweep] entry sets
-    the kind or the algorithm, each point checks its own pair, and only an
-    unswept name that fails every point is checked here."""
-    kind, algo = cfg.get("system.kind", "linear_regression"), cfg.get("algorithm.name", "sgd")
-    if "system.kind" not in swept:
-        if "algorithm.name" not in swept or kind not in SYSTEM_KINDS:
-            system_kind(cfg)
-    elif "algorithm.name" not in swept and algo not in PLAIN + ADAPTIVE:
-        raise ConfigurationError(f"unknown algorithm {algo!r}; the algorithms are {', '.join(PLAIN + ADAPTIVE)}")
 
 
 def _adaptive(cfg, algo, plant, schedule):
@@ -521,34 +511,14 @@ def _adaptive(cfg, algo, plant, schedule):
     return setup.system, setup.rule, phi, setup.initial_theta(plant.theta0, psi0=psi0), setup.theta_dim
 
 
-def summarize_trials(results, tol: float = 1e-2):
-    """summary.csv rows from {(arm, seed): TrialRecord}.
-
-    converged is TrialRecord.converged(tol).
-    """
-    rows = []
-    for (arm, seed) in sorted(results):
-        record = results[(arm, seed)]
-        rows.append([
-            arm, seed, int(record.converged(tol)), record.final_dist(),
-            -1 if record.abort_t is None else record.abort_t,
-        ])
-    return rows
-
-
 def _trials_job(args):
-    """run_trials on (config values, seeds); the unit of work of a pool."""
+    """run_trials on (config values, seeds), or the exception that stopped
+    it; the one unit of work of a pool."""
     cfg_values, seeds = args
-    return run_trials(ExperimentConfig(cfg_values), seeds)
-
-
-def _point_job(args):
-    """_trials_job for a sweep point: its records, or the text of the
-    error that stopped it (failures are data in a sweep)."""
     try:
-        return _trials_job(args)
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return run_trials(ExperimentConfig(cfg_values), seeds)
+    except Exception as exc:  # a run raises it, a sweep records it
+        return exc
 
 
 def _seed_chunks(cfg: ExperimentConfig, seeds, jobs: int, units: int):
@@ -581,134 +551,138 @@ def _map_jobs(job, tasks, jobs):
             yield job(task)
 
 
-def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False):
-    """Run all (arm, seed) trials, write per-trial CSVs and summary.csv.
-
-    Returns the experiment directory. Raises ConfigurationError before
-    running anything when an arm's system kind does not run its algorithm,
-    sets a key its algorithm ignores (`check_unread_keys`), or has an
-    exponent declaration that fails validation while force is not set.
-    """
-    arms = cfg.arms()
-    for arm, arm_cfg in arms:
-        _check_retired(arm_cfg)
-        system_kind(arm_cfg)
-        _check_counts(arm_cfg, COUNT_KEYS)
-        check_unread_keys(arm_cfg)
-        try:
-            _validate_config(arm_cfg, force)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"arm {arm!r}: {exc}") from None
-    jobs = _usable_jobs(jobs)
-    exp_dir = os.path.join(outdir, cfg.name)
-    tol = cfg.getfloat("experiment.tol", 1e-2)
-    tasks = [(arm, (arm_cfg.values, chunk)) for arm, arm_cfg in arms
-             for chunk in _seed_chunks(arm_cfg, cfg.seeds, jobs, len(arms))]
-    # Each chunk's CSVs are written as it arrives and only its summary
-    # rows are kept, so memory does not grow with the number of trials.
-    rows = []
-    for (arm, _), records in zip(tasks, _map_jobs(_trials_job, [t[1] for t in tasks], jobs)):
-        subdir = exp_dir if len(arms) == 1 else os.path.join(exp_dir, arm)
-        for seed in records:
-            records[seed].to_csv(os.path.join(subdir, f"{seed}.csv"))
-        rows += summarize_trials({(arm, seed): r for seed, r in records.items()}, tol=tol)
-        del records  # before the next chunk runs
-    write_csv(os.path.join(exp_dir, "summary.csv"), ("arm", "seed", "converged", "final_dist", "abort_t"),
-              list(zip(*sorted(rows, key=lambda row: (row[0], row[1])))))
-    return exp_dir
-
-
 def _validate_config(cfg: ExperimentConfig, force: bool):
     if force or cfg.get("exponents.a") is None:
         return
     algo = cfg.get("algorithm.name", "sgd")
-    klass = "imperfect_rtrl" if algo in ("uoro", "nobacktrack") else (
-        "tbptt" if algo == "tbptt" else "exact_rtrl"
-    )
+    klass = {"uoro": "imperfect_rtrl", "nobacktrack": "imperfect_rtrl", "tbptt": "tbptt"}.get(algo, "exact_rtrl")
     A = _parse_truncation(cfg).A if klass == "tbptt" else None
     if klass == "tbptt" and A is None:
         return  # fixed-length override: deliberately outside the guarantees
-    profile = ExponentProfile(
-        a=cfg.getfloat("exponents.a"),
-        gamma_loss=cfg.getfloat("exponents.gamma_loss", 0.0),
-        algorithm_class=klass,
-        A=A,
-    )
+    profile = ExponentProfile(a=cfg.getfloat("exponents.a"), gamma_loss=cfg.getfloat("exponents.gamma_loss", 0.0),
+                              algorithm_class=klass, A=A)
     ok, violations = validate_exponents(profile, cfg.getfloat("schedule.b", 0.7))
     if not ok:
         raise ConfigurationError("; ".join(violations))
 
 
-def _sweep_row(combo, error, outcomes, point_dir, seeds, tol):
-    """The sweep.csv row of one grid point from the outcomes of its
-    chunks (records, or error text); writes the point's trial CSVs."""
-    results = {}
-    for outcome in outcomes:
-        if isinstance(outcome, str):
-            error = error or outcome
-        else:
-            results.update(outcome)
-    if error is None:
-        try:
-            finals = np.array([r.final_dist() for r in results.values()])
-            conv = [r.converged(tol) for r in results.values()]
-            for seed in seeds:
-                results[seed].to_csv(os.path.join(point_dir, f"{seed}.csv"))
-            return list(combo) + [float(np.nanmean(finals)), float(np.mean(conv)), ""]
-        except Exception as exc:  # failures are data; the sweep continues
-            error = f"{type(exc).__name__}: {exc}"
-    return list(combo) + [float("nan"), 0.0, error]
+def _check_distinct(key, values):
+    """ConfigurationError unless the list of key holds values, each once."""
+    twice = [v for v in values if values.count(v) > 1]
+    if twice or not values:
+        raise ConfigurationError(f"{key} lists {f'{twice[0]} twice' if twice else 'no values'}")
+
+
+def _rows(cfg: ExperimentConfig, force: bool, grid=()):
+    """The (point, arm, config, error) rows of cfg: each point of the grid
+    ([sweep] (key, values) pairs; one empty point without) crossed with
+    each arm, in order, the point's values set over the arm's clauses.
+    error is the exception of the row's checks before any trial, or None;
+    a run's exponent error names its arm. A retired key, a grid entry or
+    seed list without values or with one twice raises here."""
+    arms = cfg.arms()
+    for _, arm_cfg in arms:
+        _check_retired(arm_cfg)
+    for key, values in grid:
+        _check_distinct(f"sweep.{key}", values)
+    _check_distinct("experiment.seeds", cfg.seeds)
+    rows = []
+    for point in product(*(values for _, values in grid)):
+        for arm, arm_cfg in arms:
+            row_cfg = arm_cfg.with_overrides({key: v for (key, _), v in zip(grid, point)})
+            error = None
+            try:
+                system_kind(row_cfg)
+                _check_counts(row_cfg)
+                check_unread_keys(row_cfg)
+                try:
+                    _validate_config(row_cfg, force)
+                except ConfigurationError as exc:
+                    raise (exc if grid else ConfigurationError(f"arm {arm!r}: {exc}")) from None
+            except ConfigurationError as exc:  # failures are data in a sweep
+                error = exc
+            rows.append((point, arm, row_cfg, error))
+    return rows
+
+
+def _outcomes(rows, seeds, jobs: int):
+    """(row, outcome) for each row, in order: the row's {seed:
+    TrialRecord}, or its check error, or the first exception among its
+    chunks. The seed chunks of the rows without an error run over one
+    pool, and a row is yielded as soon as its chunks arrive, so with one
+    job its CSVs can be written before the next chunk runs."""
+    jobs = _usable_jobs(jobs)
+    units = sum(error is None for *_, error in rows)
+    chunks = [[] if error else _seed_chunks(row_cfg, seeds, jobs, units) for _, _, row_cfg, error in rows]
+    done = _map_jobs(_trials_job, [(row[2].values, chunk) for row, row_chunks in zip(rows, chunks)
+                                   for chunk in row_chunks], jobs)
+    for row, row_chunks in zip(rows, chunks):
+        parts = [next(done) for _ in row_chunks]
+        failed = [part for part in parts if isinstance(part, Exception)]
+        yield row, row[3] or (failed[0] if failed else {seed: r for part in parts for seed, r in part.items()})
+
+
+def run_experiment(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False):
+    """Run all (arm, seed) trials, write per-trial CSVs and summary.csv.
+
+    Returns the experiment directory. Raises before any trial runs when
+    an arm fails a check of `_rows` (the exponent check only without force).
+    """
+    rows = _rows(cfg, force)
+    for *_, error in rows:
+        if error is not None:
+            raise error
+    exp_dir = os.path.join(outdir, cfg.name)
+    tol = cfg.getfloat("experiment.tol", 1e-2)
+    summary = []
+    # An arm's CSVs are written as it arrives and only its summary rows
+    # are kept, so memory does not grow with the number of arms.
+    for (_, arm, _, _), records in _outcomes(rows, cfg.seeds, jobs):
+        if isinstance(records, Exception):
+            raise records
+        for seed, record in records.items():
+            record.to_csv(os.path.join(exp_dir, *[arm] * (len(rows) > 1), f"{seed}.csv"))
+            summary.append([arm, seed, int(record.converged(tol)), record.final_dist(),
+                            -1 if record.abort_t is None else record.abort_t])
+    write_csv(os.path.join(exp_dir, "summary.csv"), ("arm", "seed", "converged", "final_dist", "abort_t"),
+              list(zip(*sorted(summary, key=lambda row: (row[0], row[1])))))
+    return exp_dir
 
 
 def run_sweep(cfg: ExperimentConfig, outdir, jobs: int = 1, force: bool = False):
-    """Cartesian sweep over [sweep] keys; aggregates one row per point.
+    """Cartesian sweep over [sweep] keys, crossed with the [arms]; one
+    sweep.csv row per (point, arm).
 
     Each [sweep] entry is a dotted config key with comma-separated
-    values. Failures of individual grid points are recorded in their row
-    (error column) and the sweep continues; a horizon or record_every
-    below 1, a system kind or algorithm, or a key the algorithm ignores
-    (`check_unread_keys`), that fails every point because no [sweep] entry
-    sets it raises ConfigurationError before any trial runs; so do [arms],
-    which a sweep does not run yet.
+    values, set over every arm's clauses. A row that fails a check of
+    `_rows` or a trial gets its error in the error column and the sweep
+    continues; a check that fails every row raises its first error before
+    any trial runs. With two or more arms the trial CSVs go under
+    <point>/<arm>/ and sweep.csv has an arm column after the grid keys.
     """
-    sweep_keys = sorted(k for k in cfg.values if k.startswith("sweep."))
-    if not sweep_keys:
+    grid = [(key.split(".", 1)[1], cfg.getlist(key)) for key in sorted(cfg.values) if key.startswith("sweep.")]
+    if not grid:
         raise ConfigurationError("config has no [sweep] section")
-    arms = ", ".join(sorted(k.split(".", 1)[1] for k in cfg.values if k.startswith("arms.")))
-    if arms:
-        raise ConfigurationError(f"sweep does not run [arms] yet (arms {arms}); sweep one arm's config")
-    _check_retired(cfg)
-    grid_keys = [k.split(".", 1)[1] for k in sweep_keys]
-    grid_values = [cfg.getlist(k) for k in sweep_keys]
-    _check_counts(cfg, [key for key in COUNT_KEYS if key not in grid_keys])
-    _check_kind(cfg, grid_keys)
-    check_unread_keys(cfg, grid_keys)
-    jobs = _usable_jobs(jobs)
+    rows = _rows(cfg, force, grid)
+    if all(error is not None for *_, error in rows):
+        raise rows[0][3]
+    named = len({arm for _, arm, _, _ in rows}) > 1
     exp_dir = os.path.join(outdir, cfg.name)
-    points = []
-    for combo in product(*grid_values):
-        point_cfg = cfg.with_overrides(dict(zip(grid_keys, combo)))
-        try:
-            system_kind(point_cfg)
-            check_unread_keys(point_cfg)
-            _validate_config(point_cfg, force)
-            error = None
-        except Exception as exc:  # failures are data; the sweep continues
-            error = f"{type(exc).__name__}: {exc}"
-        points.append((combo, point_cfg, error))
-    units = sum(error is None for _, _, error in points)
-    chunks = [[] if error else _seed_chunks(point_cfg, cfg.seeds, jobs, units)
-              for _, point_cfg, error in points]
-    tasks = [(point_cfg.values, chunk)
-             for (_, point_cfg, _), point_chunks in zip(points, chunks) for chunk in point_chunks]
-    outcomes = _map_jobs(_point_job, tasks, jobs)
     tol = cfg.getfloat("experiment.tol", 1e-2)
-    # A point's CSVs are written as soon as its chunks arrive, and its
-    # records dropped before the next point runs.
-    rows = [_sweep_row(combo, error, [next(outcomes) for _ in point_chunks],
-                       os.path.join(exp_dir, "_".join(str(v).replace(".", "p") for v in combo)),
-                       cfg.seeds, tol)
-            for (combo, _, error), point_chunks in zip(points, chunks)]
-    write_csv(os.path.join(exp_dir, "sweep.csv"), grid_keys + ["mean_final_dist", "converged_frac", "error"],
-              list(zip(*rows)))
+    table = []
+    for (point, arm, _, _), outcome in _outcomes(rows, cfg.seeds, jobs):
+        row_dir = os.path.join(exp_dir, "_".join(str(v).replace(".", "p") for v in point), *[arm] * named)
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            cells = [float(np.nanmean([r.final_dist() for r in outcome.values()])),
+                     float(np.mean([r.converged(tol) for r in outcome.values()])), ""]
+            for seed, record in outcome.items():
+                record.to_csv(os.path.join(row_dir, f"{seed}.csv"))
+        except Exception as exc:  # failures are data; the sweep continues
+            cells = [float("nan"), 0.0, f"{type(exc).__name__}: {exc}"]
+        table.append(list(point) + [arm] * named + cells)
+    write_csv(os.path.join(exp_dir, "sweep.csv"),
+              [key for key, _ in grid] + ["arm"] * named + ["mean_final_dist", "converged_frac", "error"],
+              list(zip(*table)))
     return exp_dir

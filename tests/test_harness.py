@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,27 +165,39 @@ def test_sweep_rows(tmp_path):
 
 
 def test_sweep_files_identical_across_jobs(tmp_path, monkeypatch):
-    # Seed-batched and looped arms and a failing point; at jobs=4 each of
-    # the three valid points is split in two chunks: sweep.csv and every
-    # trial CSV at jobs=2 and 4 match jobs=1 byte for byte. Four usable
-    # CPUs are reported, so that jobs=4 is not capped on a smaller host.
+    # Seed-batched and looped arms and failing points, first as swept
+    # algorithms, then as [arms] whose rows fail a check before any trial,
+    # so that at jobs=4 each of the two valid rows is split in two chunks:
+    # sweep.csv and every trial CSV at jobs=2 and 4 match jobs=1 byte for
+    # byte. Four usable CPUs are reported, so that jobs=4 is not capped on
+    # a smaller host.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    cfg = small_config(**{
+    swept = small_config(**{
         "experiment.name": "gridjobs",
         "experiment.seeds": "0,1,2,3",
         "experiment.horizon": 200,
         "sweep.schedule.b": "0.5, 2.0",
         "sweep.algorithm.name": "sgd, uoro, adam",
     })
-    dirs = [run_sweep(cfg, str(tmp_path / f"jobs{jobs}"), jobs=jobs) for jobs in (1, 2, 4)]
-    files = [sorted(os.path.relpath(os.path.join(root, f), d)
-                    for root, _, fs in os.walk(d) for f in fs) for d in dirs]
-    assert files[0] == files[1] == files[2] and len(files[0]) == 1 + 3 * 4
-    for name in files[0]:
-        a, *others = (open(os.path.join(d, name), "rb").read() for d in dirs)
-        assert all(a == b for b in others), name
-    with open(os.path.join(dirs[0], "sweep.csv")) as fh:
-        assert sum("ConfigurationError" in line for line in fh) == 3
+    arms = small_config(**{
+        "experiment.name": "armjobs",
+        "experiment.seeds": "0,1,2,3",
+        "experiment.horizon": 200,
+        "exponents.a": "0.05",
+        "sweep.schedule.b": "0.6, 0.04",
+        "arms.batched": "sampling.scheme=iid",
+        "arms.looped": "algorithm.name=uoro",
+    })
+    for cfg, n_files, n_errors in ((swept, 1 + 3 * 4, 3), (arms, 1 + 2 * 4, 2)):
+        dirs = [run_sweep(cfg, str(tmp_path / f"jobs{jobs}"), jobs=jobs) for jobs in (1, 2, 4)]
+        files = [sorted(os.path.relpath(os.path.join(root, f), d)
+                        for root, _, fs in os.walk(d) for f in fs) for d in dirs]
+        assert files[0] == files[1] == files[2] and len(files[0]) == n_files
+        for name in files[0]:
+            a, *others = (open(os.path.join(d, name), "rb").read() for d in dirs)
+            assert all(a == b for b in others), name
+        with open(os.path.join(dirs[0], "sweep.csv")) as fh:
+            assert sum("ConfigurationError" in line for line in fh) == n_errors
 
 
 def test_seed_chunks_spread_arms_before_seeds():
@@ -217,12 +230,11 @@ def test_outputs_written_before_the_next_chunk_runs(tmp_path, monkeypatch):
             return run(args)
         return traced
 
-    monkeypatch.setattr(harness, "_point_job", job(harness._point_job))
+    monkeypatch.setattr(harness, "_trials_job", job(harness._trials_job))
     run_sweep(small_config(**{"experiment.name": "stream", "experiment.horizon": 50,
                               "sweep.schedule.b": "0.5, 0.7"}), str(tmp_path / "sweep"))
     assert seen == [[], ["0.csv", "1.csv"]]
     seen.clear()
-    monkeypatch.setattr(harness, "_trials_job", job(harness._trials_job))
     run_experiment(small_config(**{"experiment.name": "arms", "experiment.horizon": 50,
                                    "arms.a": "schedule.b=0.5", "arms.b": "schedule.b=0.7"}),
                    str(tmp_path / "run"))
@@ -441,9 +453,82 @@ def test_cli_sweep_non_numeric_count_exit_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_cli_sweep_with_arms_exit_2(tmp_path, capsys, monkeypatch):
-    # A sweep does not run [arms] yet: it refuses them before any trial,
-    # rather than running the base config alone.
+def test_cli_sweep_with_arms_layout(tmp_path):
+    # A sweep runs every arm at every point: <point>/<arm>/<seed>.csv, and
+    # one sweep.csv row per (point, arm) with the arm after the grid keys.
+    out = tmp_path / "o"
+    code = cli_main(["sweep", os.path.join(CONFIG_DIR, "cycling_vs_iid.ini"),
+                     "--set", "sweep.schedule.gamma=0.1,0.2", "--set", "experiment.horizon=20",
+                     "--set", "experiment.seeds=0", "--out", str(out)])
+    assert code == 0
+    exp_dir = out / "cycling_vs_iid"
+    assert sorted(str(p.relative_to(exp_dir)) for p in exp_dir.rglob("*.csv")) == [
+        "0p1/cycling/0.csv", "0p1/iid/0.csv", "0p2/cycling/0.csv", "0p2/iid/0.csv", "sweep.csv"]
+    lines = (exp_dir / "sweep.csv").read_text().strip().splitlines()
+    assert lines[0] == "schedule.gamma,arm,mean_final_dist,converged_frac,error"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["0.1", "cycling"], ["0.1", "iid"], ["0.2", "cycling"], ["0.2", "iid"]]
+    assert all(line.endswith(",") for line in lines[1:])
+
+
+def test_arms_sweep_trials_equal_run_experiment(tmp_path):
+    # A key that no arm sets: each point's arm trials are the bytes that
+    # run writes with that key set.
+    cfg = ExperimentConfig.load(os.path.join(CONFIG_DIR, "cycling_vs_iid.ini")).with_overrides({
+        "experiment.horizon": 300, "experiment.seeds": "0,1,2", "sweep.schedule.gamma": "0.1, 0.2"})
+    sweep_dir = run_sweep(cfg, str(tmp_path / "sweep"))
+    for gamma, label in (("0.1", "0p1"), ("0.2", "0p2")):
+        run_dir = run_experiment(cfg.with_overrides({"schedule.gamma": gamma}), str(tmp_path / label))
+        for arm in ("cycling", "iid"):
+            for seed in (0, 1, 2):
+                a = open(os.path.join(sweep_dir, label, arm, f"{seed}.csv"), "rb").read()
+                assert a == open(os.path.join(run_dir, arm, f"{seed}.csv"), "rb").read(), (label, arm, seed)
+
+
+def test_sweep_value_overrides_the_arm_clause(tmp_path):
+    # The iid arm sets b = 0.7 and declares a = 0.55: the grid's b = 0.3
+    # replaces its b, so that row breaks the declaration unless forced.
+    cfg = ExperimentConfig.load(os.path.join(CONFIG_DIR, "cycling_vs_iid.ini")).with_overrides({
+        "experiment.horizon": 50, "experiment.seeds": "0", "sweep.schedule.b": "0.3, 0.7"})
+    rows = (Path(run_sweep(cfg, str(tmp_path / "o"))) / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0.3", "cycling"], ["0.3", "iid"], ["0.7", "cycling"],
+                                                    ["0.7", "iid"]]
+    assert "ConfigurationError: need" in rows[1] and "0.55 < b = 0.3" in rows[1]
+    assert all(row.endswith(",") for row in rows[:1] + rows[2:])
+    forced = Path(run_sweep(cfg, str(tmp_path / "f"), force=True))
+    assert all(row.endswith(",") for row in (forced / "sweep.csv").read_text().strip().splitlines()[1:])
+    assert (forced / "0p3" / "iid" / "0.csv").exists()
+
+
+def test_cli_sweep_check_that_fails_every_row_exit_2(tmp_path, capsys, monkeypatch):
+    # An exponent declaration that no swept b satisfies: no row could run.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    path = write_config(tmp_path, small_config(**{
+        "exponents.a": "0.55", "algorithm.name": "uoro", "sweep.schedule.b": "0.3, 0.5"}))
+    out = tmp_path / "o"
+    assert cli_main(["sweep", path, "--out", str(out)]) == 2
+    assert "config error: need " in capsys.readouterr().err
+    assert not out.exists()
+
+
+DEGENERATE = [
+    ("sweep", ["--set", "sweep.truncation.spec="], "sweep.truncation.spec lists no values"),
+    ("sweep", ["--set", "sweep.truncation.spec=grow:0.4,grow:0.4"], "sweep.truncation.spec lists grow:0.4 twice"),
+    ("sweep", ["--seed", "0", "0"], "experiment.seeds lists 0 twice"),
+    ("run", ["--seed", "0", "0"], "experiment.seeds lists 0 twice"),
+    ("run", ["--set", "experiment.seeds="], "experiment.seeds lists no values"),
+]
+
+
+@pytest.mark.parametrize("command, args, message", DEGENERATE, ids=[f"{c}-{' '.join(a)}" for c, a, _ in DEGENERATE])
+def test_cli_degenerate_grid_or_seeds_exit_2(command, args, message, tmp_path, capsys, monkeypatch):
+    # An empty grid entry, a grid value or a seed listed twice is refused
+    # before any trial, rather than running nothing or a trial twice.
     import dynlearn.harness as harness
 
     def no_trials(*args, **kwargs):
@@ -451,12 +536,36 @@ def test_cli_sweep_with_arms_exit_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(harness, "run_trials", no_trials)
     out = tmp_path / "o"
-    code = cli_main(["sweep", os.path.join(CONFIG_DIR, "cycling_vs_iid.ini"),
-                     "--set", "sweep.schedule.gamma=0.1,0.2", "--set", "experiment.horizon=20",
-                     "--set", "experiment.seeds=0", "--out", str(out)])
-    assert code == 2
-    assert "config error: sweep does not run [arms] yet (arms cycling, iid)" in capsys.readouterr().err
+    assert cli_main([command, TBPTT_INI, *args, "--out", str(out)]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+BAD_KEYS = [
+    (["--set", "foo=1"], "override key 'foo' is not section.key"),
+    (["--set", "=1"], "override key '' is not section.key"),
+    (["--set", "arms.iid=sampling.scheme=iid ; note: b=0.7 is the default"],
+     "arm 'iid': override key 'note: b' is not section.key"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("args, message", BAD_KEYS, ids=[a[1] for a, _ in BAD_KEYS])
+def test_cli_override_key_not_section_key_exit_2(command, args, message, tmp_path, capsys):
+    # An inline comment in an [arms] clause would otherwise add a key that
+    # changes the config hash, and so the arm's random streams.
+    out = tmp_path / "o"
+    assert cli_main([command, os.path.join(CONFIG_DIR, "cycling_vs_iid.ini"), *args,
+                     "--set", "sweep.schedule.gamma=0.1", "--out", str(out)]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_with_overrides_keeps_the_ini_round_trip():
+    with pytest.raises(ConfigurationError, match="override key 'foo' is not section.key"):
+        small_config().with_overrides({"foo": 1})
+    cfg = small_config().with_overrides({"sweep.truncation.spec": "grow:0.4", "arms.sgd-iid": "sampling.scheme=iid"})
+    assert ExperimentConfig.from_ini(cfg.to_ini()).values == cfg.values
 
 
 RETIRED_KEYS = [

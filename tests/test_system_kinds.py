@@ -124,7 +124,7 @@ def test_sweep_unswept_bad_pair_exits_2(override, message, tmp_path, capsys, mon
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran on a bad config")
 
-    monkeypatch.setattr(harness, "_point_job", no_trials)
+    monkeypatch.setattr(harness, "_trials_job", no_trials)
     out = tmp_path / "out"
     code = cli_main(["sweep", str(CONFIGS / "influence_balancing_tbptt.ini"),
                      "--set", override, "--out", str(out)])
