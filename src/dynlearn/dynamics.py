@@ -67,11 +67,14 @@ class ConfigurationError(ValueError):
     """Invalid construction parameters or experiment configuration."""
 
 
-# Arrays with more entries than this are guarded without a temporary;
-# arrays with at most GUARD_SCALAR_SIZE entries are guarded in Python
-# floats, which beats one numpy reduction below about 28 entries.
+# Arrays with at most GUARD_SCALAR_SIZE entries are guarded in Python
+# floats, which beats one numpy call below about 28 entries; the exact
+# test of an array with more entries than GUARD_NO_TEMP_SIZE allocates no
+# temporary.
 GUARD_NO_TEMP_SIZE = 4096
 GUARD_SCALAR_SIZE = 24
+_SQUARED_LIMIT = OVERFLOW_LIMIT * OVERFLOW_LIMIT
+_FLOAT64 = np.dtype(float)
 
 
 def guard(x, stage, t, batched=False):
@@ -79,23 +82,34 @@ def guard(x, stage, t, batched=False):
     magnitude; then NumericOverflow(stage, t). Every overflow check of the
     library goes through here. With batched=True the leading axis of x runs
     over seeds, and the error names the failing rows."""
-    # A comparison with NaN is false, and max and min are NaN when any
-    # entry is NaN, so each test covers both the overflow threshold and
-    # non-finite entries. Large arrays (a dense J) are checked as
-    # max <= L and min >= -L, which allocates nothing; on smaller ones one
-    # |x| reduction is cheaper than two, and on the smallest (a state of
-    # a few entries) a loop over Python floats is cheaper still.
+    # A comparison with NaN is false, and max, min and sums are NaN when
+    # any entry is NaN, so each test covers both the overflow threshold
+    # and non-finite entries. On the smallest arrays (a state of a few
+    # entries) a loop over Python floats is cheapest. A larger float64
+    # array passes in one BLAS call when its sum of squares is at most L^2:
+    # then no |x_i| exceeds L, since rounding is monotone and
+    # fl(nextafter(L)^2) lies above fl(L^2) (the sum of non-negative terms
+    # is at least each term, and NaN or overflow fail the test). Only an
+    # array that fails it goes to the exact test: max <= L and min >= -L,
+    # which allocates nothing, on a dense J, and one |x| reduction on the
+    # rest. (ravel copies only an array that is not contiguous.)
     size = getattr(x, "size", 0)
-    if size > GUARD_NO_TEMP_SIZE:
-        ok = x.max() <= OVERFLOW_LIMIT and x.min() >= -OVERFLOW_LIMIT
-    elif 0 < size <= GUARD_SCALAR_SIZE:
-        ok = True
+    if 0 < size <= GUARD_SCALAR_SIZE:
         for v in x.ravel().tolist():
             if not -OVERFLOW_LIMIT <= v <= OVERFLOW_LIMIT:
-                ok = False
                 break
+        else:
+            return x
+        ok = False
     else:
-        ok = np.abs(x).max() <= OVERFLOW_LIMIT
+        if size and x.dtype is _FLOAT64:  # an integer dot could wrap
+            flat = x.ravel()
+            if flat.dot(flat) <= _SQUARED_LIMIT:
+                return x
+        if size > GUARD_NO_TEMP_SIZE:
+            ok = x.max() <= OVERFLOW_LIMIT and x.min() >= -OVERFLOW_LIMIT
+        else:
+            ok = np.abs(x).max() <= OVERFLOW_LIMIT
     if ok:
         return x
     rows = None
@@ -294,6 +308,16 @@ class SquaredErrorLoss:
             return (2.0 * residual)[:, None] * self.xs.take(i, axis=0)
         return 2.0 * (self.predict(i, theta) - self.ys[i]) * self.xs[i]
 
+    def value_and_grad(self, i, theta):
+        """(value(i, theta), grad(i, theta)), bit for bit, from one residual."""
+        if theta.ndim == 2:
+            x = self.xs.take(i, axis=0)
+            residual = row_dot(x, theta) - self.ys.take(i)
+            return _pow2(residual), (2.0 * residual)[:, None] * x
+        x = self.xs[i]
+        residual = float(x @ theta) - self.ys[i]
+        return residual ** 2, 2.0 * residual * x
+
 
 class LinearCoefficientLoss:
     """Per-sample loss l_i(theta) = c_i * theta for scalar theta.
@@ -316,6 +340,14 @@ class LinearCoefficientLoss:
         if np.ndim(theta) == 2:
             return self.coefs.take(i)[:, None]
         return np.array([self.coefs[i]])
+
+    def value_and_grad(self, i, theta):
+        """(value(i, theta), grad(i, theta)), bit for bit, from one take."""
+        if theta.ndim == 2:
+            c = self.coefs.take(i)
+            return c * theta[:, 0], c[:, None]
+        c = self.coefs[i]
+        return float(c * theta[0]), np.array([c])
 
 
 def _index_lookup(indices):
@@ -381,15 +413,23 @@ class _SeedBatchable(_ConstantDim, System):
     takes S indices and S parameter rows), returns Jacobians with a leading
     seed axis and one loss per row, and row r computes exactly what the
     system built on row r alone computes.
+
+    A step looks up its sample indices once: every method reads what they
+    select from a one-entry memo, `_last`, filled by the step's first call
+    (keyed by t, and by the theta object where it depends on theta, which
+    is read-only, see `System`).
     """
 
     _idx: object
     _dim = 1
+    _last = None
 
     def take_seeds(self, rows):
-        """The same system restricted to the seed rows `rows`."""
+        """The same system restricted to the seed rows `rows`, with an empty
+        memo."""
         out = copy.copy(self)
         out._idx = self._idx.take(rows)
+        out._last = None
         return out
 
     def d_transition_ds(self, t, s, theta):
@@ -427,25 +467,32 @@ class NonRecurrentRegression(_SeedBatchable):
         if self.core_dim > self.param_dim:
             raise ConfigurationError("core_dim cannot exceed param_dim")
         self._ds = _Constant(0.0)
+        self._y = self.ys[:, None]  # a take of its rows is shaped as s
+
+    def _sample(self, t):
+        """(t, x rows, y rows shaped as s) of step t's samples, kept while t
+        comes back."""
+        last = self._last
+        if last is None or last[0] != t:
+            i = self._idx(t)
+            last = self._last = (t, self.xs.take(i, axis=0), self._y.take(i, axis=0))
+        return last
 
     def transition(self, t, s, theta):
-        i = self._idx(t)
-        if s.ndim == 2:
-            return row_dot(self.xs.take(i, axis=0), theta[:, : self.core_dim])[:, None]
-        return np.array([self.xs[i] @ theta[: self.core_dim]])
+        x = self._sample(t)[1]
+        if s.ndim == 2:  # row_dot's matmul, shaped as s
+            return np.matmul(x[:, None, :], theta[:, : self.core_dim, None])[:, 0]
+        return np.array([x @ theta[: self.core_dim]])
 
     def _row(self, t, theta):
-        return self.xs.take(self._idx(t), axis=0)
+        return self._sample(t)[1]
 
     def loss(self, t, s):
-        if s.ndim == 2:
-            return _pow2(s[:, 0] - self.ys.take(self._idx(t)))
-        return float((s[0] - self.ys[self._idx(t)]) ** 2)
+        r = s - self._sample(t)[2]
+        return _pow2(r[:, 0]) if s.ndim == 2 else float(r[0] ** 2)
 
     def d_loss_ds(self, t, s):
-        if s.ndim == 2:
-            return (2.0 * (s[:, 0] - self.ys.take(self._idx(t))))[:, None]
-        return np.array([2.0 * (s[0] - self.ys[self._idx(t)])])
+        return 2.0 * (s - self._sample(t)[2])
 
 
 def _sigmoid(x):
@@ -588,15 +635,25 @@ class MomentumSystem(_SeedBatchable):
         self.param_dim = self.core_dim if param_dim is None else param_dim
         self._ds, self._one = _Constant(beta), _Constant(1.0)
 
+    def sample(self, t, theta):
+        """(l, grad l) of step t's samples at theta's leading core_dim
+        entries: one `value_and_grad`, kept while t and the theta object
+        come back (the adaptive statistic of `rule_adam` reads it too)."""
+        last = self._last
+        if last is not None and last[0] == t and last[1] is theta:
+            return last[2]
+        out = self.sample_loss.value_and_grad(self._idx(t), theta[..., : self.core_dim])
+        self._last = (t, theta, out)
+        return out
+
     def transition(self, t, s, theta):
-        i = self._idx(t)
-        val = self.sample_loss.value(i, theta[..., : self.core_dim])
+        val = self.sample(t, theta)[0]
         if s.ndim == 2:
-            return (self.beta * s[:, 0] + (1.0 - self.beta) * val)[:, None]
+            return self.beta * s + (1.0 - self.beta) * val[:, None]
         return np.array([self.beta * s[0] + (1.0 - self.beta) * val])
 
     def _row(self, t, theta):
-        return (1.0 - self.beta) * self.sample_loss.grad(self._idx(t), theta[..., : self.core_dim])
+        return (1.0 - self.beta) * self.sample(t, theta)[1]
 
     def loss(self, t, s):
         if s.ndim == 2:

@@ -288,7 +288,7 @@ def _run(cfg: ExperimentConfig, seed):
     kind = system_kind(cfg)
     _check_counts(cfg)
     T = cfg.horizon
-    schedule = StepSchedule(cfg.getfloat("schedule.gamma", 0.1), cfg.getfloat("schedule.b", 0.7))
+    schedule = _step_schedule(cfg)
     if isinstance(seed, list):
         streams = [_seed_streams(cfg, s) for s in seed]
         rng_sample, rng_init = [r[0] for r in streams], [r[1] for r in streams]
@@ -323,6 +323,10 @@ def _check_counts(cfg: ExperimentConfig):
         value = cfg.getint(key, 1)
         if value < 1:
             raise ConfigurationError(f"{key} must be >= 1, got {value}")
+
+
+def _step_schedule(cfg: ExperimentConfig) -> StepSchedule:
+    return StepSchedule(cfg.getfloat("schedule.gamma", 0.1), cfg.getfloat("schedule.b", 0.7))
 
 
 def check_unread_keys(cfg: ExperimentConfig):
@@ -578,8 +582,10 @@ def _rows(cfg: ExperimentConfig, force: bool, grid=()):
     ([sweep] (key, values) pairs; one empty point without) crossed with
     each arm, in order, the point's values set over the arm's clauses.
     error is the exception of the row's checks before any trial, or None;
-    a run's exponent error names its arm. A retired key, a grid entry or
-    seed list without values or with one twice raises here."""
+    a run's exponent error names its arm. The checks build the row's step
+    schedule and, for tbptt, its truncation, so their values fail here too.
+    A retired key, a grid entry or seed list without values or with one
+    twice raises here."""
     arms = cfg.arms()
     for _, arm_cfg in arms:
         _check_retired(arm_cfg)
@@ -599,6 +605,9 @@ def _rows(cfg: ExperimentConfig, force: bool, grid=()):
                     _validate_config(row_cfg, force)
                 except ConfigurationError as exc:
                     raise (exc if grid else ConfigurationError(f"arm {arm!r}: {exc}")) from None
+                _step_schedule(row_cfg)
+                if row_cfg.get("algorithm.name", "sgd") == "tbptt":
+                    _parse_truncation(row_cfg)
             except ConfigurationError as exc:  # failures are data in a sweep
                 error = exc
             rows.append((point, arm, row_cfg, error))

@@ -238,7 +238,7 @@ def pair_step(sys: System, t: int, s, theta, pair: RankOnePair, eta: float, rule
     else:
         v = guard(rule.apply(t, v, s_new, theta), "update-direction", t)
     w = eta * v
-    theta_new = theta - w if phi is None else np.asarray(phi.apply(t, theta, w), dtype=float)
+    theta_new = theta - w if phi is None else phi.apply(t, theta, w)
     pair = RankOnePair.__new__(RankOnePair)  # float arrays already
     pair.v_state, pair.v_param = v_state, v_param
     return s_new, pair, guard(theta_new, "parameter", t), v

@@ -131,14 +131,15 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
 def dense_step(sys: System, t: int, s, theta, J, eta: float, rule, phi, injector=None, rng=None):
     """(s_t, J_t, theta_t, v_t): one learner step with a dense J, (S, n, p)
     seed-batched. `forward_step` guards the stages transition and jacobian,
-    then the rule and operator move theta: update-direction, parameter."""
+    then the rule and operator move theta: update-direction, parameter.
+    Like a rule, phi returns a float array."""
     batched = J.ndim == 3
     s_new, J_new, v = forward_step(sys, t, s, theta, J, injector, rng)
     if rule is not None:
         v = rule.apply(t, v, s_new, theta)
     guard(v, "update-direction", t, batched)
     w = eta * v
-    theta_new = theta - w if phi is None else np.asarray(phi.apply(t, theta, w), dtype=float)
+    theta_new = theta - w if phi is None else phi.apply(t, theta, w)
     return s_new, J_new, guard(theta_new, "parameter", t, batched), v
 
 

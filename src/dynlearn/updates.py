@@ -15,11 +15,12 @@ B Lambda + Lambda^T B = I.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConfigurationError, MomentumSystem, System, _index_lookup
+from .dynamics import GUARD_SCALAR_SIZE, ConfigurationError, MomentumSystem, System, _index_lookup
 from .records import write_csv
 from .rtrl import open_loop_updates
 from .schedules import StepSchedule
@@ -72,8 +73,11 @@ class AdaptiveRule:
     which deliberately leaves the regime covered by the local convergence
     guarantees; it exists for the divergence experiments.
 
-    `apply` takes v and theta as float arrays. A preconditioner may return
-    the diagonal of P, shaped as v_core, which then scales v_core
+    `apply` takes v and theta as float arrays. The statistic is called as
+    stat_fn(t, theta) with the whole augmented theta, and reads theta_core,
+    its leading theta_dim entries; so it may share a memo keyed by the
+    theta object with the system (see `rule_adam`). A preconditioner may
+    return the diagonal of P, shaped as v_core, which then scales v_core
     elementwise. Seed-batched: with theta and v of shape (S, p), a statistic
     built on per-seed index rows and a diagonal preconditioner, each row is
     updated as it would be alone.
@@ -105,18 +109,20 @@ class AdaptiveRule:
         return (1.0 - self.fixed_beta2) / self.schedule.eta(t)
 
     def apply(self, t, v, s, theta):
-        core = theta[..., : self.theta_dim]
         psi = theta[..., self.theta_dim :]
-        stat = self.stat_fn(t, core)
+        stat = self.stat_fn(t, theta)
         if getattr(stat, "shape", None) != psi.shape:
             stat = np.reshape(stat, psi.shape)
-        if not np.isfinite(stat).all():
+        # np.isfinite's verdict; on a few entries Python floats are cheaper.
+        if not (all(map(math.isfinite, stat.ravel().tolist())) if stat.size <= GUARD_SCALAR_SIZE
+                else np.isfinite(stat).all()):
             raise FloatingPointError("statistic evaluated to non-finite entries")
         c_t = self.coupling(t)
         psi_dir = c_t * (psi - stat)
         psi_used = psi
         if self.timing == "psi_first":
             psi_used = psi - self.schedule.eta(t) * psi_dir
+        core = theta[..., : self.theta_dim]
         P = self.precond(core, psi_used)
         v_core = v[..., : self.theta_dim]
         # Off the diagonal P @ v adds only exact zeros, so scaling by the
@@ -133,15 +139,18 @@ class AdaptiveRule:
 
 
 def squared_grad_statistic(sample_loss, indices):
-    """Psi_t(theta) = elementwise square of the per-sample gradient.
+    """Psi_t(theta) = elementwise square of the per-sample gradient at the
+    leading sample_loss.dim entries of theta.
 
     On 2-D indices (one row per seed) it is seed-batched, and its
-    `take_seeds(rows)` keeps the given rows.
+    `take_seeds(rows)` keeps the given rows. `rule_adam` reads the same
+    values from its system's memo (`_SampleSquaredGrad`); this is their
+    oracle.
     """
     idx = _index_lookup(indices)
 
     def stat(t, theta):
-        return sample_loss.grad(idx(t), theta) ** 2
+        return sample_loss.grad(idx(t), theta[..., : sample_loss.dim]) ** 2
 
     stat.take_seeds = lambda rows: squared_grad_statistic(sample_loss, idx.take(rows))
     return stat
@@ -152,10 +161,27 @@ def outer_grad_statistic(sample_loss, indices):
     idx = _index_lookup(indices)
 
     def stat(t, theta):
-        g = sample_loss.grad(idx(t), theta)
+        g = sample_loss.grad(idx(t), theta[..., : sample_loss.dim])
         return np.outer(g, g).ravel()
 
     return stat
+
+
+class _SampleSquaredGrad:
+    """squared_grad_statistic of a MomentumSystem's sample loss and index
+    rows, read from the system's per-step memo (`MomentumSystem.sample`):
+    the gradient the system's dT/dtheta takes, not a second one.
+    `take_seeds` gives the statistic a trimmed copy of the system, with a
+    memo of its own, never the untrimmed system's."""
+
+    def __init__(self, system: MomentumSystem):
+        self.system = system
+
+    def __call__(self, t, theta):
+        return self.system.sample(t, theta)[1] ** 2
+
+    def take_seeds(self, rows):
+        return _SampleSquaredGrad(self.system.take_seeds(rows))
 
 
 def rmsprop_preconditioner(eps=1e-8):
@@ -209,14 +235,15 @@ def rule_adam(sample_loss, indices, beta1, c, eps=1e-8, timing="simultaneous",
 
     beta1 = 0 degenerates to the memoryless adaptive rule. The default
     beta2 coupling is 1 - c*eta_t; pass fixed_beta2 (with the schedule)
-    to reproduce the fixed-inertia divergence behavior.
+    to reproduce the fixed-inertia divergence behavior. The statistic
+    shares the system's per-step sample gradient.
     """
     if not 0.0 <= beta1 < 1.0:
         raise ConfigurationError("beta1 must lie in [0, 1)")
     p = sample_loss.dim
     system = MomentumSystem(sample_loss, indices, beta1, param_dim=2 * p, core_dim=p)
     rule = AdaptiveRule(
-        squared_grad_statistic(sample_loss, indices),
+        _SampleSquaredGrad(system),
         rmsprop_preconditioner(eps),
         c, theta_dim=p, psi_dim=p,
         timing=timing, schedule=schedule, fixed_beta2=fixed_beta2,
@@ -245,9 +272,10 @@ class ProjectedUpdate:
         self.block = block
 
     def apply(self, t, theta, w):
+        """theta - w, clamped; theta and w are float arrays."""
         # np.clip's bits (NaN, and signed zeros: a tie keeps the second
         # argument, so the bound goes first) minus np.clip's Python calls.
-        out = np.asarray(theta, dtype=float) - np.asarray(w, dtype=float)
+        out = theta - w
         out[..., : self.block] = np.minimum(self.hi, np.maximum(self.lo, out[..., : self.block]))
         return out
 

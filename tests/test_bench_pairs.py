@@ -57,3 +57,36 @@ def test_summarize_pairs():
 
 def test_quartiles_of_one_value():
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_both_sides_are_copies_made_the_same_way(tmp_path):
+    # The parent is the commit's files; the change is the tracked files as
+    # they are in the working tree: an edit counts, an untracked file and a
+    # deleted tracked file do not.
+    import subprocess
+
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("A = 1\n")
+    (repo / "gone.txt").write_text("tracked, then deleted\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "src" / "a.py").write_text("A = 2\n")
+    (repo / "untracked.py").write_text("B = 1\n")
+    (repo / "gone.txt").unlink()
+
+    sides = {}
+    for side, data in (("parent", bench_pairs.archive(str(repo), "HEAD")),
+                       ("change", bench_pairs.working_tree(str(repo)))):
+        dest = tmp_path / side
+        bench_pairs.extract(data, str(dest))
+        sides[side] = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert sides == {"parent": ["gone.txt", "src/a.py"], "change": ["src/a.py"]}
+    assert (tmp_path / "parent" / "src" / "a.py").read_text() == "A = 1\n"
+    assert (tmp_path / "change" / "src" / "a.py").read_text() == "A = 2\n"

@@ -136,3 +136,63 @@ def test_jacobian_overflow_stops_every_forward_path():
 
     rec = run_learning(sysm, s0, theta0, None, frozen, T=T)
     assert rec.abort_t == J_OVERFLOW_T
+
+
+# Rows (None: not batched) and columns that put the array in every tier:
+# the Python-float loop, and the one-BLAS-call pre-test in front of each
+# exact test (|x| max, and max/min without a temporary).
+ROWS = st.sampled_from([None, 1, 3, 5])
+COLS = st.sampled_from([1, 4, 25, 300, 1100])
+PASSING_EDGES = [1e12, -1e12, np.nextafter(1e12, 0), 0.0, -0.0, 5e-324]
+
+
+def oracle_rows(x):
+    """The rows of a batched x with an entry that is non-finite or above
+    the limit in magnitude."""
+    return np.flatnonzero(~(np.abs(x.reshape(len(x), -1)).max(axis=1) <= OVERFLOW_LIMIT)).tolist()
+
+
+def laid_out(values, layout):
+    """values (rows, cols) as a C-contiguous, transposed or strided array."""
+    if layout == "contiguous":
+        return values.copy()
+    if layout == "transposed":
+        return values.T.copy().T
+    wide = np.zeros((len(values), 2 * values.shape[1]))
+    wide[:, ::2] = values
+    return wide[:, ::2]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), rows=ROWS, cols=COLS,
+       layout=st.sampled_from(["contiguous", "transposed", "strided"]))
+def test_guard_verdict_stage_and_rows_on_every_tier_and_layout(data, rows, cols, layout):
+    # Mixed magnitudes up to the limit (whose sum of squares often exceeds
+    # L^2, so the exact test runs on passing arrays too), with entries at
+    # +-nextafter(L), NaN and +-inf placed anywhere.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (rows or 1, cols)
+    top = data.draw(st.sampled_from([1.0, 1e6, 1e12]))
+    values = rng.uniform(-1.0, 1.0, shape) * top ** rng.uniform(0.0, 1.0, shape)
+    for _ in range(data.draw(st.integers(0, 3))):
+        where = (data.draw(st.integers(0, shape[0] - 1)), data.draw(st.integers(0, cols - 1)))
+        values[where] = data.draw(st.sampled_from(SPECIALS + PASSING_EDGES))
+    x = laid_out(values, layout)
+    if rows is None:
+        x = x[0]
+    assert np.array_equal(x, values if rows else values[0], equal_nan=True)
+    passes = bool(np.abs(x).max() <= OVERFLOW_LIMIT)
+    exc = assert_verdict(x, passes, batched=rows is not None)
+    if exc is not None:
+        assert exc.rows is None if rows is None else exc.rows.tolist() == oracle_rows(x)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_guard_exact_on_arrays_that_are_not_float64(dtype):
+    # 2**40 > L, but its square wraps to 0 in int64: the one-call pre-test
+    # is for float64 arrays only.
+    for size in (3, GUARD_SCALAR_SIZE + 1, GUARD_NO_TEMP_SIZE + 1):
+        x = np.zeros(size, dtype=dtype)
+        assert guard(x, "stage", 7) is x
+        x[-1] = 2**40
+        assert_verdict(x, False)

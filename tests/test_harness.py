@@ -541,6 +541,38 @@ def test_cli_degenerate_grid_or_seeds_exit_2(command, args, message, tmp_path, c
     assert not out.exists()
 
 
+BAD_VALUES = [
+    ("run", "rnn_stability.ini", ["--set", "arms.a=schedule.b=0.5", "--set", "arms.b=schedule.b=2.0",
+                                  "--set", "experiment.horizon=50"], "exponent b must lie in (0, 1]"),
+    ("run", "influence_balancing_tbptt.ini", ["--set", "schedule.gamma=-0.1"],
+     "overall rate gamma must be >= 0"),
+    ("run", "influence_balancing_tbptt.ini", ["--set", "truncation.spec=grow:x"],
+     "truncation.spec must be a number, got 'x'"),
+    ("sweep", "influence_balancing_tbptt.ini", ["--set", "schedule.b=0"], "exponent b must lie in (0, 1]"),
+    ("sweep", "rnn_stability.ini", ["--set", "sweep.truncation.spec=fixed:0",
+                                    "--set", "algorithm.name=tbptt", "--set", "arms.a=schedule.b=0.5"],
+     "fixed interval length must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("command, config, args, message", BAD_VALUES, ids=[m for *_, m in BAD_VALUES])
+def test_cli_bad_schedule_or_truncation_value_exit_2(command, config, args, message, tmp_path, capsys,
+                                                     monkeypatch):
+    # The step schedule and a tbptt row's truncation are built by the
+    # up-front row checks, so a bad value in a later arm exits 2 before the
+    # earlier arms write anything.
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    out = tmp_path / "o"
+    assert cli_main([command, os.path.join(CONFIG_DIR, config), *args, "--out", str(out)]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 BAD_KEYS = [
     (["--set", "foo=1"], "override key 'foo' is not section.key"),
     (["--set", "=1"], "override key '' is not section.key"),

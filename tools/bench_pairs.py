@@ -5,8 +5,12 @@ Run from the repository root:
     python3 tools/bench_pairs.py --parent HEAD~1 --workload rnn_dense \\
         --pairs 10 --first-seed 11 --out BENCH_6.json
 
-The parent side is the commit `--parent`, extracted with `git archive` into
-a temporary directory; the change side is this working tree. Each side runs
+Both sides run from fresh copies made the same way, side by side in one
+temporary directory: each is a tar archive extracted there. The parent's is
+`git archive` of the commit `--parent`; the change's holds the files git
+tracks, as they are in this working tree (so uncommitted edits count, and
+untracked files do not). Where a tree sits can move its timings, so
+neither side runs from the repository itself. Each side runs
 `perfbench/run.py` from its own tree (which imports dynlearn from that
 tree's `src/`), one run at a time, and the side that runs first alternates
 from pair to pair. Pair k runs workload seed first_seed + k on both sides,
@@ -78,10 +82,28 @@ def summarize(runs, metrics):
     return out
 
 
-def extract(rev, dest):
-    """The files of commit rev, written under dest."""
-    data = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+def archive(root, rev):
+    """A tar archive of the files of commit rev of the repository root."""
+    return subprocess.run(["git", "-C", root, "archive", "--format=tar", rev],
                           capture_output=True, check=True).stdout
+
+
+def working_tree(root):
+    """A tar archive of the files git tracks in root, as they are in the
+    working tree; a tracked file deleted from it is left out."""
+    names = subprocess.run(["git", "-C", root, "ls-files", "-z"],
+                           capture_output=True, check=True).stdout.split(b"\0")
+    out = io.BytesIO()
+    with tarfile.open(fileobj=out, mode="w") as tar:
+        for name in map(os.fsdecode, filter(None, names)):
+            path = os.path.join(root, name)
+            if os.path.lexists(path):
+                tar.add(path, arcname=name, recursive=False)
+    return out.getvalue()
+
+
+def extract(data, dest):
+    """The files of the tar archive data, written under dest."""
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
 
@@ -120,9 +142,10 @@ def main(argv=None):
 
     record = {"parent": parent_rev, "change": f"working tree on {rev_parse('HEAD')}",
               "seconds": seconds, "machine": None, "workloads": {}}
-    with tempfile.TemporaryDirectory() as parent_tree:
-        extract(parent_rev, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
+        extract(archive(ROOT, parent_rev), trees["parent"])
+        extract(working_tree(ROOT), trees["change"])
         for workload in args.workload:
             runs = []
             for k in range(args.pairs):
