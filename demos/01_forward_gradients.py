@@ -10,10 +10,11 @@ import numpy as np
 
 from dynlearn import (
     LearnerState,
+    LinearSystem,
     MomentumSystem,
+    RNNSystem,
     SquaredErrorLoss,
     compound_loss,
-    make_example,
     open_loop_gradient,
     rtrl_step,
     run_trajectory,
@@ -23,14 +24,14 @@ from dynlearn.schedules import StepSchedule, sample_indices
 rng = np.random.default_rng(np.random.Philox(key=0))
 
 print("=== scalar chain s' = 0.5 s + theta ===")
-sys1 = make_example("linear", A=[[0.5]], B=[[1.0]])
+sys1 = LinearSystem(A=[[0.5]], B=[[1.0]])
 states = run_trajectory(sys1, np.zeros(1), np.array([1.0]), 3)
 print("trajectory:", [float(s[0]) for s in states], "(geometric partial sums)")
 g = open_loop_gradient(sys1, np.zeros(1), np.array([1.0]), 3)
 print(f"d loss_3 / d theta = {g[0]} (= (1 - 0.5^3)/0.5, the training signal after 3 steps)")
 
 print("\n=== random recurrent cell: propagated gradient vs finite differences ===")
-sysm = make_example("rnn", n=3, m=2, inputs=lambda t: np.array([np.sin(0.3 * t), np.cos(0.5 * t)]))
+sysm = RNNSystem(n=3, m=2, inputs=lambda t: np.array([np.sin(0.3 * t), np.cos(0.5 * t)]))
 theta = 0.3 * rng.normal(size=sysm.param_dim)
 s0 = 0.5 * np.ones(3)
 t = 25

@@ -16,12 +16,11 @@ from dynlearn import (
     check_stability,
     deviation,
     local_optimum_report,
-    make_example,
     rtrl_step,
     solve_lyapunov,
     spectral_radius_horizon,
 )
-from dynlearn.dynamics import NonRecurrentRegression, RNNSystem
+from dynlearn.dynamics import LinearSystem, NonRecurrentRegression, RNNSystem
 from dynlearn.schedules import sample_indices
 
 rng = np.random.default_rng(np.random.Philox(key=4))
@@ -59,7 +58,7 @@ print(f"  B = {np.round(B, 4).tolist()}, residual of the defining identity {resi
 print(f"  B positive definite: {bool(np.min(np.linalg.eigvalsh(B)) > 0)}")
 
 print("\n=== deviation of a randomized run from the exact algorithm ===")
-sysm = make_example("linear", A=[[0.5]], B=[[1.0]], loss_weights=[1.0])
+sysm = LinearSystem(A=[[0.5]], B=[[1.0]], loss_weights=[1.0])
 sched = StepSchedule(0.05, 0.6)
 theta0 = np.array([0.8])
 ls = LearnerState(0, np.zeros(1), np.zeros((1, 1)), theta0)

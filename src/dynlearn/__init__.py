@@ -1,14 +1,14 @@
 """Online gradient learning for parameterized dynamical systems.
 
 Library map:
-  dynamics     systems T_t, losses, trajectories, example factory
+  dynamics     systems T_t, losses, trajectories, the overflow guard
   rtrl         forward-mode learner, open-loop gradients, deviation
   rankone      sign-based rank-one Jacobian reductions and their errors
   tbptt        growing-truncation interval learning (adjoint pass)
   updates      update rules, parameter-update operators, stability algebra
   schedules    step-size schedules, sampling schemes, exponent validation
   diagnostics  runtime checkers for the convergence hypotheses
-  harness      config-driven seeded experiments, CSV emission
+  harness      system kinds, config keys, seeded experiments, CSV emission
 """
 
 from .dynamics import (
@@ -26,7 +26,6 @@ from .dynamics import (
     System,
     TanhSystem,
     compound_loss,
-    make_example,
     run_trajectory,
     step,
 )

@@ -11,7 +11,6 @@ finite-difference checker used by the tests.
 from __future__ import annotations
 
 import copy
-import inspect
 import math
 from abc import ABC, abstractmethod
 
@@ -31,7 +30,6 @@ __all__ = [
     "ResetWrapper",
     "SquaredErrorLoss",
     "LinearCoefficientLoss",
-    "make_example",
     "step",
     "run_trajectory",
     "compound_loss",
@@ -838,28 +836,6 @@ class ResetWrapper(System):
 
     def d_loss_ds(self, t, s):
         return self.base.d_loss_ds(t, s)
-
-
-EXAMPLES = {
-    "linear": LinearSystem,
-    "nonrecurrent": NonRecurrentRegression,
-    "rnn": RNNSystem,
-    "momentum": MomentumSystem,
-    "influence_balancing": InfluenceBalancing,
-}
-
-
-def make_example(kind: str, **params) -> System:
-    """EXAMPLES[kind](**params): one of the concrete example systems,
-    built from its constructor's keyword arguments."""
-    cls = EXAMPLES.get(kind)
-    if cls is None:
-        raise ConfigurationError(f"unknown system kind {kind!r}")
-    try:
-        inspect.signature(cls).bind(**params)
-    except TypeError as exc:
-        raise ConfigurationError(f"system kind {kind!r}: {exc}") from None
-    return cls(**params)
 
 
 def check_jacobians(sys: System, t, s, theta, h=1e-6, rtol=1e-5):

@@ -6,9 +6,10 @@ horizon; `run_experiment` executes every (arm, seed) trial with an
 independent counter-based random stream and writes one trial CSV per
 seed plus a summary, and `run_sweep` does the same at every [sweep] grid
 point with one aggregated row per (point, arm). Both go through one
-planner: `_rows` crosses the grid points with the arms and checks each
-row before any trial runs, and `_outcomes` runs the rows' seeds over one
-pool. Everything is deterministic from (config, seed): streams are keyed
+planner: `_rows` refuses any key outside `KEYS`, crosses the grid points
+with the arms and checks each row with `_check_row` (which `run_trial`
+and `run_trials` run too) before any trial runs, and `_outcomes` runs
+the rows' seeds over one pool. Everything is deterministic from (config, seed): streams are keyed
 by the config hash and seed, trials never share state, and files are
 written atomically.
 
@@ -28,7 +29,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import configparser
+import difflib
 import io
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -53,8 +56,7 @@ from .tbptt import TruncationSchedule, run_tbptt
 from .updates import (AdamSetup, AdaptiveRule, PreconditionedRule, ProjectedUpdate,
                       inverse_matrix_preconditioner, outer_grad_statistic, rule_adam)
 
-__all__ = ["ExperimentConfig", "check_unread_keys", "parse_numbers", "run_experiment", "run_sweep",
-           "run_trials"]
+__all__ = ["ExperimentConfig", "KEYS", "parse_numbers", "run_experiment", "run_sweep", "run_trials"]
 
 
 @dataclass
@@ -161,11 +163,11 @@ class ExperimentConfig:
 
 
 def parse_numbers(key, text, count, kind=float):
-    """The count comma-separated numbers of config value text, each a
-    kind; ConfigurationError naming the key and the value otherwise."""
+    """The count comma-separated finite numbers of config value text, each
+    a kind; ConfigurationError naming the key and the value otherwise."""
     try:
         values = [kind(x) for x in str(text).split(",")]
-        if len(values) == count:
+        if len(values) == count and (kind is int or all(map(math.isfinite, values))):
             return values
     except ValueError:
         pass
@@ -232,10 +234,10 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     The random stream is a counter-based generator keyed by the config
     hash and the seed, split into independent children for sampling,
     initialization, and injector noise, so arms that consume different
-    amounts of randomness stay comparable. A key the algorithm ignores
-    raises ConfigurationError (`check_unread_keys`).
+    amounts of randomness stay comparable. A config that fails
+    `_check_row` raises ConfigurationError before any trial.
     """
-    check_unread_keys(cfg)
+    _check_row(cfg)
     return _run(cfg, seed)
 
 
@@ -249,6 +251,7 @@ def run_trials(cfg: ExperimentConfig, seeds) -> dict:
     """
     seeds = [int(seed) for seed in seeds]
     if _seed_batched(cfg) and len(seeds) > 1:
+        _check_row(cfg)
         return dict(zip(seeds, _run(cfg, seeds)))
     return {seed: run_trial(cfg, seed) for seed in seeds}
 
@@ -283,10 +286,10 @@ def _per_seed(draw, rngs):
 
 def _run(cfg: ExperimentConfig, seed):
     """run_trial for one seed; for a list of seeds, the list of their
-    records from one seed-batched learner (SEED_BATCHED arms only)."""
+    records from one seed-batched learner (SEED_BATCHED arms only). cfg
+    has passed `_check_row`."""
     algo = cfg.get("algorithm.name", "sgd")
-    kind = system_kind(cfg)
-    _check_counts(cfg)
+    kind = SYSTEM_KINDS[cfg.get("system.kind", "linear_regression")]
     T = cfg.horizon
     schedule = _step_schedule(cfg)
     if isinstance(seed, list):
@@ -316,42 +319,8 @@ def _run(cfg: ExperimentConfig, seed):
     )
 
 
-def _check_counts(cfg: ExperimentConfig):
-    """ConfigurationError unless the horizon and record_every, integer
-    keys whose defaults are >= 1, are >= 1."""
-    for key in ("experiment.horizon", "experiment.record_every"):
-        value = cfg.getint(key, 1)
-        if value < 1:
-            raise ConfigurationError(f"{key} must be >= 1, got {value}")
-
-
 def _step_schedule(cfg: ExperimentConfig) -> StepSchedule:
     return StepSchedule(cfg.getfloat("schedule.gamma", 0.1), cfg.getfloat("schedule.b", 0.7))
-
-
-def check_unread_keys(cfg: ExperimentConfig):
-    """ConfigurationError when cfg sets a key its algorithm ignores: a rule
-    other than identity on tbptt, adam, rmsprop or ong, or a record_every
-    other than 1 on tbptt."""
-    algo, rule = cfg.get("algorithm.name", "sgd"), cfg.get("algorithm.rule", "identity")
-    if algo in ("tbptt",) + ADAPTIVE and rule not in ("", "identity"):
-        raise ConfigurationError(f"algorithm.rule = {rule} is ignored by {algo}; only "
-                                 "sgd, rtrl, uoro and nobacktrack take an update rule")
-    if algo == "tbptt" and (every := cfg.getint("experiment.record_every", 1)) != 1:
-        raise ConfigurationError(f"experiment.record_every = {every} is ignored by tbptt, "
-                                 "which records one row per interval")
-
-
-def _check_retired(cfg: ExperimentConfig):
-    """ConfigurationError naming the truncation.spec that replaced a
-    truncation.A or truncation.fixed_length key (plain or swept)."""
-    for key, text in cfg.values.items():
-        bare = key.removeprefix("sweep.")
-        mode = {"truncation.A": "grow", "truncation.fixed_length": "fixed"}.get(bare)
-        if mode:
-            spec = ",".join(f"{mode}:{v.strip()}" for v in text.split(","))
-            new_key = key.replace(bare, "truncation.spec")
-            raise ConfigurationError(f"{key} is no longer read; set {new_key} = {spec}")
 
 
 def _parse_truncation(cfg) -> TruncationSchedule:
@@ -577,18 +546,70 @@ def _check_distinct(key, values):
         raise ConfigurationError(f"{key} lists {f'{twice[0]} twice' if twice else 'no values'}")
 
 
+# Every key the library reads; `_check_keys` refuses any other.
+KEYS = frozenset({
+    "experiment.name", "experiment.seeds", "experiment.horizon", "experiment.record_every", "experiment.tol",
+    "system.kind", "system.data_csv", "system.n_samples", "system.dim", "system.noise", "system.data_seed",
+    "system.beta", "system.n", "system.m", "system.w_scale", "system.n_plus", "system.delta", "system.s0",
+    "system.coef", "algorithm.name", "algorithm.rule", "algorithm.beta1", "algorithm.c", "algorithm.eps",
+    "algorithm.psi0_ridge", "algorithm.fixed_beta2", "schedule.gamma", "schedule.b", "sampling.scheme",
+    "init.theta0", "init.radius", "truncation.spec", "exponents.a", "exponents.gamma_loss",
+})
+
+
+def _check_keys(cfg: ExperimentConfig):
+    """ConfigurationError for a plain or swept key of cfg outside KEYS, which
+    names the truncation.spec that replaced a retired key, or else the
+    closest key in KEYS. [arms] entries are read as arms."""
+    for key, text in cfg.values.items():
+        bare = key.removeprefix("sweep.")
+        if bare in KEYS or key.startswith("arms."):
+            continue
+        mode = {"truncation.A": "grow", "truncation.fixed_length": "fixed"}.get(bare)
+        if mode:
+            spec = ",".join(f"{mode}:{v.strip()}" for v in text.split(","))
+            raise ConfigurationError(f"{key} is no longer read; set {key.replace(bare, 'truncation.spec')} = {spec}")
+        close = difflib.get_close_matches(bare, KEYS, n=1)
+        hint = f"; did you mean {key.replace(bare, close[0])}?" if close else ""
+        raise ConfigurationError(f"unknown key {key}{hint}")
+
+
+def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
+    """ConfigurationError unless cfg's kind runs its algorithm, its counts
+    are >= 1, it sets no key the algorithm ignores, its exponents hold
+    (unless force; the error names arm when given), and its step schedule
+    and, on tbptt, truncation build."""
+    system_kind(cfg)
+    for key in ("experiment.horizon", "experiment.record_every"):
+        value = cfg.getint(key, 1)
+        if value < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {value}")
+    algo, rule = cfg.get("algorithm.name", "sgd"), cfg.get("algorithm.rule", "identity")
+    if algo in ("tbptt",) + ADAPTIVE and rule not in ("", "identity"):
+        raise ConfigurationError(f"algorithm.rule = {rule} is ignored by {algo}; only "
+                                 "sgd, rtrl, uoro and nobacktrack take an update rule")
+    if algo == "tbptt" and (every := cfg.getint("experiment.record_every", 1)) != 1:
+        raise ConfigurationError(f"experiment.record_every = {every} is ignored by tbptt, "
+                                 "which records one row per interval")
+    try:
+        _validate_config(cfg, force)
+    except ConfigurationError as exc:
+        raise (exc if arm is None else ConfigurationError(f"arm {arm!r}: {exc}")) from None
+    _step_schedule(cfg)
+    if algo == "tbptt":
+        _parse_truncation(cfg)
+
+
 def _rows(cfg: ExperimentConfig, force: bool, grid=()):
     """The (point, arm, config, error) rows of cfg: each point of the grid
     ([sweep] (key, values) pairs; one empty point without) crossed with
     each arm, in order, the point's values set over the arm's clauses.
-    error is the exception of the row's checks before any trial, or None;
-    a run's exponent error names its arm. The checks build the row's step
-    schedule and, for tbptt, its truncation, so their values fail here too.
-    A retired key, a grid entry or seed list without values or with one
-    twice raises here."""
+    error is the exception of the row's `_check_row`, or None; a run's
+    exponent error names its arm. A key outside KEYS, a grid entry or seed
+    list without values or with one twice raises here."""
     arms = cfg.arms()
     for _, arm_cfg in arms:
-        _check_retired(arm_cfg)
+        _check_keys(arm_cfg)
     for key, values in grid:
         _check_distinct(f"sweep.{key}", values)
     _check_distinct("experiment.seeds", cfg.seeds)
@@ -598,16 +619,7 @@ def _rows(cfg: ExperimentConfig, force: bool, grid=()):
             row_cfg = arm_cfg.with_overrides({key: v for (key, _), v in zip(grid, point)})
             error = None
             try:
-                system_kind(row_cfg)
-                _check_counts(row_cfg)
-                check_unread_keys(row_cfg)
-                try:
-                    _validate_config(row_cfg, force)
-                except ConfigurationError as exc:
-                    raise (exc if grid else ConfigurationError(f"arm {arm!r}: {exc}")) from None
-                _step_schedule(row_cfg)
-                if row_cfg.get("algorithm.name", "sgd") == "tbptt":
-                    _parse_truncation(row_cfg)
+                _check_row(row_cfg, force, None if grid else arm)
             except ConfigurationError as exc:  # failures are data in a sweep
                 error = exc
             rows.append((point, arm, row_cfg, error))

@@ -171,7 +171,8 @@ def open_loop_updates(sys: System, rule, s0, theta, T: int) -> np.ndarray:
 
     Row t-1 holds U_t(dl_t/ds . J_t, s_t, theta) with J_t propagated from
     J_0 = 0, which equals the rule applied to the exact gradient of the
-    compound loss at time t.
+    compound loss at time t. A rule's output is guarded as stage
+    "update-direction", as in the learner.
     """
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s0, dtype=float)
@@ -179,7 +180,7 @@ def open_loop_updates(sys: System, rule, s0, theta, T: int) -> np.ndarray:
     out = np.zeros((T, len(theta)))
     for t in range(1, T + 1):
         s, J, v = forward_step(sys, t, s, theta, J)
-        out[t - 1] = rule.apply(t, v, s, theta) if rule is not None else v
+        out[t - 1] = v if rule is None else guard(rule.apply(t, v, s, theta), "update-direction", t)
     return out
 
 
@@ -299,8 +300,8 @@ def deviation(sys: System, theta_anchor, states, t0: int, t1: int,
     one whose pairs follow the exact recursion but consume the *noisy*
     sequence's parameters. The deviation is the distance between the two
     parameters at t1; it is zero iff the noise had no effect on the
-    parameter by then. An overflow of the regularized pair raises
-    NumericOverflow, as in the learner.
+    parameter by then. An overflow of the regularized pair or of a rule's
+    output raises NumericOverflow, as in the learner.
     """
     if t1 < t0:
         raise ContractViolation("need t1 >= t0")
@@ -324,8 +325,8 @@ def deviation(sys: System, theta_anchor, states, t0: int, t1: int,
         s_bar, J_bar, v_bar = forward_step(sys, t, s_bar, theta, J_bar)
         v = np.atleast_1d(sys.d_loss_ds(t, s_noisy)) @ J_noisy
         if rule is not None:
-            v = rule.apply(t, v, s_noisy, theta)
-            v_bar = rule.apply(t, v_bar, s_bar, theta)
+            v = guard(rule.apply(t, v, s_noisy, theta), "update-direction", t)
+            v_bar = guard(rule.apply(t, v_bar, s_bar, theta), "update-direction", t)
         theta_new = phi.apply(t, theta, eta * v) if phi is not None else theta - eta * v
         theta_bar = phi.apply(t, theta_bar, eta * v_bar) if phi is not None else theta_bar - eta * v_bar
         theta = theta_new

@@ -5,22 +5,23 @@ update direction (preconditioned, or adaptive with online statistics
 folded into an augmented parameter). A parameter-update operator Phi_t
 applies the scaled direction (clipping, projection). The identity rule
 and the plain update theta - w are spelled None wherever a rule or an
-operator is taken. The local behavior of the combined update around a candidate
-optimum is summarized by the averaged update Jacobian Lambda; descent
-contracts locally when Lambda is positive-stable (all eigenvalues in the
-right half-plane), certified here through the Lyapunov equation
-B Lambda + Lambda^T B = I.
+operator is taken. A rule does not test its own output: a non-finite
+preconditioner or statistic reaches the direction, which every caller
+guards as stage "update-direction" (`dynamics.guard`). The local
+behavior of the combined update around a candidate optimum is summarized
+by the averaged update Jacobian Lambda; descent contracts locally when
+Lambda is positive-stable (all eigenvalues in the right half-plane),
+certified here through the Lyapunov equation B Lambda + Lambda^T B = I.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GUARD_SCALAR_SIZE, ConfigurationError, MomentumSystem, System, _index_lookup
+from .dynamics import ConfigurationError, MomentumSystem, System, _index_lookup
 from .records import write_csv
 from .rtrl import open_loop_updates
 from .schedules import StepSchedule
@@ -52,8 +53,6 @@ class PreconditionedRule:
 
     def apply(self, t, v, s, theta):
         P = np.atleast_2d(self.precond(np.asarray(theta, dtype=float)))
-        if not np.all(np.isfinite(P)):
-            raise FloatingPointError("preconditioner evaluated to non-finite entries")
         return P @ np.asarray(v, dtype=float)
 
 
@@ -113,10 +112,6 @@ class AdaptiveRule:
         stat = self.stat_fn(t, theta)
         if getattr(stat, "shape", None) != psi.shape:
             stat = np.reshape(stat, psi.shape)
-        # np.isfinite's verdict; on a few entries Python floats are cheaper.
-        if not (all(map(math.isfinite, stat.ravel().tolist())) if stat.size <= GUARD_SCALAR_SIZE
-                else np.isfinite(stat).all()):
-            raise FloatingPointError("statistic evaluated to non-finite entries")
         c_t = self.coupling(t)
         psi_dir = c_t * (psi - stat)
         psi_used = psi
@@ -280,25 +275,28 @@ class ProjectedUpdate:
         return out
 
 
+def _update_jacobians(sys: System, rule, theta, T: int, s0, h) -> np.ndarray:
+    """H[t-1] = Jacobian of theta -> U_t(open-loop gradient at theta) at
+    theta, for t = 1..T: central finite differences, one open-loop pass per
+    probe, which gives the column of every H_t at once."""
+    if not 0 < h < np.inf:
+        raise ConfigurationError("finite-difference step must be finite and > 0")
+    theta = np.asarray(theta, dtype=float)
+    probes = h * np.eye(len(theta))  # row j: h at entry j, exact zeros elsewhere
+    up = np.array([open_loop_updates(sys, rule, s0, theta + e, T) for e in probes])
+    dn = np.array([open_loop_updates(sys, rule, s0, theta - e, T) for e in probes])
+    # H[t-1][i, j] = d u_t_i / d theta_j
+    return (up - dn).transpose(1, 2, 0) / (2.0 * h)
+
+
 def extended_hessian_fd(sys: System, rule, theta_star, t: int, s0, h=1e-5) -> np.ndarray:
     """Jacobian of theta -> U_t(open-loop gradient at theta) at theta_star.
 
-    Central finite differences, one open-loop pass per probe. With rule
-    None (the identity rule) this is the Hessian of the compound loss at time t and
+    Central finite differences (`_update_jacobians`). With rule None (the
+    identity rule) this is the Hessian of the compound loss at time t and
     comes out symmetric up to FD error.
     """
-    if h <= 0:
-        raise ConfigurationError("finite-difference step must be > 0")
-    theta_star = np.asarray(theta_star, dtype=float)
-    p = len(theta_star)
-    H = np.zeros((p, p))
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = h
-        up = open_loop_updates(sys, rule, s0, theta_star + e, t)[t - 1]
-        dn = open_loop_updates(sys, rule, s0, theta_star - e, t)[t - 1]
-        H[:, j] = (up - dn) / (2.0 * h)
-    return H
+    return _update_jacobians(sys, rule, theta_star, t, s0, h)[t - 1]
 
 
 @dataclass
@@ -322,18 +320,7 @@ def estimate_lambda(sys: System, rule, theta_star, T: int, s0, h=1e-5):
     """
     if T < 100:
         raise ConfigurationError("estimate_lambda needs T >= 100")
-    theta_star = np.asarray(theta_star, dtype=float)
-    p = len(theta_star)
-    # One open-loop pass per FD probe gives all H_t columns at once.
-    probes_up = np.zeros((p, T, p))
-    probes_dn = np.zeros((p, T, p))
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = h
-        probes_up[j] = open_loop_updates(sys, rule, s0, theta_star + e, T)
-        probes_dn[j] = open_loop_updates(sys, rule, s0, theta_star - e, T)
-    # H_all[t-1][i, j] = d u_t_i / d theta_j
-    H_all = (probes_up - probes_dn).transpose(1, 2, 0) / (2.0 * h)
+    H_all = _update_jacobians(sys, rule, theta_star, T, s0, h)
     partial = np.cumsum(H_all, axis=0) / np.arange(1, T + 1)[:, None, None]
     lam = partial[-1]
 

@@ -30,7 +30,7 @@ def regression_dataset(seed=1234, n=16, p=4, noise=0.1):
 
 
 def shipped_systems(T=200, seed=7):
-    """One instance of each factory kind, with a natural (s0, theta) pair.
+    """One instance of each example system class, with a natural (s0, theta) pair.
 
     Dimensions respect the randomized-gradient test budget (state dim <= 4,
     parameter dim <= 6).

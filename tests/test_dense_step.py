@@ -77,8 +77,6 @@ class OracleAdaptiveRule(AdaptiveRule):
         psi = theta[..., self.theta_dim :]
         stat = self.stat_fn(t, core)
         stat = np.reshape(stat, psi.shape) if theta.ndim == 2 else np.ravel(stat)
-        if not np.isfinite(stat).all():
-            raise FloatingPointError("statistic evaluated to non-finite entries")
         c_t = self.coupling(t)
         psi_dir = c_t * (psi - stat)
         psi_used = psi

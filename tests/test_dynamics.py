@@ -19,7 +19,6 @@ from dynlearn.dynamics import (
     System,
     check_jacobians,
     compound_loss,
-    make_example,
     run_trajectory,
     step,
 )
@@ -27,7 +26,7 @@ from dynlearn.schedules import sample_indices
 
 
 def test_step_scalar_linear():
-    sys1 = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sys1 = LinearSystem(A=[[0.5]], B=[[1.0]])
     out = step(sys1, 1, np.array([2.0]), np.array([1.0]))
     assert out[0] == 2.0
 
@@ -48,13 +47,13 @@ def test_step_rnn_sigmoid_zero():
 
 
 def test_step_dimension_mismatch():
-    sys1 = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sys1 = LinearSystem(A=[[0.5]], B=[[1.0]])
     with pytest.raises(ContractViolation):
         step(sys1, 1, np.array([1.0, 2.0]), np.array([1.0]))
 
 
 def test_step_overflow_raises():
-    sys1 = make_example("linear", A=[[2.0]], B=[[1.0]])
+    sys1 = LinearSystem(A=[[2.0]], B=[[1.0]])
     with pytest.raises(NumericOverflow) as exc:
         step(sys1, 1, np.array([1e12]), np.array([0.0]))
     assert exc.value.stage == "transition"
@@ -62,7 +61,7 @@ def test_step_overflow_raises():
 
 def test_run_trajectory_geometric():
     # oracle: s_t = sum_{j<t} 0.5^j
-    sys1 = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sys1 = LinearSystem(A=[[0.5]], B=[[1.0]])
     states = run_trajectory(sys1, np.zeros(1), np.array([1.0]), 3)
     expected = [sum(0.5**j for j in range(t)) for t in range(4)]
     assert [s[0] for s in states] == pytest.approx(expected, abs=0)
@@ -70,7 +69,7 @@ def test_run_trajectory_geometric():
 
 
 def test_run_trajectory_empty():
-    sys1 = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sys1 = LinearSystem(A=[[0.5]], B=[[1.0]])
     states = run_trajectory(sys1, np.array([7.0]), np.array([0.0]), 0)
     assert len(states) == 1 and states[0][0] == 7.0
 
@@ -93,7 +92,7 @@ def test_compound_loss_values():
     sysm = NonRecurrentRegression(np.array([[3.0]]), np.array([4.0]), lambda t: 0)
     assert compound_loss(sysm, np.zeros(1), np.array([2.0]), 1) == 4.0  # (6-4)^2
 
-    sys1 = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sys1 = LinearSystem(A=[[0.5]], B=[[1.0]])
     assert compound_loss(sys1, np.zeros(1), np.array([1.0]), 3) == 1.75
 
     zero_loss = LinearSystem(A=[[0.5]], B=[[1.0]], loss_weights=[0.0])
@@ -134,19 +133,19 @@ def test_make_example_momentum_beta_zero():
     xs, ys, theta_star = regression_dataset()
     loss = SquaredErrorLoss(xs, ys)
     idx = sample_indices("cycling", len(xs), 10)
-    sysm = make_example("momentum", sample_loss=loss, indices=idx, beta=0.0)
+    sysm = MomentumSystem(sample_loss=loss, indices=idx, beta=0.0)
     theta = theta_star + 0.3
     s1 = step(sysm, 1, np.array([99.0]), theta)
     assert s1[0] == pytest.approx(loss.value(idx[1], theta), abs=0)
 
 
 def test_make_example_linear_trivial():
-    sysm = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sysm = LinearSystem(A=[[0.5]], B=[[1.0]])
     assert step(sysm, 1, np.array([2.0]), np.array([1.0]))[0] == 2.0
 
 
 def test_influence_balancing_bounded():
-    sysm = make_example("influence_balancing", n=6, n_plus=2)
+    sysm = InfluenceBalancing(n=6, n_plus=2)
     theta = np.array([0.7])
     s = np.zeros(6)
     for t in range(1, 10_001):
@@ -159,13 +158,11 @@ def test_influence_balancing_bounded():
 
 def test_influence_balancing_invalid_params():
     with pytest.raises(ConfigurationError):
-        make_example("influence_balancing", n=6, n_plus=3)  # needs n_plus < n/2
-    with pytest.raises(ConfigurationError):
-        make_example("unknown_kind")
+        InfluenceBalancing(n=6, n_plus=3)  # needs n_plus < n/2
 
 
 def test_reset_wrapper():
-    base = make_example("linear", A=[[0.5]], B=[[1.0]])
+    base = LinearSystem(A=[[0.5]], B=[[1.0]])
     wrapped = ResetWrapper(base, reset_times=[3], s0_star=np.array([0.0]))
     states = run_trajectory(wrapped, np.zeros(1), np.array([1.0]), 4)
     assert states[2][0] == 1.5

@@ -10,7 +10,7 @@ import pytest
 
 from dynlearn.cli import main as cli_main
 from dynlearn.dynamics import ConfigurationError
-from dynlearn.harness import ExperimentConfig, run_experiment, run_sweep, run_trial
+from dynlearn.harness import ExperimentConfig, run_experiment, run_sweep, run_trial, run_trials
 from dynlearn.records import TrialRecord
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -344,6 +344,9 @@ BAD_VALUES = [
     ("truncation.spec=grow:abc", "truncation.spec", "influence_balancing_tbptt.ini"),
     ("algorithm.rule=precond:diag:1,x", "algorithm.rule", "cycling_vs_iid.ini"),
     ("arms.iid=sampling.scheme", "arm 'iid':", "cycling_vs_iid.ini"),
+    ("schedule.gamma=nan", "schedule.gamma", "rnn_stability.ini"),
+    ("init.radius=inf", "init.radius", "rnn_stability.ini"),
+    ("algorithm.rule=precond:scale:inf", "algorithm.rule", "cycling_vs_iid.ini"),
 ]
 
 
@@ -363,6 +366,7 @@ def test_cli_run_bad_value_exit_2(override, message, config, tmp_path, capsys, m
                      "--set", override, "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"config error: {message} " in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_cli_run_checks_every_arm_exponents(tmp_path, capsys):
@@ -674,7 +678,7 @@ def test_cli_run_checks_every_arm_unread_keys(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("entry", ["run_experiment", "run_trial"])
+@pytest.mark.parametrize("entry", ["run_experiment", "run_trial", "run_trials"])
 @pytest.mark.parametrize("algo, override, message", UNREAD_KEYS, ids=[f"{a}-{o}" for a, o, _ in UNREAD_KEYS])
 def test_library_entry_points_refuse_unread_keys(entry, algo, override, message, tmp_path, monkeypatch):
     # The library entry points refuse what the CLI refuses, before any trial.
@@ -692,8 +696,10 @@ def test_library_entry_points_refuse_unread_keys(entry, algo, override, message,
     with pytest.raises(ConfigurationError) as err:
         if entry == "run_experiment":
             run_experiment(cfg, str(out))
-        else:
+        elif entry == "run_trial":
             run_trial(cfg, 0)
+        else:  # the module's own run_trials; two seeds take the batched branch where there is one
+            run_trials(cfg, [0, 1])
     assert str(err.value) == message
     assert not out.exists()
 

@@ -9,10 +9,10 @@ from dynlearn.dynamics import (
     LinearSystem,
     MomentumSystem,
     NonRecurrentRegression,
+    NumericOverflow,
     ResetWrapper,
     RNNSystem,
     SquaredErrorLoss,
-    make_example,
 )
 from dynlearn.rankone import RankOneInjector, ZeroInjector
 from dynlearn.rtrl import (
@@ -25,6 +25,7 @@ from dynlearn.rtrl import (
     run_learning,
 )
 from dynlearn.schedules import StepSchedule, sample_indices
+from dynlearn.updates import PreconditionedRule
 
 
 def fd_gradient(sys, s0, theta, t, h=1e-6):
@@ -69,7 +70,7 @@ def test_rtrl_step_frozen_parameter():
 
 def test_rtrl_step_geometric_jacobian():
     # s' = 0.5 s + theta from J0 = 0: J_t = (1 - 0.5^t) / 0.5
-    sysm = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sysm = LinearSystem(A=[[0.5]], B=[[1.0]])
     ls = LearnerState(0, np.zeros(1), np.zeros((1, 1)), np.array([1.0]))
     for t in range(1, 4):
         ls = rtrl_step(sysm, ls, 0.0)
@@ -94,7 +95,7 @@ def test_open_loop_gradient_nonrecurrent_chain_rule():
 
 
 def test_open_loop_gradient_geometric():
-    sysm = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sysm = LinearSystem(A=[[0.5]], B=[[1.0]])
     for theta in (0.0, 1.0, -2.3):
         g = open_loop_gradient(sysm, np.zeros(1), np.array([theta]), 3)
         assert g[0] == pytest.approx(1.75, abs=1e-12)
@@ -141,7 +142,7 @@ def test_run_learning_zero_rate_keeps_theta():
 
 
 def test_run_learning_records_abort():
-    sysm = make_example("linear", A=[[3.0]], B=[[1.0]])  # expansive: diverges
+    sysm = LinearSystem(A=[[3.0]], B=[[1.0]])  # expansive: diverges
     rec = run_learning(sysm, np.ones(1), np.array([1.0]), None, StepSchedule(0.5, 0.5), T=500,
                        theta_star=np.zeros(1))
     assert rec.aborted and rec.abort_t is not None and rec.abort_t <= 500
@@ -250,6 +251,20 @@ def test_open_loop_updates_matches_gradients():
         assert np.allclose(vs[t - 1], open_loop_gradient(sysm, s0, theta, t), atol=0)
 
 
+def test_checkers_raise_numeric_overflow_on_a_nan_preconditioner():
+    # Outside the learner a non-finite rule output still raises, as the
+    # guard's NumericOverflow (a FloatingPointError) at update-direction.
+    sysm, s0, theta = random_tanh(7)
+    rule = PreconditionedRule(lambda th: np.full((len(th), len(th)), np.nan))
+    with pytest.raises(NumericOverflow) as exc:
+        open_loop_updates(sysm, rule, s0, theta, 10)
+    assert (exc.value.stage, exc.value.t) == ("update-direction", 1)
+    pairs, _ = collect_noisy_states(sysm, s0, theta, StepSchedule(0.05, 0.6), 5)
+    with pytest.raises(NumericOverflow) as exc:
+        deviation(sysm, theta, pairs, 0, 5, StepSchedule(0.05, 0.6), rule, None)
+    assert (exc.value.stage, exc.value.t) == ("update-direction", 1)
+
+
 # --- deviation ---------------------------------------------------------------
 
 def collect_noisy_states(sysm, s0, theta0, schedule, T, injector=None, rng=None):
@@ -286,7 +301,7 @@ def test_deviation_zero_when_parameter_frozen():
 def test_deviation_matches_direct_resimulation():
     # randomized run on the scalar system; oracle re-simulates the two
     # parameter sequences of the definition independently
-    sysm = make_example("linear", A=[[0.5]], B=[[1.0]], loss_weights=[1.0])
+    sysm = LinearSystem(A=[[0.5]], B=[[1.0]], loss_weights=[1.0])
     sched = StepSchedule(0.05, 0.6)
     theta0 = np.array([0.8])
     rng = philox(10)

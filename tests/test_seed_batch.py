@@ -6,6 +6,7 @@ import pytest
 
 import dynlearn.harness as harness
 import dynlearn.rtrl as rtrl
+import dynlearn.updates as updates
 from dynlearn.dynamics import ContractViolation, NumericOverflow, guard
 from dynlearn.harness import SEED_BATCHED, ExperimentConfig, run_trial, run_trials
 from dynlearn.rankone import RankOneInjector
@@ -104,6 +105,33 @@ def test_all_rows_aborting_ends_the_run(tmp_path):
                           "schedule.gamma": 0.3, "schedule.b": 0.05, "experiment.horizon": 400})
     records = assert_same_as_loop(all_abort, list(range(8)), tmp_path)
     assert all(r.aborted for r in records.values())
+
+
+def test_nan_statistic_aborts_only_its_row(tmp_path, monkeypatch):
+    # The adam statistic turns NaN at step t_bad for the one seed that
+    # draws sample k there. The rule does not test it; the step's
+    # update-direction guard drops that row, and every other row stays
+    # the bytes of its solo run.
+    cfg = config(**{"algorithm.name": "adam", "experiment.horizon": 120})
+    seeds = list(range(8))
+    streams = [harness._seed_streams(cfg, seed) for seed in seeds]
+    plant = harness.SYSTEM_KINDS["linear_regression"].build(
+        cfg, "iid", cfg.horizon, [r[0] for r in streams], [r[1] for r in streams])
+    t_bad, k = next((t, k) for t in range(40, cfg.horizon) for k in range(16)
+                    if np.count_nonzero(plant.indices[:, t] == k) == 1)
+    bad_seed = seeds[int(np.flatnonzero(plant.indices[:, t_bad] == k)[0])]
+    squared = updates._SampleSquaredGrad.__call__
+
+    def poisoned(self, t, theta):
+        stat = squared(self, t, theta)
+        if t != t_bad:
+            return stat
+        return np.where((np.asarray(self.system._idx(t)) == k)[..., None], np.nan, stat)
+
+    monkeypatch.setattr(updates._SampleSquaredGrad, "__call__", poisoned)
+    records = assert_same_as_loop(cfg, seeds, tmp_path)
+    assert {seed: r.abort_t for seed, r in records.items()} == {
+        seed: t_bad if seed == bad_seed else None for seed in seeds}
 
 
 def test_one_call_makes_T_steps_not_S_times_T(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dynlearn.cli import main as cli_main
-from dynlearn.dynamics import ConfigurationError, make_example
+from dynlearn.dynamics import ConfigurationError
 from dynlearn.harness import SEED_BATCHED, SYSTEM_KINDS, ExperimentConfig, run_trial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -162,13 +162,6 @@ def test_cli_checks_refuse_period3(check, capsys):
     code = cli_main(["check", check, "--config", str(CONFIGS / "adam_beta2.ini")])
     assert code == 2
     assert "system kind 'period3' runs adam, rmsprop, ong" in capsys.readouterr().err
-
-
-def test_make_example_bad_argument_is_a_configuration_error():
-    with pytest.raises(ConfigurationError, match="'linear'"):
-        make_example("linear", A=[[0.5]])  # no B
-    with pytest.raises(ConfigurationError, match="'rnn'"):
-        make_example("rnn", n=2, m=1, bias=0.0)
 
 
 def readme_kind_table():

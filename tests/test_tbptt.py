@@ -8,11 +8,11 @@ from conftest import philox, random_tanh, regression_dataset
 from dynlearn.dynamics import (
     ConfigurationError,
     InfluenceBalancing,
+    LinearSystem,
     NonRecurrentRegression,
     NumericOverflow,
     RNNSystem,
     System,
-    make_example,
     run_trajectory,
 )
 from dynlearn.rtrl import open_loop_updates
@@ -63,7 +63,7 @@ def test_interval_gradient_single_step():
 
 def test_interval_gradient_geometric():
     # scalar s' = 0.5 s + theta, loss s: sum of (1 - 0.5^t)/0.5 over t = 1..3
-    sysm = make_example("linear", A=[[0.5]], B=[[1.0]])
+    sysm = LinearSystem(A=[[0.5]], B=[[1.0]])
     for s_start in (0.0, 2.0, -1.3):
         g = bptt_interval_gradient(sysm, np.array([s_start]), np.array([0.7]), 0, 3)
         assert g[0] == pytest.approx(1.0 + 1.5 + 1.75, abs=1e-12)

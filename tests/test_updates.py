@@ -264,6 +264,27 @@ def test_extended_hessian_adaptive_bottom_right_block():
     assert np.allclose(H[4:, 4:], c * np.eye(4), atol=1e-9)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+def test_finite_difference_step_must_be_finite_and_positive(h):
+    xs, ys, theta_star = regression_dataset()
+    sysm = NonRecurrentRegression(xs, ys, sample_indices("cycling", len(xs), 200))
+    with pytest.raises(ConfigurationError, match="finite-difference step"):
+        estimate_lambda(sysm, None, theta_star, 100, np.zeros(1), h=h)
+    with pytest.raises(ConfigurationError, match="finite-difference step"):
+        extended_hessian_fd(sysm, None, theta_star, 3, np.zeros(1), h=h)
+
+
+def test_nan_preconditioner_is_an_abort_not_an_error():
+    # The rule does not test P itself: its non-finite direction reaches the
+    # learner's update-direction guard, which records the abort time.
+    xs, ys, theta_star = regression_dataset()
+    sysm = NonRecurrentRegression(xs, ys, sample_indices("cycling", len(xs), 50))
+    rule = PreconditionedRule(lambda theta: np.full((4, 4), np.nan))
+    record = run_learning(sysm, np.zeros(1), theta_star + 0.1, None, StepSchedule(0.1, 0.5),
+                          rule=rule, T=50, theta_star=theta_star)
+    assert record.abort_t == 1
+
+
 def test_estimate_lambda_cycling_identity_rule():
     # cycling over a finite dataset: at epoch multiples the average update
     # Jacobian is exactly the dataset-average Hessian
