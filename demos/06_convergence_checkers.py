@@ -12,6 +12,7 @@ import numpy as np
 from dynlearn import (
     LearnerState,
     RankOneInjector,
+    RankOnePair,
     StepSchedule,
     check_stability,
     deviation,
@@ -61,12 +62,11 @@ print("\n=== deviation of a randomized run from the exact algorithm ===")
 sysm = LinearSystem(A=[[0.5]], B=[[1.0]], loss_weights=[1.0])
 sched = StepSchedule(0.05, 0.6)
 theta0 = np.array([0.8])
-ls = LearnerState(0, np.zeros(1), np.zeros((1, 1)), theta0)
-pairs = [(ls.s.copy(), ls.J.copy())]
+# The rank-one learner's states carry pairs; deviation reads matrix(pair).
+states = [LearnerState(0, np.zeros(1), RankOnePair.zero(1, 1), theta0)]
 inj = RankOneInjector("uoro")
 for t in range(1, 51):
-    ls = rtrl_step(sysm, ls, sched.eta(t), injector=inj, rng=rng)
-    pairs.append((ls.s.copy(), ls.J.copy()))
-dev = deviation(sysm, theta0, pairs, 0, 50, sched)
+    states.append(rtrl_step(sysm, states[-1], sched.eta(t), injector=inj, rng=rng))
+dev = deviation(sysm, theta0, states, 0, 50, sched)
 print(f"  randomized rank-one run, 50 steps: parameter deviation {dev:.3e}")
 print("  (zero when the maintained pairs already follow the exact recursion)")

@@ -32,7 +32,6 @@ from .dynamics import (
 from .rankone import (
     RankOneInjector,
     RankOnePair,
-    ZeroInjector,
     error_term,
     nbt_reduce,
     norm_equalize,

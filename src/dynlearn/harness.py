@@ -6,11 +6,12 @@ horizon; `run_experiment` executes every (arm, seed) trial with an
 independent counter-based random stream and writes one trial CSV per
 seed plus a summary, and `run_sweep` does the same at every [sweep] grid
 point with one aggregated row per (point, arm). Both go through one
-planner: `_rows` refuses any key outside `KEYS`, crosses the grid points
-with the arms and checks each row with `_check_row` (which `run_trial`
-and `run_trials` run too) before any trial runs, and `_outcomes` runs
-the rows' seeds over one pool. Everything is deterministic from (config, seed): streams are keyed
-by the config hash and seed, trials never share state, and files are
+planner: `_rows` refuses any key outside `KEYS` in each arm, crosses the
+grid points with the arms and checks each row with `_check_row` before
+any trial runs (`run_trial` and `run_trials` run both checks on their
+one arm), and `_outcomes` runs the rows' seeds over one pool.
+Everything is deterministic from (config, seed): streams are keyed by
+the config hash and seed, trials never share state, and files are
 written atomically.
 
 `SYSTEM_KINDS` maps each config system kind to its builder, the
@@ -133,7 +134,8 @@ class ExperimentConfig:
 
     @property
     def seeds(self):
-        return [parse_numbers("experiment.seeds", s, 1, int)[0] for s in self.getlist("experiment.seeds", ["0"])]
+        return [_check_seed(parse_numbers("experiment.seeds", s, 1, int)[0])
+                for s in self.getlist("experiment.seeds", ["0"])]
 
     @property
     def horizon(self):
@@ -174,6 +176,13 @@ def parse_numbers(key, text, count, kind=float):
     noun = "integer" if kind is int else "number"
     need = f"{'an' if kind is int else 'a'} {noun}" if count == 1 else f"{count} comma-separated {noun}s"
     raise ConfigurationError(f"{key} must be {need}, got {text!r}")
+
+
+def _check_seed(seed: int) -> int:
+    """seed if in [0, 2**63) (a row holds its seeds as int64), else ConfigurationError."""
+    if not 0 <= seed < 1 << 63:
+        raise ConfigurationError(f"experiment.seeds must lie in [0, 2**63), got {seed}")
+    return seed
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -235,10 +244,12 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     hash and the seed, split into independent children for sampling,
     initialization, and injector noise, so arms that consume different
     amounts of randomness stay comparable. A config that fails
-    `_check_row` raises ConfigurationError before any trial.
+    `_check_keys` or `_check_row`, or a seed outside [0, 2**63), raises
+    ConfigurationError before any trial.
     """
+    _check_keys(cfg)
     _check_row(cfg)
-    return _run(cfg, seed)
+    return _run(cfg, _check_seed(int(seed)))
 
 
 def run_trials(cfg: ExperimentConfig, seeds) -> dict:
@@ -249,8 +260,9 @@ def run_trials(cfg: ExperimentConfig, seeds) -> dict:
     seed-batched learner; any other arm, and a single seed, loop run_trial
     (one seed alone is cheaper per step without the seed axis).
     """
-    seeds = [int(seed) for seed in seeds]
+    seeds = [_check_seed(int(seed)) for seed in seeds]
     if _seed_batched(cfg) and len(seeds) > 1:
+        _check_keys(cfg)
         _check_row(cfg)
         return dict(zip(seeds, _run(cfg, seeds)))
     return {seed: run_trial(cfg, seed) for seed in seeds}

@@ -38,7 +38,10 @@ by one learner step, exactly as these reducers would, with dT/dtheta
 used only through the system's products u . dT/dtheta and its row norms.
 On an RNN a step then costs O(n^2 + np), against O(n^2 p) for the dense
 recursion. Its signs come from a `SignStream`, one generator call per
-SIGN_BLOCK steps.
+SIGN_BLOCK steps. A `RankOneInjector` names the reducer and the start
+pair of a learner run (`rtrl.run_learning`, `rtrl.rtrl_step`). The
+reducers themselves are the tests' oracle of `pair_step`, and what
+`verify_unbiased` enumerates; `error_term` extracts E_t from a step.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ __all__ = [
     "joint_jacobian_norm",
     "verify_unbiased",
     "UnbiasednessReport",
-    "ZeroInjector",
     "RankOneInjector",
 ]
 
@@ -271,52 +273,20 @@ def error_gauge_bound(dim_state: int, y: float, j_old_norm: float) -> float:
 _REDUCERS = {"nbt": nbt_reduce, "nobacktrack": nbt_reduce, "uoro": uoro_reduce}
 
 
-class ZeroInjector:
-    """E_t = 0: recovers the exact algorithm bit for bit."""
-
-    def next_error(self, t, s_prev, theta_prev, J_prev, jac_s, jac_theta, rng):
-        return np.zeros_like(np.atleast_2d(jac_theta))
-
-    def reset(self):
-        pass
-
-
 class RankOneInjector:
     """Rank-one Jacobian propagation with the UORO or NoBackTrack reducer.
 
-    `run_learning` carries the pair itself through `pair_step`, starting
-    from `initial_pair` (zero when None) at every run: no dense Jacobian
-    is formed and dT/dtheta is used only through the system's products.
-
-    A learner that carries a dense J calls `next_error` instead. The pair
-    then lives here and the injected error is matrix(new) - jac_s .
-    matrix(old) - jac_theta, so that J tracks matrix(pair) exactly (up to
-    float rounding) when it starts at matrix(initial_pair). That dense
-    path is imperfect RTRL as defined, and the oracle of the pair-only
-    learner.
+    `rtrl.run_learning` carries the pair itself through `pair_step`,
+    starting from `initial_pair` (zero when None) at every run: no dense
+    Jacobian is formed and dT/dtheta is used only through the system's
+    products. nbt is true for the dense-sign (NoBackTrack) reducer.
     """
 
     def __init__(self, reducer="uoro", initial_pair=None):
         if reducer not in _REDUCERS:
             raise ConfigurationError(f"unknown reducer {reducer!r}")
         self.nbt = reducer != "uoro"
-        self.reduce = _REDUCERS[reducer]
         self.initial_pair = initial_pair
-        self.pair = initial_pair
-
-    def reset(self):
-        self.pair = self.initial_pair
-
-    def next_error(self, t, s_prev, theta_prev, J_prev, jac_s, jac_theta, rng):
-        jac_theta = np.atleast_2d(jac_theta)
-        jac_s = np.atleast_2d(jac_s)
-        if self.pair is None:
-            self.pair = RankOnePair.zero(jac_s.shape[1], jac_theta.shape[1])
-        signs = sample_signs(jac_s.shape[0], rng)
-        new_pair = self.reduce(self.pair, s_prev, theta_prev, jac_s, jac_theta, signs)
-        err = error_term(new_pair.matrix(), self.pair.matrix(), jac_s, jac_theta)
-        self.pair = new_pair
-        return err
 
 
 @dataclass

@@ -3,8 +3,7 @@
 The learner carries (s_t, J_t, theta_t) and advances all three each step:
 
     s_t     = T_t(s_{t-1}, theta_{t-1})
-    J_t     = dT_t/ds . J_{t-1} + dT_t/dtheta  (+ E_t when an error
-              injector supplies randomized-approximation noise)
+    J_t     = dT_t/ds . J_{t-1} + dT_t/dtheta
     v_t     = U_t(dl_t/ds . J_t, s_t, theta_{t-1})
     theta_t = Phi_t(theta_{t-1}, eta_t * v_t)
 
@@ -15,18 +14,18 @@ and J_t is the exact Jacobian of the state with respect to the parameter,
 which is what the open-loop helpers below compute.
 
 `forward_step` is the one place where the first two lines are written:
-the dense learner step `dense_step`, the open-loop helpers, the
-regularized pair of `deviation` and TBPTT's per-step mode all advance
-(s, J) through it. A rule or update operator of None is the identity
-rule U_t(g) = g and the plain update Phi_t(theta, w) = theta - w.
+the dense learner step `dense_step`, the open-loop helpers and the
+regularized pair of `deviation` all advance (s, J) through it. A rule or
+update operator of None is the identity rule U_t(g) = g and the plain
+update Phi_t(theta, w) = theta - w.
 
 J_t is either a dense matrix or, for the rank-one algorithms (UORO,
 NoBackTrack), a `RankOnePair` (v_state, v_param) standing for
-v_state (x) v_param. A pair advances through `rankone.pair_step`: the
-reduction replaces the J recursion, dT/dtheta is used only through the
-system's products, and the gradient is (dl_t/ds . v_state) v_param, so
-no dense J is ever formed. A dense J with a `RankOneInjector` (J plus
-the injected error E_t) is the slow oracle of that step. `run_learning`
+v_state (x) v_param. A pair advances through `rankone.pair_step`: an
+unbiased reduction replaces the J recursion (imperfect RTRL), dT/dtheta
+is used only through the system's products, and the gradient is
+(dl_t/ds . v_state) v_param, so no dense J is ever formed. A
+`RankOneInjector` names the reducer and the start pair. `run_learning`
 calls either step directly and updates one `LearnerState` in place;
 `rtrl_step` advances a LearnerState by one step of either kind.
 
@@ -94,15 +93,14 @@ class LearnerState:
             )
 
 
-def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
+def forward_step(sys: System, t: int, s, theta, J):
     """(s_t, J_t, g_t) from (s_{t-1}, J_{t-1}) at the parameter theta.
 
-    s_t = T_t(s, theta), J_t = dT_t/ds . J + dT_t/dtheta (+ the injector's
-    error E_t) and g_t = dl_t/ds(s_t) . J_t, the gradient row, for a dense
-    J. Without an injector, dT_t/dtheta is added by the system's
-    `d_transition_dtheta_add` into the product dT_t/ds . J. s_t is guarded
-    as stage "transition", then J_t as stage "jacobian". A J of shape
-    (S, n, p) advances S seeds at once (seed-batched, no injector).
+    s_t = T_t(s, theta), J_t = dT_t/ds . J + dT_t/dtheta, with dT_t/dtheta
+    added by the system's `d_transition_dtheta_add` into the fresh product
+    (a structured dT_t/dtheta is never built dense), and the gradient row
+    g_t = dl_t/ds(s_t) . J_t. s_t is guarded as stage "transition", then
+    J_t as stage "jacobian". A J of shape (S, n, p) advances S seeds.
     """
     batched = J.ndim == 3
     jac_s = sys.d_transition_ds(t, s, theta)
@@ -112,15 +110,7 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
     if type(s_new) is not np.ndarray or s_new.dtype is not _FLOAT:
         s_new = np.asarray(s_new, dtype=float)
     guard(s_new, "transition", t, batched)
-    if injector is None:
-        # dT/dtheta is added into the fresh product, so a system with a
-        # structured parameter Jacobian never builds the dense matrix.
-        J_new = sys.d_transition_dtheta_add(t, s, theta, jac_s @ J)
-    else:
-        # The dense oracle of the pair step; next_error needs dT/dtheta.
-        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
-        J_new = jac_s @ J + jac_th + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
-    guard(J_new, "jacobian", t, batched)
+    J_new = guard(sys.d_transition_dtheta_add(t, s, theta, jac_s @ J), "jacobian", t, batched)
     dl = sys.d_loss_ds(t, s_new)
     if getattr(dl, "ndim", 0) < 1:
         dl = np.atleast_1d(dl)
@@ -128,13 +118,13 @@ def forward_step(sys: System, t: int, s, theta, J, injector=None, rng=None):
     return s_new, J_new, g
 
 
-def dense_step(sys: System, t: int, s, theta, J, eta: float, rule, phi, injector=None, rng=None):
+def dense_step(sys: System, t: int, s, theta, J, eta: float, rule, phi):
     """(s_t, J_t, theta_t, v_t): one learner step with a dense J, (S, n, p)
     seed-batched. `forward_step` guards the stages transition and jacobian,
     then the rule and operator move theta: update-direction, parameter.
     Like a rule, phi returns a float array."""
     batched = J.ndim == 3
-    s_new, J_new, v = forward_step(sys, t, s, theta, J, injector, rng)
+    s_new, J_new, v = forward_step(sys, t, s, theta, J)
     if rule is not None:
         v = rule.apply(t, v, s_new, theta)
     guard(v, "update-direction", t, batched)
@@ -147,9 +137,10 @@ def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
               injector=None, rng=None) -> LearnerState:
     """Advance the learner by one step (see module docstring for order).
 
-    A dense J advances through `dense_step`. A RankOnePair J advances
-    through `rankone.pair_step` with this step's signs drawn from rng, and
-    needs a RankOneInjector (checked before any system call).
+    A dense J advances through `dense_step` and takes no injector. A
+    RankOnePair J advances through `rankone.pair_step` with this step's
+    signs drawn from rng, and needs a RankOneInjector. Both are checked
+    before any system call.
     """
     if eta_t < 0:
         raise ContractViolation("step size must be >= 0")
@@ -158,8 +149,10 @@ def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
         if not isinstance(injector, RankOneInjector):
             raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
         step = pair_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi, injector.nbt, SignStream(rng, 1))
+    elif injector is not None:
+        raise ContractViolation("a dense Jacobian takes no injector")
     else:
-        step = dense_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi, injector, rng)
+        step = dense_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi)
     out = LearnerState.__new__(LearnerState)  # the step's arrays satisfy the contract
     out.t = t
     out.s, out.J, out.theta, out.v = step
@@ -201,10 +194,11 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
     divergence experiments treat that as a measurement, not a failure.
     theta_star (optional) is the reference for the recorded distances;
     dist_dims restricts the distance to the leading coordinates (useful
-    when theta is augmented with preconditioner statistics). With a
-    RankOneInjector the learner carries the injector's pair, starting from
-    its initial_pair, instead of a dense J; J0 must then be None or zero,
-    and the signs are drawn in blocks (`rankone.SignStream`).
+    when theta is augmented with preconditioner statistics). injector is
+    None or a RankOneInjector; with one, the learner carries a pair that
+    starts from the injector's initial_pair at every run, instead of a
+    dense J; J0 must then be None or zero, and the signs are drawn in
+    blocks (`rankone.SignStream`).
 
     Seed-batched: theta0 of shape (S, p) and s0 of shape (S, n) run S seeds
     through one learner (dense J, no injector), config_meta is a list of S
@@ -218,18 +212,17 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
         raise ContractViolation("horizon T must be >= 1")
     theta0 = np.asarray(theta0, dtype=float)
     batched = theta0.ndim == 2
-    dims = (len(np.atleast_1d(s0)), len(theta0))
+    step, step_args = dense_step, ()
     if injector is not None:
-        if batched:
-            raise ContractViolation("seed-batched learning takes no injector")
-        injector.reset()
-    step, step_args = dense_step, (injector, rng)
-    if isinstance(injector, RankOneInjector):
-        # The learner carries the injector's pair in place of a dense J.
+        if batched or not isinstance(injector, RankOneInjector):
+            raise ContractViolation("an injector is a RankOneInjector, and seed-batched learning takes none")
+        # The learner carries a pair in place of a dense J.
         if J0 is not None and np.any(J0):
             raise ContractViolation(
                 "a rank-one injector starts from its initial_pair; J0 must be None or zero")
-        J0 = injector.pair if injector.pair is not None else RankOnePair.zero(*dims)
+        J0 = injector.initial_pair
+        if J0 is None:
+            J0 = RankOnePair.zero(len(np.atleast_1d(s0)), len(theta0))
         step, step_args = pair_step, (injector.nbt, SignStream(rng, T))
     elif J0 is None:
         J0 = np.zeros(np.atleast_1d(s0).shape + theta0.shape[-1:])

@@ -24,7 +24,6 @@ import numpy as np
 
 from .dynamics import ConfigurationError, ContractViolation, NumericOverflow, System, guard
 from .records import RecordBuilder, TrialRecord
-from .rtrl import forward_step
 from .schedules import StepSchedule
 
 __all__ = ["TruncationSchedule", "BpttCounters", "bptt_interval_gradient", "run_tbptt"]
@@ -142,22 +141,16 @@ def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int
 
 def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
               trunc: TruncationSchedule, T: int, reset_state=None, phi=None,
-              update_mode: str = "aggregate", theta_star=None, dist_dims=None,
-              config_meta=None) -> TrialRecord:
+              theta_star=None, dist_dims=None, config_meta=None) -> TrialRecord:
     """Interval-wise learning; records one row per interval boundary.
 
     reset_state=None carries the state across boundaries; otherwise the
     state is reset to the given value at the start of every interval (the
-    Jacobian information is implicitly reset by construction).
-    update_mode "aggregate" applies one subtraction with the summed
-    gradient (through phi when given); "per_step" applies phi once per
-    interval step with the individual gradient pieces, which differs at
-    second order only. The (A, b) relation of the exponents is checked by
-    the experiment harness, not here.
+    Jacobian information is implicitly reset by construction). Each
+    interval applies one step with its summed gradient, through phi when
+    given. The (A, b) relation of the exponents is checked by the
+    experiment harness, not here.
     """
-    if update_mode not in ("aggregate", "per_step"):
-        raise ConfigurationError(f"unknown update mode {update_mode!r}")
-
     theta = np.asarray(theta0, dtype=float)
     s = np.asarray(s0, dtype=float)
     ref = None if theta_star is None else np.asarray(theta_star, dtype=float)[:dist_dims]
@@ -176,32 +169,12 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
         for k, (t_lo, t_hi) in enumerate(trunc.intervals(T), start=1):
             if reset_state is not None:
                 s = np.asarray(reset_state, dtype=float)
-            eta = eta_at(t_hi)
-            if update_mode == "aggregate":
-                grad, states = _interval_pass(methods, s, theta, t_lo, t_hi)
-                s = states[-1]
-                w = eta * grad
-                theta_new = phi.apply(t_hi, theta, w) if phi is not None else theta - w
-            else:
-                theta_new, grad, s = _per_step_update(sys, s, theta, t_lo, t_hi, eta, phi)
-            theta = guard(theta_new, "parameter", t_hi)
+            grad, states = _interval_pass(methods, s, theta, t_lo, t_hi)
+            s = states[-1]
+            w = eta_at(t_hi) * grad
+            theta = guard(phi.apply(t_hi, theta, w) if phi is not None else theta - w, "parameter", t_hi)
             add(t_hi, dist(theta), loss(t_hi, s), sqrt(grad.dot(grad)), k)
     except NumericOverflow as exc:
         builder.abort_t = exc.t
         add(exc.t, dist(theta), np.nan, np.nan, k)
     return builder.build(final_theta=theta)
-
-
-def _per_step_update(sys, s_start, theta, t_lo, t_hi, eta, phi):
-    """Apply phi per interval step using forward-propagated gradients."""
-    p = len(theta)
-    s = np.asarray(s_start, dtype=float)
-    J = np.zeros((len(s), p))
-    theta_new = theta.copy()
-    total = np.zeros(p)
-    for t in range(t_lo + 1, t_hi + 1):
-        s, J, v = forward_step(sys, t, s, theta, J)
-        total += v
-        w = eta * v
-        theta_new = phi.apply(t, theta_new, w) if phi is not None else theta_new - w
-    return theta_new, total, s

@@ -1,6 +1,6 @@
 """KEYS, the config keys the library reads: it holds every literal key
-that src/dynlearn reads and nothing else, and `run` and `sweep` refuse any
-other key before a trial runs."""
+that src/dynlearn reads and nothing else, and `run`, `sweep`, `run_trial`
+and `run_trials` refuse any other key before a trial runs."""
 
 import ast
 from pathlib import Path
@@ -65,3 +65,23 @@ def test_cli_unknown_key_exit_2(command, config, override, message, tmp_path, ca
     assert f"config error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("entry, config", [
+    ("run_trial", "rnn_stability.ini"),
+    ("run_trials", "rnn_stability.ini"),  # a run_trial per seed
+    ("run_trials", "cycling_vs_iid.ini"),  # one seed-batched learner
+])
+def test_trial_entry_points_refuse_unknown_keys(entry, config, monkeypatch):
+    # run_trial and run_trials take one arm's config and check its keys too.
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad config")
+
+    monkeypatch.setattr(harness, "_run", no_trials)
+    cfg = harness.ExperimentConfig.load(CONFIG_DIR / config).arms()[0][1]
+    cfg = cfg.with_overrides({"schedule.gama": "0.9", "experiment.horizon": "20"})
+    with pytest.raises(harness.ConfigurationError) as err:
+        if entry == "run_trial":
+            harness.run_trial(cfg, 0)
+        else:
+            harness.run_trials(cfg, [0, 1])
+    assert str(err.value) == "unknown key schedule.gama; did you mean schedule.gamma?"

@@ -37,27 +37,23 @@ def oracle_dtheta_add(sys, t, s, theta, M):
     return sys.d_transition_dtheta_add(t, s, theta, M)
 
 
-def oracle_forward_step(sys, t, s, theta, J, injector=None, rng=None):
+def oracle_forward_step(sys, t, s, theta, J):
     batched = J.ndim == 3
     jac_s = np.atleast_2d(sys.d_transition_ds(t, s, theta))
     s_new = guard(np.asarray(sys.transition(t, s, theta), dtype=float), "transition", t, batched)
-    if injector is None:
-        J_new = oracle_dtheta_add(sys, t, s, theta, jac_s @ J)
-    else:
-        jac_th = np.atleast_2d(sys.d_transition_dtheta(t, s, theta))
-        J_new = jac_s @ J + jac_th + injector.next_error(t, s, theta, J, jac_s, jac_th, rng)
+    J_new = oracle_dtheta_add(sys, t, s, theta, jac_s @ J)
     guard(J_new, "jacobian", t, batched)
     dl = np.atleast_1d(sys.d_loss_ds(t, s_new))
     g = np.matmul(dl[:, None, :], J_new)[:, 0] if batched else dl @ J_new
     return s_new, J_new, g
 
 
-def oracle_rtrl_step(sys, ls, eta_t, rule=None, phi=None, injector=None, rng=None):
+def oracle_rtrl_step(sys, ls, eta_t, rule=None, phi=None):
     if eta_t < 0:
         raise ContractViolation("step size must be >= 0")
     t = ls.t + 1
     batched = ls.theta.ndim == 2
-    s_new, J_new, v = oracle_forward_step(sys, t, ls.s, ls.theta, ls.J, injector, rng)
+    s_new, J_new, v = oracle_forward_step(sys, t, ls.s, ls.theta, ls.J)
     if rule is not None:
         v = rule.apply(t, v, s_new, ls.theta)
     guard(v, "update-direction", t, batched)
@@ -109,10 +105,10 @@ def as_oracle(part):
     return out
 
 
-def oracle_dense_step(sys, t, s, theta, J, eta, rule, phi, injector=None, rng=None):
+def oracle_dense_step(sys, t, s, theta, J, eta, rule, phi):
     ls = LearnerState.__new__(LearnerState)
     ls.t, ls.s, ls.J, ls.theta, ls.v = t - 1, s, J, theta, None
-    out = oracle_rtrl_step(sys, ls, eta, as_oracle(rule), as_oracle(phi), injector, rng)
+    out = oracle_rtrl_step(sys, ls, eta, as_oracle(rule), as_oracle(phi))
     return out.s, out.J, out.theta, out.v
 
 

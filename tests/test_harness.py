@@ -347,6 +347,8 @@ BAD_VALUES = [
     ("schedule.gamma=nan", "schedule.gamma", "rnn_stability.ini"),
     ("init.radius=inf", "init.radius", "rnn_stability.ini"),
     ("algorithm.rule=precond:scale:inf", "algorithm.rule", "cycling_vs_iid.ini"),
+    ("experiment.seeds=18446744073709551616", "experiment.seeds must lie in [0, 2**63),", "rnn_stability.ini"),
+    ("experiment.seeds=0,-1", "experiment.seeds must lie in [0, 2**63),", "rnn_stability.ini"),
 ]
 
 
@@ -367,6 +369,42 @@ def test_cli_run_bad_value_exit_2(override, message, config, tmp_path, capsys, m
     assert code == 2
     assert f"config error: {message} " in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+BAD_SEEDS = ["18446744073709551616", "9223372036854775808", "-1"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_cli_run_bad_seed_flag_exit_2(seed, tmp_path, capsys, monkeypatch):
+    # --seed is refused as --set experiment.seeds is (BAD_VALUES).
+    import dynlearn.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad seed")
+
+    monkeypatch.setattr(harness, "run_trials", no_trials)
+    code = cli_main(["run", os.path.join(CONFIG_DIR, "rnn_stability.ini"), "--seed", "0", seed,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: experiment.seeds must lie in [0, 2**63), got {seed}\n" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("seed", [int(s) for s in BAD_SEEDS])
+def test_trial_entry_points_refuse_bad_seeds(seed, monkeypatch):
+    import dynlearn.harness as harness
+
+    # The largest seed a row holds as int64 runs.
+    cfg = small_config(**{"experiment.horizon": "5"})
+    assert list(run_trials(cfg, [0, 2**63 - 1])) == [0, 2**63 - 1]
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran on a bad seed")
+
+    monkeypatch.setattr(harness, "_run", no_trials)
+    for run in (lambda: run_trial(cfg, seed), lambda: run_trials(cfg, [0, seed])):
+        with pytest.raises(ConfigurationError, match=r"experiment\.seeds must lie in \[0, 2\*\*63\)"):
+            run()
 
 
 def test_cli_run_checks_every_arm_exponents(tmp_path, capsys):

@@ -88,13 +88,14 @@ def test_one_generator_call_per_sign_block(T):
 
 # --- run_learning against an oracle loop -------------------------------------
 
-def oracle_record(sysm, s0, theta0, schedule, reducer, T, rng, theta_star):
+def oracle_record(sysm, s0, theta0, schedule, reducer, T, rng, theta_star, pair=None):
     """(record, abort stage or None) of a pair learner written from the
     reducers (on the system's products), one sample_signs call per step and
-    the four guards of the dense learner, each on the full array."""
+    the four guards of the dense learner, each on the full array, from the
+    start pair (zero when None)."""
     reduce = nbt_reduce if reducer == "nbt" else uoro_reduce
     s, theta = np.asarray(s0, dtype=float), np.asarray(theta0, dtype=float)
-    pair = RankOnePair.zero(len(s), len(theta))
+    pair = pair or RankOnePair.zero(len(s), len(theta))
     builder = RecordBuilder(None)
 
     def dist(th):
@@ -146,15 +147,23 @@ PLANTS = {
 }
 
 
+# Every plant from the zero pair, and three from a drawn initial_pair.
+STARTS = [(plant, False) for plant in PLANTS] + [
+    (plant, True) for plant in ("rnn-n3-m2", "tanh", "linear-expansive")]
+
+
 @pytest.mark.parametrize("reducer", ["uoro", "nbt"])
-@pytest.mark.parametrize("plant", list(PLANTS))
-def test_run_learning_csv_equals_the_oracle_loop(plant, reducer, tmp_path):
+@pytest.mark.parametrize("plant, from_pair", STARTS,
+                         ids=[plant + "-from-pair" * from_pair for plant, from_pair in STARTS])
+def test_run_learning_csv_equals_the_oracle_loop(plant, from_pair, reducer, tmp_path):
     sysm, s0, theta0 = PLANTS[plant]()
     gamma = 1e-20 if plant == "linear-expansive" else 0.02
     schedule, T, star = StepSchedule(gamma, 0.5), 300, theta0 + 0.1
-    rec = run_learning(sysm, s0, theta0, None, schedule, T=T, injector=RankOneInjector(reducer),
-                       rng=philox(5), theta_star=star)
-    want, stage = oracle_record(sysm, s0, theta0, schedule, reducer, T, philox(5), star)
+    rng = philox(36)
+    pair0 = RankOnePair(rng.normal(size=len(s0)), rng.normal(size=len(theta0))) if from_pair else None
+    rec = run_learning(sysm, s0, theta0, None, schedule, T=T, rng=philox(5), theta_star=star,
+                       injector=RankOneInjector(reducer, initial_pair=pair0))
+    want, stage = oracle_record(sysm, s0, theta0, schedule, reducer, T, philox(5), star, pair0)
     rec.to_csv(str(tmp_path / "step.csv"))
     want.to_csv(str(tmp_path / "oracle.csv"))
     assert (tmp_path / "step.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -165,7 +174,7 @@ def test_run_learning_csv_equals_the_oracle_loop(plant, reducer, tmp_path):
         return
     # The step aborts at the oracle's step and stage, also on block signs.
     assert stage == "jacobian"
-    s, theta, pair = s0, theta0, RankOnePair.zero(3, 2)
+    s, theta, pair = s0, theta0, pair0 or RankOnePair.zero(3, 2)
     signs = SignStream(philox(5), T)
     with pytest.raises(NumericOverflow) as exc:
         for t in range(1, T + 1):

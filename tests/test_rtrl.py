@@ -14,7 +14,7 @@ from dynlearn.dynamics import (
     RNNSystem,
     SquaredErrorLoss,
 )
-from dynlearn.rankone import RankOneInjector, ZeroInjector
+from dynlearn.rankone import RankOneInjector, RankOnePair
 from dynlearn.rtrl import (
     LearnerState,
     deviation,
@@ -199,23 +199,11 @@ def test_forward_step_rnn_allocates_about_one_jacobian():
     assert peak < 1.5 * J.nbytes, peak / J.nbytes
 
 
-def test_zero_injector_bit_identical_to_exact():
-    sysm, s0, theta = random_tanh(5)
-    kw = dict(schedule=StepSchedule(0.05, 0.6), rule=None, phi=None,
-              T=200, theta_star=theta)
-    rec_plain = run_learning(sysm, s0, theta + 0.1, None, rng=None, **kw)
-    rec_zero = run_learning(sysm, s0, theta + 0.1, None, injector=ZeroInjector(),
-                            rng=philox(0), **kw)
-    assert np.array_equal(rec_plain.final_theta, rec_zero.final_theta)
-    assert np.array_equal(rec_plain.theta_dist, rec_zero.theta_dist)
-
-
 def test_injector_arms_share_config_hash():
     sysm, s0, theta = random_tanh(6)
     meta = {"experiment": "demo", "seed": 3}
     kw = dict(schedule=StepSchedule(0.05, 0.6), T=100, theta_star=theta, config_meta=meta)
-    rec_exact = run_learning(sysm, s0, theta + 0.1, None, injector=ZeroInjector(),
-                             rng=philox(3), **kw)
+    rec_exact = run_learning(sysm, s0, theta + 0.1, None, injector=None, rng=philox(3), **kw)
     rec_uoro = run_learning(sysm, s0, theta + 0.1, None, injector=RankOneInjector("uoro"),
                             rng=philox(3), **kw)
     assert rec_exact.config_hash == rec_uoro.config_hash != ""
@@ -268,13 +256,19 @@ def test_checkers_raise_numeric_overflow_on_a_nan_preconditioner():
 # --- deviation ---------------------------------------------------------------
 
 def collect_noisy_states(sysm, s0, theta0, schedule, T, injector=None, rng=None):
-    """Run the learner and keep the maintained (s, J) pairs per step."""
-    ls = LearnerState(0, s0, np.zeros((len(s0), len(theta0))), theta0)
-    pairs = [(ls.s.copy(), ls.J.copy())]
+    """Run the learner and keep the maintained (s, J) pairs per step; with
+    an injector, the pair learner's J as the matrix of its pair."""
+    n, p = len(s0), len(theta0)
+    ls = LearnerState(0, s0, np.zeros((n, p)) if injector is None else RankOnePair.zero(n, p), theta0)
+
+    def dense(J):
+        return J.matrix() if isinstance(J, RankOnePair) else J.copy()
+
+    pairs = [(ls.s.copy(), dense(ls.J))]
     for t in range(1, T + 1):
         ls = rtrl_step(sysm, ls, schedule.eta(t), None, None,
                        injector=injector, rng=rng)
-        pairs.append((ls.s.copy(), ls.J.copy()))
+        pairs.append((ls.s.copy(), dense(ls.J)))
     return pairs, ls
 
 
@@ -333,8 +327,6 @@ def test_deviation_matches_direct_resimulation():
 
 def test_deviation_accepts_rank_one_states():
     # States of the pair-only learner enter through matrix(pair).
-    from dynlearn.rankone import RankOnePair
-
     sysm, s0, theta = random_tanh(11)
     sched = StepSchedule(0.05, 0.6)
     ls = LearnerState(0, s0, RankOnePair.zero(3, 5), theta)

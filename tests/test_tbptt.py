@@ -204,17 +204,6 @@ def test_run_tbptt_interval_column_and_boundaries():
     assert [t_lo for t_lo, _ in intervals] == list(rec.t[:-1])
 
 
-def test_run_tbptt_per_step_close_to_aggregate():
-    sysm = InfluenceBalancing(6, 2)
-    kw = dict(schedule=StepSchedule(0.02, 0.7), trunc=TruncationSchedule.growing(0.4),
-              T=200, theta_star=np.zeros(1))
-    rec_a = run_tbptt(sysm, np.zeros(6), np.array([0.3]), **kw, update_mode="aggregate")
-    rec_p = run_tbptt(sysm, np.zeros(6), np.array([0.3]), **kw, update_mode="per_step")
-    # differ at second order in the step size only
-    assert abs(rec_a.final_dist() - rec_p.final_dist()) < 1e-3
-    assert rec_a.final_dist() != rec_p.final_dist()
-
-
 def test_run_tbptt_reset_policy():
     sysm, s0, theta = random_tanh(4)
     kw = dict(schedule=StepSchedule(0.01, 0.7), trunc=TruncationSchedule.fixed(4), T=20)
