@@ -193,6 +193,8 @@ def build_dataset(cfg: ExperimentConfig):
     if path:
         try:
             raw = np.loadtxt(path, delimiter=",", skiprows=0, ndmin=2)
+        except OSError as exc:
+            raise ConfigurationError(f"system.data_csv {path!r} cannot be read: {exc}") from None
         except ValueError:
             try:
                 raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -589,9 +591,11 @@ def _check_keys(cfg: ExperimentConfig):
 def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
     """ConfigurationError unless cfg's kind runs its algorithm, its counts
     are >= 1, it sets no key the algorithm ignores, its exponents hold
-    (unless force; the error names arm when given), and its step schedule
-    and, on tbptt, truncation build."""
-    system_kind(cfg)
+    (unless force; the error names arm when given), and its step schedule,
+    on tbptt its truncation, and its plant build. The plant is built (at
+    horizon 1) only when init.theta0 or system.s0 is not a keyword, since
+    their length is the plant's parameter or state dimension."""
+    kind = system_kind(cfg)
     for key in ("experiment.horizon", "experiment.record_every"):
         value = cfg.getint(key, 1)
         if value < 1:
@@ -610,6 +614,9 @@ def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
     _step_schedule(cfg)
     if algo == "tbptt":
         _parse_truncation(cfg)
+    if cfg.get("init.theta0", "near_optimum") != "near_optimum" or cfg.get("system.s0") not in (
+            None, "zeros", "stationary"):
+        kind.build(cfg, cfg.get("sampling.scheme", "cycling"), 1, *[np.random.default_rng(0)] * 2)
 
 
 def _rows(cfg: ExperimentConfig, force: bool, grid=()):

@@ -9,12 +9,18 @@ import os
 import tempfile
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 __all__ = ["TrialRecord", "config_hash", "write_csv"]
 
-CSV_FIELDS = ("t", "theta_dist", "loss", "grad_norm", "aborted")
+# Each trial CSV column and how a cell of it is read: int() into an int64
+# array or float() into a float64 one. interval_k, the last, is written
+# only by truncated runs.
+CSV_COLUMNS = {"t": int, "theta_dist": float, "loss": float, "grad_norm": float, "aborted": int, "interval_k": int}
+CSV_FIELDS = tuple(CSV_COLUMNS)[:-1]
+_TYPECODES = {int: "q", float: "d"}
 CSV_BLOCK_ROWS = 1024
 
 
@@ -105,10 +111,7 @@ class TrialRecord:
         return cols
 
     def header(self):
-        fields = list(CSV_FIELDS)
-        if self.interval_k is not None:
-            fields.append("interval_k")
-        return fields
+        return list(CSV_FIELDS if self.interval_k is None else CSV_COLUMNS)
 
     def converged(self, tol: float) -> bool:
         """Finished (no abort) with the final recorded distance within
@@ -120,23 +123,76 @@ class TrialRecord:
 
     @classmethod
     def from_csv(cls, path):
+        """The record of a trial CSV written by `to_csv`; abort_t is the
+        first t marked aborted, and interval_k is read when the file has it.
+
+        Streams the file in blocks of CSV_BLOCK_ROWS rows into one typed
+        column per field, each cell through int() or float(): 8 bytes a cell
+        plus one block of cell strings, and every value (NaN, +-inf and -0.0
+        included) as written. t, aborted and interval_k are int64, also with
+        no rows. ValueError, naming the file and the data row (or line), for
+        a file the writer does not write: another header (a missing, unknown
+        or reordered column), a row of another width, a cell that does not
+        parse or fit int64, an aborted cell other than 0 or 1, or text that
+        csv.reader refuses.
+        """
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-        t = np.array([int(r["t"]) for r in rows])
-        aborted = np.array([int(r["aborted"]) for r in rows])
-        abort_t = int(t[aborted == 1][0]) if aborted.any() else None
-        interval_k = None
-        if rows and "interval_k" in rows[0]:
-            interval_k = np.array([int(r["interval_k"]) for r in rows])
+            reader = _csv_rows(path, fh)
+            header = next(reader, [])
+            if header not in (list(CSV_FIELDS), list(CSV_COLUMNS)):
+                raise ValueError(f"{path}: header {','.join(header)!r} is not the trial header "
+                                 f"{','.join(CSV_FIELDS)!r}, with or without ',interval_k'")
+            columns = {name: array(_TYPECODES[CSV_COLUMNS[name]]) for name in header}
+            parsers = [(columns[name], CSV_COLUMNS[name]) for name in header]
+            rows_read = 0
+            while block := list(islice(reader, CSV_BLOCK_ROWS)):
+                # zip(*block) would cut a ragged block short without a word.
+                if set(map(len, block)) != {len(header)}:
+                    raise ValueError(_first_bad_row(path, header, block, rows_read))
+                try:
+                    for (column, parse), cells in zip(parsers, zip(*block)):
+                        column.extend(map(parse, cells))
+                except (ValueError, OverflowError):
+                    raise ValueError(_first_bad_row(path, header, block, rows_read)) from None
+                rows_read += len(block)
+        t, aborted = (np.frombuffer(columns[name], dtype=np.int64) for name in ("t", "aborted"))
+        bad = np.flatnonzero((aborted != 0) & (aborted != 1))
+        if bad.size:
+            raise ValueError(f"{path}: data row {bad[0] + 1}: aborted is {aborted[bad[0]]}, not 0 or 1")
         return cls(
             t=t,
-            theta_dist=np.array([float(r["theta_dist"]) for r in rows]),
-            loss=np.array([float(r["loss"]) for r in rows]),
-            grad_norm=np.array([float(r["grad_norm"]) for r in rows]),
-            abort_t=abort_t,
-            interval_k=interval_k,
+            theta_dist=np.frombuffer(columns["theta_dist"]),
+            loss=np.frombuffer(columns["loss"]),
+            grad_norm=np.frombuffer(columns["grad_norm"]),
+            abort_t=int(t[np.argmax(aborted)]) if aborted.any() else None,
+            interval_k=np.frombuffer(columns["interval_k"], dtype=np.int64) if "interval_k" in columns else None,
         )
+
+
+def _csv_rows(path, fh):
+    """The rows of csv.reader over fh; ValueError naming path and the line
+    for text csv.reader refuses (a NUL byte, a cell over the field limit)."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _first_bad_row(path, header, block, rows_before):
+    """Where and why the first malformed row of block (which follows
+    rows_before data rows of path) fails: its width, or a cell that does
+    not parse as its column's type."""
+    for number, row in enumerate(block, start=rows_before + 1):
+        if len(row) != len(header):
+            return f"{path}: data row {number} has {len(row)} cells, the header {len(header)}"
+        for name, cell in zip(header, row):
+            parse = CSV_COLUMNS[name]
+            try:
+                array(_TYPECODES[parse], [parse(cell)])
+            except (ValueError, OverflowError) as exc:
+                return f"{path}: data row {number}, column {name}: {exc}"
+    raise AssertionError("no malformed row in the block")
 
 
 class RecordBuilder:

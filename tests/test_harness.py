@@ -783,6 +783,67 @@ def test_cli_sweep_point_bad_count_is_an_error_row(tmp_path):
     assert lines[2].endswith(",")
 
 
+PLANT_VALUES = [
+    (["run", os.path.join(CONFIG_DIR, "rnn_stability.ini"), "--set", "arms.a=init.radius=0.5",
+      "--set", "arms.b=init.theta0=1,2"], "init.theta0 must be 18 comma-separated numbers, got '1,2'"),
+    (["run", TBPTT_INI, "--set", "arms.a=system.s0=stationary", "--set", "arms.b=system.s0=1,2"],
+     "system.s0 must be 6 comma-separated numbers, got '1,2'"),
+    (["sweep", os.path.join(CONFIG_DIR, "rnn_stability.ini"), "--set", "sweep.init.radius=0.3,0.5",
+      "--set", "init.theta0=1,2"], "init.theta0 must be 18 comma-separated numbers, got '1,2'"),
+    (["sweep", TBPTT_INI, "--set", "system.s0=1,2"], "system.s0 must be 6 comma-separated numbers, got '1,2'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", PLANT_VALUES, ids=["run-theta0", "run-s0", "sweep-theta0", "sweep-s0"])
+def test_cli_bad_plant_value_fails_before_any_trial(argv, message, tmp_path, capsys, monkeypatch):
+    # init.theta0 and system.s0 need the plant's dimensions; a bad value in
+    # any row fails before the first row runs (every row of a sweep here).
+    import dynlearn.harness as harness
+
+    def no_learning(*args, **kwargs):
+        raise AssertionError("a learner ran on a bad config")
+
+    monkeypatch.setattr(harness, "run_learning", no_learning)
+    monkeypatch.setattr(harness, "run_tbptt", no_learning)
+    code = cli_main(argv + ["--set", "experiment.horizon=20", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_bad_plant_value_point_is_an_error_row(tmp_path):
+    # A bad system.s0 that one grid point sets fails that point alone.
+    code = cli_main(["sweep", TBPTT_INI, "--set", "sweep.system.s0=stationary,abc",
+                     "--set", "sweep.truncation.spec=grow:0.4", "--set", "experiment.horizon=20",
+                     "--set", "experiment.seeds=0", "--out", str(tmp_path / "o")])
+    assert code == 0
+    rows = (tmp_path / "o" / "influence_balancing_tbptt" / "sweep.csv").read_text().splitlines()[1:]
+    assert rows[0].startswith("stationary,grow:0.4,") and rows[0].endswith(",")
+    assert rows[1] == ("abc,grow:0.4,nan,0.0,\"ConfigurationError: system.s0 must be 6 "
+                       "comma-separated numbers, got 'abc'\"")
+
+
+def test_keyword_plant_values_build_nothing_up_front(monkeypatch):
+    # Rows with near_optimum, zeros or stationary (every shipped row) build no
+    # plant in the row check; a row that lists numbers builds one.
+    import dataclasses
+
+    import dynlearn.harness as harness
+
+    built = []
+    monkeypatch.setattr(harness, "SYSTEM_KINDS", {
+        name: dataclasses.replace(kind, build=lambda *args: built.append(args[0]))
+        for name, kind in harness.SYSTEM_KINDS.items()})
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        base = ExperimentConfig.load(os.path.join(CONFIG_DIR, name))
+        grid = [(key.split(".", 1)[1], base.getlist(key)) for key in sorted(base.values) if key.startswith("sweep.")]
+        for cfg in (base, base.with_overrides({"system.s0": "zeros"})):
+            assert all(error is None for *_, error in harness._rows(cfg, False, grid))
+    assert built == []
+    harness._rows(small_config(**{"init.theta0": "1,2,3"}), False)
+    assert len(built) == 1
+
+
 def test_cli_check_schedule(capsys):
     code = cli_main(["check", "schedule", "--class", "imperfect_rtrl",
                      "--a", "0.55", "--gamma", "0", "--b", "0.6"])
@@ -868,6 +929,21 @@ def test_dataset_csv_non_numeric_cell_exit_2(tmp_path, capsys):
     assert code == 2
     assert f"config error: system.data_csv {str(path)!r} is not a numeric CSV" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_missing_dataset_point_is_an_error_row(tmp_path):
+    # With init.theta0 listing numbers the row check builds the plant, so a
+    # missing data CSV fails its point there, as a configuration error.
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.column_stack([np.eye(3) * 2.0, np.array([2.0, 4.0, 6.0])]), delimiter=",")
+    missing = tmp_path / "missing.csv"
+    path = write_config(tmp_path, small_config(**{
+        "experiment.name": "datagrid", "experiment.horizon": "20", "init.theta0": "0,0,0",
+        "sweep.system.data_csv": f"{data}, {missing}"}))
+    assert cli_main(["sweep", path, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "datagrid" / "sweep.csv").read_text().splitlines()
+    assert rows[1].startswith(f"{data},") and rows[1].endswith(",")
+    assert rows[2].startswith(f"{missing},nan,0.0,ConfigurationError: system.data_csv {str(missing)!r} cannot be read")
 
 
 def test_rule_from_string_precond():

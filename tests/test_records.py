@@ -1,8 +1,10 @@
 """Trial record CSV schema and round-trips."""
 
 import csv
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,3 +157,138 @@ def test_write_csv_matches_csv_writer_on_any_cells(tmp_path_factory, rows):
     assert (path / "got.csv").read_bytes() == expected
     write_csv(str(path / "got.csv"), header, [as_array(c) for c in zip(*rows)])
     assert (path / "got.csv").read_bytes() == expected
+
+
+def oracle_from_csv(path):
+    """The reference parse of a trial CSV: csv.DictReader, one dict of
+    strings per row, each cell through int() or float(). t, aborted and
+    interval_k are int64 and interval_k is read when the header has it,
+    also with no rows."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+
+    def column(name, kind):
+        return np.array([kind(r[name]) for r in rows], dtype=np.int64 if kind is int else float)
+
+    t, aborted = column("t", int), column("aborted", int)
+    return TrialRecord(
+        t=t,
+        theta_dist=column("theta_dist", float),
+        loss=column("loss", float),
+        grad_norm=column("grad_norm", float),
+        abort_t=int(t[aborted == 1][0]) if aborted.any() else None,
+        interval_k=column("interval_k", int) if "interval_k" in reader.fieldnames else None,
+    )
+
+
+def assert_same_record(got, want):
+    """got and want hold the same columns in dtype and in bits, and the same abort_t."""
+    for name in ("t", "theta_dist", "loss", "grad_norm", "interval_k"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    assert got.abort_t == want.abort_t
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+                  1e300, -1e300, 1.7976931348623157e308, 0.1 + 0.2]
+
+
+@st.composite
+def records(draw):
+    """Records of 0-3,100 rows (a block edge or any size), floats of every
+    magnitude with special values placed among them, with and without
+    interval_k, aborted or not."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025, 2049, 3100]), st.integers(0, 3100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def floats():
+        column = rng.normal(size=n) * np.exp(rng.uniform(-700.0, 700.0, size=n))
+        for i, x in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                            st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())),
+                                  max_size=12 if n else 0)):
+            column[i] = x
+        return column
+
+    t = np.sort(rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64, endpoint=True))
+    aborted = n > 0 and draw(st.booleans())
+    return TrialRecord(
+        t=t, theta_dist=floats(), loss=floats(), grad_norm=floats(),
+        abort_t=int(t[rng.integers(n)]) if aborted else None,
+        interval_k=rng.integers(-(2**63), 2**63 - 1, size=n, endpoint=True) if draw(st.booleans()) else None,
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(records())
+def test_from_csv_matches_dictreader_oracle(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("read") / "r.csv"
+    record.to_csv(str(path))
+    assert_same_record(TrialRecord.from_csv(str(path)), oracle_from_csv(path))
+
+
+HEADER = "t,theta_dist,loss,grad_norm,aborted"
+ROW = "0,1.0,2.0,3.0,0"
+MALFORMED = [
+    (HEADER + "\r\n" + ROW + "\r\n1,1.0,2.0\r\n", "data row 2 has 3 cells, the header 5"),
+    (HEADER + "\r\n" + ROW + ",7\r\n", "data row 1 has 6 cells, the header 5"),
+    (HEADER + "\r\n" + ROW + "\r\n\r\n" + ROW + "\r\n", "data row 2 has 0 cells, the header 5"),
+    (HEADER + "\r\n" + "\r\n".join([ROW] * 1026 + ["1,2"]) + "\r\n", "data row 1027 has 2 cells"),
+    ("t,theta_dist,loss,grad_norm\r\n0,1.0,2.0,3.0\r\n", "header 't,theta_dist,loss,grad_norm' is not"),
+    (HEADER + ",extra\r\n" + ROW + ",1\r\n", "header 't,theta_dist,loss,grad_norm,aborted,extra' is not"),
+    ("theta_dist,t,loss,grad_norm,aborted\r\n" + ROW + "\r\n", "header 'theta_dist,t,loss,grad_norm,aborted'"),
+    ("", "header '' is not the trial header"),
+    (HEADER + "\r\n0,abc,2.0,3.0,0\r\n", "data row 1, column theta_dist: could not convert string to float"),
+    (HEADER + "\r\n" + ROW + "\r\n1.5,1.0,2.0,3.0,0\r\n", "data row 2, column t: invalid literal for int()"),
+    (HEADER + "\r\n9223372036854775808,1.0,2.0,3.0,0\r\n", "data row 1, column t: "),
+    (HEADER + "\r\n" + ROW + "\r\n1,1.0,2.0,3.0,2\r\n", "data row 2: aborted is 2, not 0 or 1"),
+    (HEADER + "\r\n" + ROW + "\r\n" + "1" * 200_000 + ",1.0,2.0,3.0,0\r\n", "line 3: field larger than"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=[
+    "short-row", "long-row", "blank-row", "short-row-second-block", "missing-column", "unknown-column",
+    "reordered-columns", "empty-file", "bad-float", "float-in-int-column", "int64-overflow", "aborted-2",
+    "csv-field-limit"])
+def test_malformed_trial_csv_raises_value_error(text, message, tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as err:
+        TrialRecord.from_csv(str(path))
+    assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+
+@pytest.mark.parametrize("header", [HEADER, HEADER + ",interval_k"])
+def test_header_only_csv_reads_typed_empty_columns(header, tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(header.encode() + b"\r\n")
+    record = TrialRecord.from_csv(str(path))
+    assert record.t.dtype == np.int64 and record.theta_dist.dtype == np.float64 and len(record.t) == 0
+    assert record.abort_t is None
+    assert (record.interval_k is None) == (header == HEADER)
+    if record.interval_k is not None:
+        assert record.interval_k.dtype == np.int64 and len(record.interval_k) == 0
+    assert_same_record(record, oracle_from_csv(path))
+
+
+def test_reading_a_long_interval_csv_holds_columns_and_one_block(tmp_path):
+    # 20,001 rows of six columns are 0.92 MiB at 8 bytes a cell; a dict of
+    # strings per row (the oracle) peaks near 12.8 MiB.
+    n = 20001
+    rng = np.random.default_rng(3)
+    record = TrialRecord(t=np.arange(n), theta_dist=rng.random(n), loss=rng.random(n) ** 2,
+                         grad_norm=rng.random(n), abort_t=None, interval_k=np.arange(n))
+    path = tmp_path / "r.csv"
+    record.to_csv(str(path))
+    tracemalloc.start()
+    try:
+        back = TrialRecord.from_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    assert_same_record(back, oracle_from_csv(path))
