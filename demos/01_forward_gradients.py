@@ -9,14 +9,13 @@ differences, and shows the momentum-as-recurrence equivalence.
 import numpy as np
 
 from dynlearn import (
-    LearnerState,
     LinearSystem,
     MomentumSystem,
     RNNSystem,
     SquaredErrorLoss,
     compound_loss,
+    dense_step,
     open_loop_gradient,
-    rtrl_step,
     run_trajectory,
 )
 from dynlearn.schedules import StepSchedule, sample_indices
@@ -53,11 +52,13 @@ beta = 0.8
 sysm = MomentumSystem(loss, idx, beta)
 sched = StepSchedule(0.02, 0.5)
 
-ls = LearnerState(0, np.zeros(1), np.zeros((1, 4)), np.zeros(4))
+# One learner step carries (s, J, theta); rule and update operator None are
+# the identity rule and plain descent.
+s, J, theta = np.zeros(1), np.zeros((1, 4)), np.zeros(4)
 J_hand, theta_hand = np.zeros(4), np.zeros(4)
 for t in range(1, 51):
     J_hand = beta * J_hand + (1 - beta) * loss.grad(idx[t], theta_hand)
     theta_hand = theta_hand - sched.eta(t) * J_hand
-    ls = rtrl_step(sysm, ls, sched.eta(t))
-print("carried Jacobian == momentum buffer:", np.allclose(ls.J[0], J_hand, atol=1e-12))
-print("parameters identical:", np.allclose(ls.theta, theta_hand, atol=1e-12))
+    s, J, theta, _ = dense_step(sysm, t, s, theta, J, sched.eta(t), None, None)
+print("carried Jacobian == momentum buffer:", np.allclose(J[0], J_hand, atol=1e-12))
+print("parameters identical:", np.allclose(theta, theta_hand, atol=1e-12))

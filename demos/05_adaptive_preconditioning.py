@@ -52,7 +52,7 @@ for label, fixed_beta2 in (("beta2 -> 1 (1 - c*eta_t)", None), ("beta2 = 0.1 fix
     setup = rule_adam(p3, idx, beta1=0.0, c=1.0, timing="psi_first",
                       schedule=sched, fixed_beta2=fixed_beta2)
     theta0 = setup.initial_theta(np.array([0.0]))
-    rec = run_learning(setup.system, np.zeros(1), theta0, None, sched,
+    rec = run_learning(setup.system, np.zeros(1), theta0, sched,
                        rule=setup.rule, phi=BlockProjection(), T=T,
                        theta_star=np.array([-1.0]), dist_dims=1, record_every=5000)
     print(f"  {label:>24}: final theta {rec.final_theta[0]:+.4f} "

@@ -10,18 +10,16 @@ counterpart.
 import numpy as np
 
 from dynlearn import (
-    LearnerState,
-    RankOneInjector,
     RankOnePair,
     StepSchedule,
     check_stability,
     deviation,
     local_optimum_report,
-    rtrl_step,
     solve_lyapunov,
     spectral_radius_horizon,
 )
 from dynlearn.dynamics import LinearSystem, NonRecurrentRegression, RNNSystem
+from dynlearn.rankone import SignStream, pair_step
 from dynlearn.schedules import sample_indices
 
 rng = np.random.default_rng(np.random.Philox(key=4))
@@ -62,11 +60,12 @@ print("\n=== deviation of a randomized run from the exact algorithm ===")
 sysm = LinearSystem(A=[[0.5]], B=[[1.0]], loss_weights=[1.0])
 sched = StepSchedule(0.05, 0.6)
 theta0 = np.array([0.8])
-# The rank-one learner's states carry pairs; deviation reads matrix(pair).
-states = [LearnerState(0, np.zeros(1), RankOnePair.zero(1, 1), theta0)]
-inj = RankOneInjector("uoro")
+# The UORO learner (nbt=False) carries a pair; deviation reads matrix(pair).
+s, pair, theta = np.zeros(1), RankOnePair.zero(1, 1), theta0
+states, signs = [(s, pair)], SignStream(rng, 50)
 for t in range(1, 51):
-    states.append(rtrl_step(sysm, states[-1], sched.eta(t), injector=inj, rng=rng))
+    s, pair, theta, _ = pair_step(sysm, t, s, theta, pair, sched.eta(t), None, None, False, signs)
+    states.append((s, pair))
 dev = deviation(sysm, theta0, states, 0, 50, sched)
 print(f"  randomized rank-one run, 50 steps: parameter deviation {dev:.3e}")
 print("  (zero when the maintained pairs already follow the exact recursion)")

@@ -40,7 +40,7 @@ from .rankone import (
     verify_unbiased,
 )
 from .records import TrialRecord
-from .rtrl import LearnerState, deviation, forward_step, open_loop_gradient, rtrl_step, run_learning
+from .rtrl import dense_step, deviation, forward_step, open_loop_gradient, run_learning
 from .schedules import (
     ExponentProfile,
     StepSchedule,

@@ -109,11 +109,7 @@ def cmd_check_optimum(args):
 
 
 def cmd_check_unbiased(args):
-    try:
-        report = verify_unbiased(args.reducer, args.dim, args.steps, seed=args.check_seed)
-    except ConfigurationError as exc:
-        print(f"error: {exc}")
-        return EXIT_CONFIG
+    report = verify_unbiased(args.reducer, args.dim, args.steps, seed=args.check_seed)
     print(f"reducer: {report.reducer}")
     print(f"dim: {report.dim}")
     print(f"steps: {report.steps}")
@@ -124,6 +120,17 @@ def cmd_check_unbiased(args):
         write_csv(args.csv, UnbiasednessReport.csv_header, [[x] for x in report.csv_row()])
         print(f"wrote {args.csv}")
     return EXIT_OK if report.passed else EXIT_FAIL
+
+
+def _count(text):
+    """argparse type of a count flag: an integer >= 1 (else exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser():
@@ -162,13 +169,13 @@ def build_parser():
 
     p_stab = check_sub.add_parser("stability", help="contraction certificate along the target trajectory")
     p_stab.add_argument("--config", required=True)
-    p_stab.add_argument("--horizon", type=int, default=200)
-    p_stab.add_argument("--k-max", type=int, default=50)
+    p_stab.add_argument("--horizon", type=_count, default=200)
+    p_stab.add_argument("--k-max", type=_count, default=50)
     p_stab.set_defaults(func=cmd_check_stability)
 
     p_opt = check_sub.add_parser("optimum", help="local-optimum evidence at a candidate parameter")
     p_opt.add_argument("--config", required=True)
-    p_opt.add_argument("--horizon", type=int, default=500)
+    p_opt.add_argument("--horizon", type=_count, default=500)
     p_opt.add_argument("--theta", default=None, help="candidate (comma list; default: dataset optimum)")
     p_opt.add_argument("--lambda-csv", default=None,
                        help="export the averaged update Jacobian (and its Lyapunov matrix) as CSV")
@@ -176,8 +183,8 @@ def build_parser():
 
     p_unb = check_sub.add_parser("unbiased", help="exhaustive reduction-bias check")
     p_unb.add_argument("--reducer", required=True, choices=("uoro", "nbt", "nobacktrack"))
-    p_unb.add_argument("--dim", type=int, required=True)
-    p_unb.add_argument("--steps", type=int, default=1)
+    p_unb.add_argument("--dim", type=_count, required=True)
+    p_unb.add_argument("--steps", type=_count, default=1)
     p_unb.add_argument("--seed", dest="check_seed", type=int, default=0)
     p_unb.add_argument("--csv", default=None, help="also write the report row to this CSV")
     p_unb.set_defaults(func=cmd_check_unbiased)

@@ -326,7 +326,7 @@ def _run(cfg: ExperimentConfig, seed):
     if algo in ("uoro", "nobacktrack"):
         injector = RankOneInjector("uoro" if algo == "uoro" else "nbt")
     return run_learning(
-        system, plant.s0, theta0, None, schedule, rule=rule, phi=phi,
+        system, plant.s0, theta0, schedule, rule=rule, phi=phi,
         injector=injector, T=T, rng=rng_inject, theta_star=plant.theta_star,
         dist_dims=dist_dims, record_every=cfg.getint("experiment.record_every", 1),
         config_meta=meta,

@@ -38,8 +38,8 @@ by one learner step, exactly as these reducers would, with dT/dtheta
 used only through the system's products u . dT/dtheta and its row norms.
 On an RNN a step then costs O(n^2 + np), against O(n^2 p) for the dense
 recursion. Its signs come from a `SignStream`, one generator call per
-SIGN_BLOCK steps. A `RankOneInjector` names the reducer and the start
-pair of a learner run (`rtrl.run_learning`, `rtrl.rtrl_step`). The
+SIGN_BLOCK steps. A `RankOneInjector` names the reducer of a learner
+run (`rtrl.run_learning`), which starts from the zero pair. The
 reducers themselves are the tests' oracle of `pair_step`, and what
 `verify_unbiased` enumerates; `error_term` extracts E_t from a step.
 """
@@ -277,16 +277,15 @@ class RankOneInjector:
     """Rank-one Jacobian propagation with the UORO or NoBackTrack reducer.
 
     `rtrl.run_learning` carries the pair itself through `pair_step`,
-    starting from `initial_pair` (zero when None) at every run: no dense
-    Jacobian is formed and dT/dtheta is used only through the system's
-    products. nbt is true for the dense-sign (NoBackTrack) reducer.
+    starting from the zero pair: no dense Jacobian is formed and dT/dtheta
+    is used only through the system's products. nbt is true for the
+    dense-sign (NoBackTrack) reducer.
     """
 
-    def __init__(self, reducer="uoro", initial_pair=None):
+    def __init__(self, reducer="uoro"):
         if reducer not in _REDUCERS:
             raise ConfigurationError(f"unknown reducer {reducer!r}")
         self.nbt = reducer != "uoro"
-        self.initial_pair = initial_pair
 
 
 @dataclass
@@ -326,10 +325,13 @@ def verify_unbiased(reducer: str, dim: int, steps: int = 1, seed: int = 0,
     affine in J, so unbiased per-step errors keep the whole Jacobian
     unbiased).
 
-    Raises ConfigurationError when 2^(dim*steps) exceeds the budget.
+    Raises ConfigurationError when dim or steps is below 1 or 2^(dim*steps)
+    exceeds the budget.
     """
     if reducer not in _REDUCERS:
         raise ConfigurationError(f"unknown reducer {reducer!r}")
+    if dim < 1 or steps < 1:
+        raise ConfigurationError(f"dim and steps must be >= 1, got dim={dim}, steps={steps}")
     if 2 ** (dim * steps) > budget:
         raise ConfigurationError(
             f"exhaustive enumeration needs 2^{dim * steps} paths, over the budget of {budget}"

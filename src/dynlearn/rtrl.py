@@ -25,9 +25,9 @@ v_state (x) v_param. A pair advances through `rankone.pair_step`: an
 unbiased reduction replaces the J recursion (imperfect RTRL), dT/dtheta
 is used only through the system's products, and the gradient is
 (dl_t/ds . v_state) v_param, so no dense J is ever formed. A
-`RankOneInjector` names the reducer and the start pair. `run_learning`
-calls either step directly and updates one `LearnerState` in place;
-`rtrl_step` advances a LearnerState by one step of either kind.
+`RankOneInjector` names the reducer. `dense_step` and `pair_step` are
+the one-step API; `run_learning` is the one driver: it starts from
+J_0 = 0 (the zero pair) and carries (s, J, theta) from step to step.
 
 The dense learner also runs seed-batched: s (S, n), J (S, n, p) and
 theta (S, p) hold S seeds of one arm, on a system, rule and update
@@ -40,7 +40,6 @@ ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,45 +51,13 @@ from .schedules import StepSchedule
 _FLOAT = np.dtype(float)
 
 __all__ = [
-    "LearnerState",
     "forward_step",
-    "dense_step", "rtrl_step",
+    "dense_step",
     "open_loop_gradient",
     "open_loop_updates",
     "run_learning",
     "deviation",
 ]
-
-
-@dataclass
-class LearnerState:
-    """Everything the learner maintains: time, state, Jacobian, parameter.
-
-    J is a dense (dim S_t) x p matrix or a RankOnePair standing for one.
-    v is the update direction v_t of the step that produced this state
-    (None before the first step). Seed-batched, s, J, theta and v carry a
-    leading seed axis.
-    """
-
-    t: int
-    s: np.ndarray
-    J: np.ndarray
-    theta: np.ndarray
-    v: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
-        if isinstance(self.J, RankOnePair):
-            shape = (len(self.J.v_state), len(self.J.v_param))
-        else:
-            self.J = np.atleast_2d(np.asarray(self.J, dtype=float))
-            shape = self.J.shape
-        dims = self.s.shape + self.theta.shape[-1:]
-        if shape != dims or self.s.shape[:-1] != self.theta.shape[:-1]:
-            raise ContractViolation(
-                f"Jacobian shape {shape} inconsistent with dims {dims}"
-            )
 
 
 def forward_step(sys: System, t: int, s, theta, J):
@@ -133,32 +100,6 @@ def dense_step(sys: System, t: int, s, theta, J, eta: float, rule, phi):
     return s_new, J_new, guard(theta_new, "parameter", t, batched), v
 
 
-def rtrl_step(sys: System, ls: LearnerState, eta_t: float, rule=None, phi=None,
-              injector=None, rng=None) -> LearnerState:
-    """Advance the learner by one step (see module docstring for order).
-
-    A dense J advances through `dense_step` and takes no injector. A
-    RankOnePair J advances through `rankone.pair_step` with this step's
-    signs drawn from rng, and needs a RankOneInjector. Both are checked
-    before any system call.
-    """
-    if eta_t < 0:
-        raise ContractViolation("step size must be >= 0")
-    t = ls.t + 1
-    if isinstance(ls.J, RankOnePair):
-        if not isinstance(injector, RankOneInjector):
-            raise ContractViolation("a rank-one Jacobian is advanced by a RankOneInjector")
-        step = pair_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi, injector.nbt, SignStream(rng, 1))
-    elif injector is not None:
-        raise ContractViolation("a dense Jacobian takes no injector")
-    else:
-        step = dense_step(sys, t, ls.s, ls.theta, ls.J, eta_t, rule, phi)
-    out = LearnerState.__new__(LearnerState)  # the step's arrays satisfy the contract
-    out.t = t
-    out.s, out.J, out.theta, out.v = step
-    return out
-
-
 def open_loop_updates(sys: System, rule, s0, theta, T: int) -> np.ndarray:
     """Update directions v_1..v_T at frozen theta, one forward pass.
 
@@ -184,21 +125,20 @@ def open_loop_gradient(sys: System, s0, theta, t: int) -> np.ndarray:
     return open_loop_updates(sys, None, s0, theta, t)[t - 1]
 
 
-def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
-                 phi=None, injector=None, T: int = 1, rng=None, theta_star=None,
-                 dist_dims=None, record_every: int = 1,
-                 config_meta=None) -> TrialRecord | list[TrialRecord]:
-    """Run T learning steps and record the trial.
+def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi=None,
+                 injector=None, T: int = 1, rng=None, theta_star=None, dist_dims=None,
+                 record_every: int = 1, config_meta=None) -> TrialRecord | list[TrialRecord]:
+    """Run T learning steps from J_0 = 0 and record the trial.
 
     An overflow anywhere aborts the trial and records the abort time;
     divergence experiments treat that as a measurement, not a failure.
     theta_star (optional) is the reference for the recorded distances;
     dist_dims restricts the distance to the leading coordinates (useful
     when theta is augmented with preconditioner statistics). injector is
-    None or a RankOneInjector; with one, the learner carries a pair that
-    starts from the injector's initial_pair at every run, instead of a
-    dense J; J0 must then be None or zero, and the signs are drawn in
-    blocks (`rankone.SignStream`).
+    None (exact RTRL on a dense J, through `dense_step`) or a
+    RankOneInjector: the learner then carries a pair from the zero pair
+    through `pair_step`, with the signs drawn from rng in blocks
+    (`rankone.SignStream`).
 
     Seed-batched: theta0 of shape (S, p) and s0 of shape (S, n) run S seeds
     through one learner (dense J, no injector), config_meta is a list of S
@@ -210,23 +150,20 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
     """
     if T < 1:
         raise ContractViolation("horizon T must be >= 1")
-    theta0 = np.asarray(theta0, dtype=float)
-    batched = theta0.ndim == 2
+    s = np.asarray(s0, dtype=float)
+    theta = np.asarray(theta0, dtype=float)
+    if s.ndim not in (1, 2) or theta.ndim != s.ndim or theta.shape[:-1] != s.shape[:-1]:
+        raise ContractViolation(
+            f"s0 {s.shape} and theta0 {theta.shape} must be (n,) and (p,), or (S, n) and (S, p)")
+    batched = theta.ndim == 2
     step, step_args = dense_step, ()
-    if injector is not None:
-        if batched or not isinstance(injector, RankOneInjector):
-            raise ContractViolation("an injector is a RankOneInjector, and seed-batched learning takes none")
-        # The learner carries a pair in place of a dense J.
-        if J0 is not None and np.any(J0):
-            raise ContractViolation(
-                "a rank-one injector starts from its initial_pair; J0 must be None or zero")
-        J0 = injector.initial_pair
-        if J0 is None:
-            J0 = RankOnePair.zero(len(np.atleast_1d(s0)), len(theta0))
+    if injector is None:
+        J = np.zeros(s.shape + theta.shape[-1:])
+    elif batched or not isinstance(injector, RankOneInjector):
+        raise ContractViolation("an injector is a RankOneInjector, and seed-batched learning takes none")
+    else:
+        J = RankOnePair.zero(len(s), len(theta))
         step, step_args = pair_step, (injector.nbt, SignStream(rng, T))
-    elif J0 is None:
-        J0 = np.zeros(np.atleast_1d(s0).shape + theta0.shape[-1:])
-    ls = LearnerState(t=0, s=s0, J=J0, theta=theta0)
     ref = None if theta_star is None else np.asarray(theta_star, dtype=float)[:dist_dims]
 
     def dists(theta):
@@ -238,38 +175,36 @@ def run_learning(sys: System, s0, theta0, J0, schedule: StepSchedule, rule=None,
     live = [RecordBuilder(meta) for meta in (config_meta if batched else [config_meta])]
     builders = list(live)
     final_theta = {}
-    for builder, dist in zip(live, dists(theta0)):
+    for builder, dist in zip(live, dists(theta)):
         builder.add(0, dist, np.nan, np.nan)
     t = 1
     while t <= T:
-        try:  # one LearnerState, updated in place
-            ls.s, ls.J, ls.theta, ls.v = step(sys, t, ls.s, ls.theta, ls.J, schedule.eta(t), rule, phi,
-                                              *step_args)
-            ls.t = t
+        try:  # (s, J, theta) are rebound only when the step succeeds
+            s, J, theta, v = step(sys, t, s, theta, J, schedule.eta(t), rule, phi, *step_args)
         except NumericOverflow as exc:
             failed = range(len(live)) if exc.rows is None else exc.rows
             for r in failed:
-                theta = ls.theta[r] if batched else ls.theta
+                row_theta = theta[r] if batched else theta
                 live[r].abort_t = exc.t
-                live[r].add(exc.t, dists(theta)[0], np.nan, np.nan)
-                final_theta[live[r]] = theta
+                live[r].add(exc.t, dists(row_theta)[0], np.nan, np.nan)
+                final_theta[live[r]] = row_theta
             keep = np.setdiff1d(np.arange(len(live)), failed)
             if not len(keep):
                 break
             # Drop the failed rows and redo step t for the others.
             live = [live[r] for r in keep]
-            ls = LearnerState(t=ls.t, s=ls.s[keep], J=ls.J[keep], theta=ls.theta[keep])
+            s, J, theta = s[keep], J[keep], theta[keep]
             # A part without per-seed data (no take_seeds) serves every row.
             sys, rule, phi = (part.take_seeds(keep) if hasattr(part, "take_seeds") else part
                               for part in (sys, rule, phi))
             continue
         if t % record_every == 0 or t == T:
-            losses = np.atleast_1d(sys.loss(t, ls.s))
-            for builder, dist, loss, gnorm in zip(live, dists(ls.theta), losses, _norms(ls.v)):
+            losses = np.atleast_1d(sys.loss(t, s))
+            for builder, dist, loss, gnorm in zip(live, dists(theta), losses, _norms(v)):
                 builder.add(t, dist, loss, gnorm)
         t += 1
     for r, builder in enumerate(live):
-        final_theta[builder] = ls.theta[r] if batched else ls.theta
+        final_theta[builder] = theta[r] if batched else theta
     records = [builder.build(final_theta=final_theta[builder]) for builder in builders]
     return records if batched else records[0]
 
@@ -287,8 +222,8 @@ def deviation(sys: System, theta_anchor, states, t0: int, t1: int,
     """Parameter-space deviation of a noisy run from the exact algorithm.
 
     `states` holds the noisy trajectory's maintained pairs (s_t, J_t) for
-    t in [t0, t1] (states[k] belongs to time t0+k; LearnerState instances
-    or (s, J) tuples both work). Two parameter sequences are rebuilt from
+    t in [t0, t1] (states[k] belongs to time t0+k); J_t is a dense matrix
+    or a RankOnePair, read through `matrix()`. Two parameter sequences are rebuilt from
     theta_anchor at t0: one driven by the noisy pairs, and a regularized
     one whose pairs follow the exact recursion but consume the *noisy*
     sequence's parameters. The deviation is the distance between the two
@@ -302,10 +237,9 @@ def deviation(sys: System, theta_anchor, states, t0: int, t1: int,
         raise ContractViolation(f"states must cover [{t0}, {t1}] ({t1 - t0 + 1} entries)")
 
     def unpack(m):
-        if isinstance(m, LearnerState):
-            return m.s, m.J.matrix() if isinstance(m.J, RankOnePair) else m.J
         s, J = m
-        return np.asarray(s, dtype=float), np.atleast_2d(np.asarray(J, dtype=float))
+        J = J.matrix() if isinstance(J, RankOnePair) else np.atleast_2d(np.asarray(J, dtype=float))
+        return np.asarray(s, dtype=float), J
 
     theta = np.asarray(theta_anchor, dtype=float)
     theta_bar = theta.copy()

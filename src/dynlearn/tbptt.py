@@ -26,7 +26,7 @@ from .dynamics import ConfigurationError, ContractViolation, NumericOverflow, Sy
 from .records import RecordBuilder, TrialRecord
 from .schedules import StepSchedule
 
-__all__ = ["TruncationSchedule", "BpttCounters", "bptt_interval_gradient", "run_tbptt"]
+__all__ = ["TruncationSchedule", "bptt_interval_gradient", "run_tbptt"]
 
 
 @dataclass
@@ -69,21 +69,13 @@ class TruncationSchedule:
         return pairwise(chain(takewhile(T.__gt__, self.boundaries()), (T,)))
 
 
-@dataclass
-class BpttCounters:
-    """Instrumentation for the backward pass cost contract."""
-
-    forward_steps: int = 0
-    backward_steps: int = 0
-
-
 def _bind(sys):
     """The system methods an interval pass calls, bound once per run."""
     return (sys.transition, sys.d_loss_ds, sys.d_transition_ds,
             sys.d_transition_dtheta_vjp, sys.known_transition)
 
 
-def _interval_pass(methods, s, theta, t_start, t_end, counters=None):
+def _interval_pass(methods, s, theta, t_start, t_end):
     """Forward pass storing states, then one adjoint sweep that hands them
     to `known_transition`, if any. s and theta are float arrays, methods
     is `_bind(sys)`. Returns (summed gradient, states)."""
@@ -92,8 +84,6 @@ def _interval_pass(methods, s, theta, t_start, t_end, counters=None):
     for t in range(t_start + 1, t_end + 1):
         s = guard(transition(t, s, theta), "transition", t)
         states.append(s)
-        if counters is not None:
-            counters.forward_steps += 1
 
     # The last step starts the adjoint (lam is zero beyond t_end). A
     # dimension-1 system may return scalars, so a lam that is not a vector
@@ -113,13 +103,10 @@ def _interval_pass(methods, s, theta, t_start, t_end, counters=None):
         if known is not None:
             known(t, s_prev, theta, s_t)
         grad += vjp(t, s_prev, theta, lam)
-    if counters is not None:
-        counters.backward_steps += t_end - t_start
     return grad, states
 
 
-def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int,
-                           counters: BpttCounters | None = None) -> np.ndarray:
+def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int) -> np.ndarray:
     """Summed gradient over (t_start, t_end] at frozen theta.
 
     One forward pass stores the interval states; one backward pass
@@ -135,7 +122,7 @@ def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int
     if t_end <= t_start:
         raise ContractViolation("interval must satisfy t_end > t_start")
     grad, _ = _interval_pass(_bind(sys), np.asarray(s_start, dtype=float),
-                             np.asarray(theta, dtype=float), t_start, t_end, counters)
+                             np.asarray(theta, dtype=float), t_start, t_end)
     return grad
 
 

@@ -20,14 +20,16 @@ from dynlearn.dynamics import (
     guard,
 )
 from dynlearn.harness import ExperimentConfig, run_trials
-from dynlearn.rtrl import LearnerState, run_learning
+from dynlearn.rtrl import run_learning
 from dynlearn.schedules import StepSchedule
 from dynlearn.updates import AdaptiveRule, PreconditionedRule, ProjectedUpdate
 
-# The oracle: forward_step and rtrl_step as they were before the dense step
-# was split out, kept verbatim apart from the names of what they call. The
-# systems whose dT/dtheta products are new go through the System default,
-# and the rule and update operator through their former `apply`.
+# The oracle: forward_step and the learner step as they were before the
+# dense step was split out, kept verbatim apart from the names of what they
+# call and the learner state they read and wrote, now the step's arguments
+# and results. The systems whose dT/dtheta products are new go through the
+# System default, and the rule and update operator through their former
+# `apply`.
 
 
 def oracle_dtheta_add(sys, t, s, theta, M):
@@ -48,21 +50,18 @@ def oracle_forward_step(sys, t, s, theta, J):
     return s_new, J_new, g
 
 
-def oracle_rtrl_step(sys, ls, eta_t, rule=None, phi=None):
+def oracle_step(sys, t, s, theta, J, eta_t, rule=None, phi=None):
     if eta_t < 0:
         raise ContractViolation("step size must be >= 0")
-    t = ls.t + 1
-    batched = ls.theta.ndim == 2
-    s_new, J_new, v = oracle_forward_step(sys, t, ls.s, ls.theta, ls.J)
+    batched = theta.ndim == 2
+    s_new, J_new, v = oracle_forward_step(sys, t, s, theta, J)
     if rule is not None:
-        v = rule.apply(t, v, s_new, ls.theta)
+        v = rule.apply(t, v, s_new, theta)
     guard(v, "update-direction", t, batched)
     w = eta_t * v
-    theta_new = phi.apply(t, ls.theta, w) if phi is not None else ls.theta - w
+    theta_new = phi.apply(t, theta, w) if phi is not None else theta - w
     guard(theta_new, "parameter", t, batched)
-    out = LearnerState.__new__(LearnerState)
-    out.t, out.s, out.J, out.theta, out.v = t, s_new, J_new, np.asarray(theta_new, dtype=float), v
-    return out
+    return s_new, J_new, np.asarray(theta_new, dtype=float), v
 
 
 class OracleAdaptiveRule(AdaptiveRule):
@@ -106,10 +105,7 @@ def as_oracle(part):
 
 
 def oracle_dense_step(sys, t, s, theta, J, eta, rule, phi):
-    ls = LearnerState.__new__(LearnerState)
-    ls.t, ls.s, ls.J, ls.theta, ls.v = t - 1, s, J, theta, None
-    out = oracle_rtrl_step(sys, ls, eta, as_oracle(rule), as_oracle(phi))
-    return out.s, out.J, out.theta, out.v
+    return oracle_step(sys, t, s, theta, J, eta, as_oracle(rule), as_oracle(phi))
 
 
 def with_oracle(monkeypatch, run):
@@ -229,7 +225,7 @@ class ScalarSystem(System):
 ], ids=["plain", "precond", "projected"])
 def test_scalar_system_equals_the_oracle(rule, phi, monkeypatch, tmp_path):
     def run():
-        return [run_learning(ScalarSystem(), np.zeros(1), np.array([0.2, -0.1]), None,
+        return [run_learning(ScalarSystem(), np.zeros(1), np.array([0.2, -0.1]),
                              StepSchedule(0.2, 0.6), rule=rule, phi=phi, T=150,
                              theta_star=np.array([0.0, 0.5]))]
 

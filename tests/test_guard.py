@@ -131,7 +131,7 @@ def test_jacobian_overflow_stops_every_forward_path():
     rec = run_tbptt(sysm, s0, theta0, frozen, TruncationSchedule.fixed(T), T)
     assert rec.abort_t is None
 
-    rec = run_learning(sysm, s0, theta0, None, frozen, T=T)
+    rec = run_learning(sysm, s0, theta0, frozen, T=T)
     assert rec.abort_t == J_OVERFLOW_T
 
 

@@ -875,6 +875,31 @@ def test_cli_check_unbiased(tmp_path, capsys):
     assert lines[1].startswith("uoro,3,2,")
 
 
+@pytest.mark.parametrize("args", [
+    ["unbiased", "--reducer", "uoro", "--dim", "0"],
+    ["unbiased", "--reducer", "uoro", "--dim", "-1"],
+    ["unbiased", "--reducer", "uoro", "--dim", "2", "--steps", "0"],
+    ["unbiased", "--reducer", "uoro", "--dim", "2", "--steps", "-1"],
+    ["unbiased", "--reducer", "uoro", "--dim", "30"],  # over the enumeration budget
+    ["stability", "--config", "rnn_stability.ini", "--horizon", "-3"],
+    ["stability", "--config", "rnn_stability.ini", "--horizon", "0"],
+    ["stability", "--config", "rnn_stability.ini", "--k-max", "0"],
+    ["optimum", "--config", "rnn_stability.ini", "--horizon", "0"],
+], ids=" ".join)
+def test_cli_check_bad_count_exit_2(args, capsys):
+    # A bad count is a config error: exit 2 and a message, never a
+    # traceback or a verdict on nothing checked.
+    args = [os.path.join(CONFIG_DIR, a) if a.endswith(".ini") else a for a in args]
+    try:
+        code = cli_main(["check", *args])
+    except SystemExit as exc:  # argparse's exit on a bad flag value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+    assert "verdict" not in out and "certificate" not in out
+
+
 def test_cli_check_optimum(capsys, tmp_path):
     path = write_config(tmp_path, small_config())
     code = cli_main(["check", "optimum", "--config", path, "--horizon", "240"])

@@ -19,7 +19,7 @@ from dynlearn.tbptt import TruncationSchedule, bptt_interval_gradient, run_tbptt
 
 # The oracle: the interval pass as it was before the methods were bound
 # once per run and the adjoint's first step was peeled, kept verbatim.
-def oracle_interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
+def oracle_interval_pass(sys, s_start, theta, t_start, t_end):
     theta = np.asarray(theta, dtype=float)
     transition, d_loss_ds, known = sys.transition, sys.d_loss_ds, sys.known_transition
     d_transition_ds, vjp = sys.d_transition_ds, sys.d_transition_dtheta_vjp
@@ -28,8 +28,6 @@ def oracle_interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
     for t in range(t_start + 1, t_end + 1):
         s = guard(transition(t, s, theta), "transition", t)
         states.append(s)
-        if counters is not None:
-            counters.forward_steps += 1
 
     grad = np.zeros(len(theta))
     lam = None  # adjoint row vector, not yet allocated
@@ -43,8 +41,6 @@ def oracle_interval_pass(sys, s_start, theta, t_start, t_end, counters=None):
         if known is not None:  # after step t + 1's last use of the memo
             known(t, s_prev, theta, s_t)
         grad += vjp(t, s_prev, theta, lam)
-        if counters is not None:
-            counters.backward_steps += 1
     return grad, states
 
 

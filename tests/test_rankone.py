@@ -16,16 +16,18 @@ from dynlearn.dynamics import (
 from dynlearn.rankone import (
     RankOneInjector,
     RankOnePair,
+    SignStream,
     error_gauge_bound,
     error_term,
     joint_jacobian_norm,
     nbt_reduce,
     norm_equalize,
+    pair_step,
     sample_signs,
     uoro_reduce,
     verify_unbiased,
 )
-from dynlearn.rtrl import LearnerState, rtrl_step, run_learning
+from dynlearn.rtrl import run_learning
 from dynlearn.schedules import StepSchedule
 
 
@@ -240,6 +242,13 @@ def test_verify_unbiased_budget():
         verify_unbiased("uoro", dim=6, steps=5, budget=1 << 20)
 
 
+@pytest.mark.parametrize("dim, steps", [(0, 1), (-1, 1), (2, 0), (2, -1)])
+def test_verify_unbiased_refuses_empty_counts(dim, steps):
+    # 2^0 = 1 path would fit any budget and check nothing.
+    with pytest.raises(ConfigurationError, match="must be >= 1"):
+        verify_unbiased("uoro", dim=dim, steps=steps)
+
+
 # --- the pair-only learner ---------------------------------------------------
 
 def rnn_plant(n=5, m=2, seed=31):
@@ -256,55 +265,16 @@ def rnn_plant(n=5, m=2, seed=31):
 def test_run_learning_carries_the_pair():
     sysm, s0, theta0 = rnn_plant(n=4, m=1)
     sched = StepSchedule(0.02, 0.5)
-    ls = LearnerState(0, s0, RankOnePair.zero(4, sysm.param_dim), theta0)
-    inj, rng = RankOneInjector("uoro"), philox(5)
-    for t in range(1, 201):
-        ls = rtrl_step(sysm, ls, sched.eta(t), injector=inj, rng=rng)
-    rec = run_learning(sysm, s0, theta0, None, sched, T=200,
+    s, pair, theta, rng = s0, RankOnePair.zero(4, sysm.param_dim), theta0, philox(5)
+    for t in range(1, 201):  # signs drawn step by step
+        s, pair, theta, _ = pair_step(sysm, t, s, theta, pair, sched.eta(t), None, None, False,
+                                      SignStream(rng, 1))
+    rec = run_learning(sysm, s0, theta0, sched, T=200,
                        injector=RankOneInjector("uoro"), rng=philox(5))
-    assert np.array_equal(rec.final_theta, ls.theta)
+    assert np.array_equal(rec.final_theta, theta)
 
 
 def test_rank_one_state_needs_rank_one_injector():
     sysm, s0, theta = random_tanh(34)
-    ls = LearnerState(0, s0, RankOnePair.zero(3, 5), theta)
     with pytest.raises(ContractViolation):
-        rtrl_step(sysm, ls, 0.1)
-    with pytest.raises(ContractViolation):
-        rtrl_step(sysm, ls, 0.1, injector=object(), rng=philox(0))
-    # and a dense Jacobian takes none
-    dense = LearnerState(0, s0, np.zeros((3, 5)), theta)
-    with pytest.raises(ContractViolation):
-        rtrl_step(sysm, dense, 0.1, injector=RankOneInjector("uoro"), rng=philox(0))
-    with pytest.raises(ContractViolation):
-        run_learning(sysm, s0, theta, None, StepSchedule(0.02, 0.5), injector=object(), T=5)
-
-
-# --- initial pairs ------------------------------------------------------------
-
-@pytest.mark.parametrize("reducer", ["uoro", "nbt"])
-def test_initial_pair_is_where_the_learner_starts(reducer):
-    sysm, s0, theta0 = random_tanh(35, state_dim=3, param_dim=4)
-    rng = philox(36)
-    pair0 = RankOnePair(rng.normal(size=3), rng.normal(size=4))
-    # test_pair_step's oracle loop checks the run from pair0 byte for byte.
-    inj = RankOneInjector(reducer, initial_pair=pair0)
-    kw = dict(schedule=StepSchedule(0.02, 0.5), T=300, injector=inj, theta_star=theta0)
-    from_pair = run_learning(sysm, s0, theta0, None, rng=philox(5), **kw)
-    from_zero = run_learning(sysm, s0, theta0, None, injector=RankOneInjector(reducer),
-                             rng=philox(5), schedule=kw["schedule"], T=300)
-    assert not np.array_equal(from_pair.final_theta, from_zero.final_theta)
-    # Each run starts again from initial_pair, so a rerun repeats it.
-    again = run_learning(sysm, s0, theta0, None, rng=philox(5), **kw)
-    assert np.array_equal(again.final_theta, from_pair.final_theta)
-    assert np.array_equal(again.theta_dist, from_pair.theta_dist)
-
-
-def test_nonzero_J0_with_rank_one_injector_is_refused():
-    sysm, s0, theta0 = random_tanh(37)
-    kw = dict(schedule=StepSchedule(0.02, 0.5), T=5, rng=philox(0))
-    with pytest.raises(ContractViolation):
-        run_learning(sysm, s0, theta0, np.ones((3, 5)), injector=RankOneInjector("uoro"), **kw)
-    # A zero J0 is the default start and is accepted.
-    rec = run_learning(sysm, s0, theta0, np.zeros((3, 5)), injector=RankOneInjector("uoro"), **kw)
-    assert not rec.aborted
+        run_learning(sysm, s0, theta, StepSchedule(0.02, 0.5), injector=object(), T=5)

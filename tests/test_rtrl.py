@@ -6,6 +6,7 @@ import pytest
 from conftest import philox, random_tanh, regression_dataset, shipped_systems
 
 from dynlearn.dynamics import (
+    ContractViolation,
     LinearSystem,
     MomentumSystem,
     NonRecurrentRegression,
@@ -14,14 +15,13 @@ from dynlearn.dynamics import (
     RNNSystem,
     SquaredErrorLoss,
 )
-from dynlearn.rankone import RankOneInjector, RankOnePair
+from dynlearn.rankone import RankOneInjector, RankOnePair, SignStream, pair_step
 from dynlearn.rtrl import (
-    LearnerState,
+    dense_step,
     deviation,
     forward_step,
     open_loop_gradient,
     open_loop_updates,
-    rtrl_step,
     run_learning,
 )
 from dynlearn.schedules import StepSchedule, sample_indices
@@ -46,44 +46,42 @@ def test_rtrl_step_nonrecurrent_is_sgd():
     sysm = NonRecurrentRegression(xs, ys, idx)
     loss = SquaredErrorLoss(xs, ys)
     theta = 0.3 * np.ones(4)
-    ls = LearnerState(0, np.zeros(1), np.zeros((1, 4)), theta)
     eta = 0.05
-    out = rtrl_step(sysm, ls, eta, None, None)
+    _, _, theta_new, _ = dense_step(sysm, 1, np.zeros(1), theta, np.zeros((1, 4)), eta, None, None)
     expected = theta - eta * loss.grad(idx[1], theta)
-    assert np.allclose(out.theta, expected, atol=1e-14)
+    assert np.allclose(theta_new, expected, atol=1e-14)
 
 
 def test_rtrl_step_frozen_parameter():
     sysm, s0, theta = random_tanh(1)
-    ls = LearnerState(0, s0, np.zeros((3, 5)), theta)
-    for _ in range(5):
-        ls = rtrl_step(sysm, ls, 0.0)
-    assert np.array_equal(ls.theta, theta)
+    s, J, th = s0, np.zeros((3, 5)), theta
+    for t in range(1, 6):
+        s, J, th, _ = dense_step(sysm, t, s, th, J, 0.0, None, None)
+    assert np.array_equal(th, theta)
     # frozen-theta J equals the open-loop Jacobian recursion
-    J = np.zeros((3, 5))
+    J_ref = np.zeros((3, 5))
     s = s0
     for t in range(1, 6):
-        J = sysm.d_transition_ds(t, s, theta) @ J + sysm.d_transition_dtheta(t, s, theta)
+        J_ref = sysm.d_transition_ds(t, s, theta) @ J_ref + sysm.d_transition_dtheta(t, s, theta)
         s = sysm.transition(t, s, theta)
-    assert np.allclose(ls.J, J, atol=0)
+    assert np.allclose(J, J_ref, atol=0)
 
 
 def test_rtrl_step_geometric_jacobian():
     # s' = 0.5 s + theta from J0 = 0: J_t = (1 - 0.5^t) / 0.5
     sysm = LinearSystem(A=[[0.5]], B=[[1.0]])
-    ls = LearnerState(0, np.zeros(1), np.zeros((1, 1)), np.array([1.0]))
+    s, J, theta = np.zeros(1), np.zeros((1, 1)), np.array([1.0])
     for t in range(1, 4):
-        ls = rtrl_step(sysm, ls, 0.0)
-        assert ls.J[0, 0] == pytest.approx((1 - 0.5**t) / 0.5, abs=1e-15)
+        s, J, theta, _ = dense_step(sysm, t, s, theta, J, 0.0, None, None)
+        assert J[0, 0] == pytest.approx((1 - 0.5**t) / 0.5, abs=1e-15)
 
 
 def test_one_step_displacement_identity():
     sysm, s0, theta = random_tanh(2)
-    ls = LearnerState(0, s0, np.zeros((3, 5)), theta)
     eta = 0.07
-    out = rtrl_step(sysm, ls, eta, None, None)
-    assert np.linalg.norm(out.theta - theta) == pytest.approx(
-        eta * np.linalg.norm(out.v), rel=1e-12
+    _, _, theta_new, v = dense_step(sysm, 1, s0, theta, np.zeros((3, 5)), eta, None, None)
+    assert np.linalg.norm(theta_new - theta) == pytest.approx(
+        eta * np.linalg.norm(v), rel=1e-12
     )
 
 
@@ -126,7 +124,7 @@ def test_run_learning_converges_linear_regression():
     idx = sample_indices("cycling", len(xs), T)
     sysm = NonRecurrentRegression(xs, ys, idx)
     rec = run_learning(
-        sysm, np.zeros(1), theta_star + 0.5, None, StepSchedule(0.1, 0.3),
+        sysm, np.zeros(1), theta_star + 0.5, StepSchedule(0.1, 0.3),
         None, None, T=T, theta_star=theta_star, record_every=100,
     )
     assert rec.final_dist() <= 1e-2
@@ -135,7 +133,7 @@ def test_run_learning_converges_linear_regression():
 
 def test_run_learning_zero_rate_keeps_theta():
     sysm, s0, theta = random_tanh(4)
-    rec = run_learning(sysm, s0, theta, None, StepSchedule(0.0, 0.5), T=50,
+    rec = run_learning(sysm, s0, theta, StepSchedule(0.0, 0.5), T=50,
                        theta_star=theta)
     assert rec.final_dist() == 0.0
     assert np.array_equal(rec.final_theta, theta)
@@ -143,9 +141,38 @@ def test_run_learning_zero_rate_keeps_theta():
 
 def test_run_learning_records_abort():
     sysm = LinearSystem(A=[[3.0]], B=[[1.0]])  # expansive: diverges
-    rec = run_learning(sysm, np.ones(1), np.array([1.0]), None, StepSchedule(0.5, 0.5), T=500,
+    rec = run_learning(sysm, np.ones(1), np.array([1.0]), StepSchedule(0.5, 0.5), T=500,
                        theta_star=np.zeros(1))
     assert rec.aborted and rec.abort_t is not None and rec.abort_t <= 500
+
+
+@pytest.mark.parametrize("s0, theta0", [
+    (np.float64(0.0), np.zeros(2)),
+    (np.zeros(1), np.zeros((3, 2))),
+    (np.zeros((3, 1)), np.zeros(2)),
+    (np.zeros((3, 1, 1)), np.zeros((3, 1, 2))),
+], ids=["0-d-s0", "vector-s0-batched-theta0", "batched-s0-vector-theta0", "3-d"])
+def test_run_learning_refuses_inconsistent_shapes(s0, theta0):
+    sysm = LinearSystem(A=[[0.5]], B=[[1.0, 0.0]])
+    with pytest.raises(ContractViolation, match="must be"):
+        run_learning(sysm, s0, theta0, StepSchedule(0.1, 0.5), T=2)
+
+
+def test_run_learning_holds_two_jacobians_at_most():
+    # Exact RTRL at n = 64 holds the carried J and the step's new one,
+    # never a third (such as a start J kept for the whole run).
+    import tracemalloc
+
+    sysm, s0, theta0 = _rnn(66, 64, 1, 10)
+    J_bytes = 64 * sysm.param_dim * 8
+    run_learning(sysm, s0, theta0, StepSchedule(0.01, 0.5), T=2)  # warm caches
+    tracemalloc.start()
+    try:
+        run_learning(sysm, s0, theta0, StepSchedule(0.01, 0.5), T=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * J_bytes, peak / J_bytes
 
 
 def _rnn(seed, n, m, T):
@@ -203,8 +230,8 @@ def test_injector_arms_share_config_hash():
     sysm, s0, theta = random_tanh(6)
     meta = {"experiment": "demo", "seed": 3}
     kw = dict(schedule=StepSchedule(0.05, 0.6), T=100, theta_star=theta, config_meta=meta)
-    rec_exact = run_learning(sysm, s0, theta + 0.1, None, injector=None, rng=philox(3), **kw)
-    rec_uoro = run_learning(sysm, s0, theta + 0.1, None, injector=RankOneInjector("uoro"),
+    rec_exact = run_learning(sysm, s0, theta + 0.1, injector=None, rng=philox(3), **kw)
+    rec_uoro = run_learning(sysm, s0, theta + 0.1, injector=RankOneInjector("uoro"),
                             rng=philox(3), **kw)
     assert rec_exact.config_hash == rec_uoro.config_hash != ""
     assert not np.array_equal(rec_exact.final_theta, rec_uoro.final_theta)
@@ -220,15 +247,15 @@ def test_momentum_equivalence_stepwise():
     sysm = MomentumSystem(loss, idx, beta)
     sched = StepSchedule(0.05, 0.4)
 
-    ls = LearnerState(0, np.zeros(1), np.zeros((1, 4)), theta_star + 0.3)
+    s, J, theta = np.zeros(1), np.zeros((1, 4)), theta_star + 0.3
     J_ref = np.zeros(4)
     theta_ref = theta_star + 0.3
     for t in range(1, T + 1):
         J_ref = beta * J_ref + (1 - beta) * loss.grad(idx[t], theta_ref)
         theta_new = theta_ref - sched.eta(t) * J_ref
-        ls = rtrl_step(sysm, ls, sched.eta(t), None, None)
-        assert np.allclose(ls.J[0], J_ref, atol=1e-12)
-        assert np.allclose(ls.theta, theta_new, atol=1e-12)
+        s, J, theta, _ = dense_step(sysm, t, s, theta, J, sched.eta(t), None, None)
+        assert np.allclose(J[0], J_ref, atol=1e-12)
+        assert np.allclose(theta, theta_new, atol=1e-12)
         theta_ref = theta_new
 
 
@@ -259,17 +286,26 @@ def collect_noisy_states(sysm, s0, theta0, schedule, T, injector=None, rng=None)
     """Run the learner and keep the maintained (s, J) pairs per step; with
     an injector, the pair learner's J as the matrix of its pair."""
     n, p = len(s0), len(theta0)
-    ls = LearnerState(0, s0, np.zeros((n, p)) if injector is None else RankOnePair.zero(n, p), theta0)
+    s, theta = s0, theta0
+    if injector is None:
+        J = np.zeros((n, p))
+
+        def step(t, s, theta, J):
+            return dense_step(sysm, t, s, theta, J, schedule.eta(t), None, None)
+    else:
+        J, signs = RankOnePair.zero(n, p), SignStream(rng, T)
+
+        def step(t, s, theta, J):
+            return pair_step(sysm, t, s, theta, J, schedule.eta(t), None, None, injector.nbt, signs)
 
     def dense(J):
         return J.matrix() if isinstance(J, RankOnePair) else J.copy()
 
-    pairs = [(ls.s.copy(), dense(ls.J))]
+    pairs = [(s.copy(), dense(J))]
     for t in range(1, T + 1):
-        ls = rtrl_step(sysm, ls, schedule.eta(t), None, None,
-                       injector=injector, rng=rng)
-        pairs.append((ls.s.copy(), dense(ls.J)))
-    return pairs, ls
+        s, J, theta, _ = step(t, s, theta, J)
+        pairs.append((s.copy(), dense(J)))
+    return pairs, theta
 
 
 def test_deviation_zero_for_exact_trajectory():
@@ -329,12 +365,12 @@ def test_deviation_accepts_rank_one_states():
     # States of the pair-only learner enter through matrix(pair).
     sysm, s0, theta = random_tanh(11)
     sched = StepSchedule(0.05, 0.6)
-    ls = LearnerState(0, s0, RankOnePair.zero(3, 5), theta)
-    inj, rng = RankOneInjector("nbt"), philox(12)
-    states = [ls]
+    s, pair, th = s0, RankOnePair.zero(3, 5), theta
+    states, signs = [(s, pair)], SignStream(philox(12), 20)
     for t in range(1, 21):
-        states.append(rtrl_step(sysm, states[-1], sched.eta(t), injector=inj, rng=rng))
+        s, pair, th, _ = pair_step(sysm, t, s, th, pair, sched.eta(t), None, None, True, signs)
+        states.append((s, pair))
     dev = deviation(sysm, theta, states, 0, 20, sched)
-    dense = [(m.s, m.J.matrix()) for m in states]
+    dense = [(s, pair.matrix()) for s, pair in states]
     assert dev == deviation(sysm, theta, dense, 0, 20, sched)
     assert dev > 0.0

@@ -10,7 +10,7 @@ import dynlearn.updates as updates
 from dynlearn.dynamics import ContractViolation, NumericOverflow, guard
 from dynlearn.harness import SEED_BATCHED, ExperimentConfig, run_trial, run_trials
 from dynlearn.rankone import RankOneInjector
-from dynlearn.rtrl import LearnerState, run_learning
+from dynlearn.rtrl import run_learning
 from dynlearn.schedules import StepSchedule
 
 BASE = {
@@ -189,11 +189,12 @@ def test_batched_learner_contracts():
     xs = np.eye(2)
     sys = NonRecurrentRegression(xs, np.ones(2), np.zeros((3, 5), dtype=int))
     with pytest.raises(ContractViolation):
-        run_learning(sys, np.zeros((3, 1)), np.zeros((3, 2)), None, StepSchedule(0.1, 0.5),
+        run_learning(sys, np.zeros((3, 1)), np.zeros((3, 2)), StepSchedule(0.1, 0.5),
                      injector=RankOneInjector("uoro"), T=2, config_meta=[{}] * 3)
-    with pytest.raises(ContractViolation):
-        LearnerState(t=0, s=np.zeros((3, 1)), J=np.zeros((3, 1, 2)), theta=np.zeros((2, 2)))
-    records = run_learning(sys, np.zeros((3, 1)), np.zeros((3, 2)), None, StepSchedule(0.1, 0.5),
+    with pytest.raises(ContractViolation):  # the seed axes of s0 and theta0 differ
+        run_learning(sys, np.zeros((3, 1)), np.zeros((2, 2)), StepSchedule(0.1, 0.5), T=2,
+                     config_meta=[{}] * 3)
+    records = run_learning(sys, np.zeros((3, 1)), np.zeros((3, 2)), StepSchedule(0.1, 0.5),
                            T=4, theta_star=np.ones(2), config_meta=[{}] * 3)
     assert len(records) == 3 and all(len(r.t) == 5 for r in records)
 

@@ -17,7 +17,7 @@ from dynlearn.dynamics import (
 )
 from dynlearn.rtrl import open_loop_updates
 from dynlearn.schedules import StepSchedule, sample_indices
-from dynlearn.tbptt import BpttCounters, TruncationSchedule, bptt_interval_gradient, run_tbptt
+from dynlearn.tbptt import TruncationSchedule, bptt_interval_gradient, run_tbptt
 
 
 def test_truncation_schedule_construction():
@@ -132,43 +132,83 @@ def test_interval_gradient_rnn_equals_dense_forward_sum():
     assert worst <= 1e-10
 
 
+class Counting(System):
+    """Forwards to a system and keeps the time t of every call of the
+    methods an interval pass makes per step."""
+
+    def __init__(self, base):
+        self.base, self.param_dim = base, base.param_dim
+        self.calls = {"transition": [], "d_transition_ds": [], "d_transition_dtheta_vjp": []}
+
+    def state_dim(self, t):
+        return self.base.state_dim(t)
+
+    def transition(self, t, s, theta):
+        self.calls["transition"].append(t)
+        return self.base.transition(t, s, theta)
+
+    def d_transition_ds(self, t, s, theta):
+        self.calls["d_transition_ds"].append(t)
+        return self.base.d_transition_ds(t, s, theta)
+
+    def d_transition_dtheta(self, t, s, theta):
+        return self.base.d_transition_dtheta(t, s, theta)
+
+    def d_transition_dtheta_vjp(self, t, s, theta, u):
+        self.calls["d_transition_dtheta_vjp"].append(t)
+        return self.base.d_transition_dtheta_vjp(t, s, theta, u)
+
+    def loss(self, t, s):
+        return self.base.loss(t, s)
+
+    def d_loss_ds(self, t, s):
+        return self.base.d_loss_ds(t, s)
+
+    def counts(self):
+        return tuple(len(times) for times in self.calls.values())
+
+
 def test_backward_pass_touches_each_state_once():
-    sysm, s0, theta = random_tanh(3)
-    counters = BpttCounters()
-    bptt_interval_gradient(sysm, s0, theta, 5, 17, counters=counters)
-    assert counters.backward_steps == 12
-    assert counters.forward_steps == 12
+    # On (5, 17]: one transition and one vjp per step, and dT/ds for each
+    # step but the first (the adjoint starts at zero beyond t_end).
+    base, s0, theta = random_tanh(3)
+    sysm = Counting(base)
+    g = bptt_interval_gradient(sysm, s0, theta, 5, 17)
+    assert np.array_equal(g, bptt_interval_gradient(base, s0, theta, 5, 17))
+    assert sorted(sysm.calls["transition"]) == list(range(6, 18))
+    assert sorted(sysm.calls["d_transition_dtheta_vjp"]) == list(range(6, 18))
+    assert sorted(sysm.calls["d_transition_ds"]) == list(range(7, 18))
 
 
 def test_counters_add_up_to_the_horizon_over_a_growing_run():
-    # Over the intervals of grow:0.4 the counters count exactly T steps
-    # each way.
-    sysm = InfluenceBalancing(6, 2)
+    # Over the intervals of grow:0.4 the system sees exactly T transitions
+    # and T vjps, and T less one dT/ds per interval.
+    sysm = Counting(InfluenceBalancing(6, 2))
     theta = np.array([0.5])
-    s = sysm.stationary_state(theta)
+    s = sysm.base.stationary_state(theta)
     sched, T = StepSchedule(0.05, 0.7), 1000
     intervals = list(TruncationSchedule.growing(0.4).intervals(T))
     assert len(intervals) > 50 and intervals[-1][1] == T
-    counters = BpttCounters()
-    for t_lo, t_hi in intervals:
-        theta = theta - sched.eta(t_hi) * bptt_interval_gradient(sysm, s, theta, t_lo, t_hi, counters)
-        assert counters.forward_steps == counters.backward_steps == t_hi
-    assert counters.forward_steps == counters.backward_steps == T
+    for k, (t_lo, t_hi) in enumerate(intervals, start=1):
+        theta = theta - sched.eta(t_hi) * bptt_interval_gradient(sysm, s, theta, t_lo, t_hi)
+        assert sysm.counts() == (t_hi, t_hi - k, t_hi)
+    assert sysm.counts() == (T, T - len(intervals), T)
 
 
 def test_counters_keep_the_steps_before_an_overflow():
     # A transition that overflows at t = 7 stops the forward pass of
-    # (3, 10]; the three steps taken before it stay counted.
+    # (3, 10]: the three steps before it and the one that overflows ran,
+    # and no backward step.
     class Blowup(InfluenceBalancing):
         def transition(self, t, s, theta):
             out = super().transition(t, s, theta)
             return out + 1e13 if t == 7 else out
 
-    sysm = Blowup(6, 2)
-    counters = BpttCounters()
+    sysm = Counting(Blowup(6, 2))
     with pytest.raises(NumericOverflow):
-        bptt_interval_gradient(sysm, np.zeros(6), np.array([0.5]), 3, 10, counters)
-    assert (counters.forward_steps, counters.backward_steps) == (3, 0)
+        bptt_interval_gradient(sysm, np.zeros(6), np.array([0.5]), 3, 10)
+    assert sysm.calls["transition"] == [4, 5, 6, 7]
+    assert sysm.counts()[1:] == (0, 0)
 
 
 def test_run_tbptt_nonrecurrent_equals_accumulated_sgd():

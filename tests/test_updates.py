@@ -119,7 +119,7 @@ def test_rule_adam_beta_zero_reduces_to_adaptive():
     sched = StepSchedule(0.05, 0.6)
     theta0 = setup.initial_theta(theta_star + 0.2)
 
-    rec = run_learning(setup.system, np.zeros(1), theta0, None, sched,
+    rec = run_learning(setup.system, np.zeros(1), theta0, sched,
                        rule=setup.rule, phi=None, T=T,
                        theta_star=theta_star, dist_dims=4)
 
@@ -143,16 +143,16 @@ def test_rule_adam_momentum_jacobian():
     loss = SquaredErrorLoss(xs, ys)
     setup = rule_adam(loss, idx, beta1=0.7, c=1.0)
     sched = StepSchedule(0.02, 0.6)
-    from dynlearn.rtrl import LearnerState, rtrl_step
+    from dynlearn.rtrl import dense_step
 
     theta = setup.initial_theta(theta_star + 0.2)
-    ls = LearnerState(0, np.zeros(1), np.zeros((1, len(theta))), theta)
+    s, J = np.zeros(1), np.zeros((1, len(theta)))
     J_ref = np.zeros(4)
     for t in range(1, T + 1):
-        g = loss.grad(idx[t], ls.theta[:4])
+        g = loss.grad(idx[t], theta[:4])
         J_ref = 0.7 * J_ref + 0.3 * g
-        ls = rtrl_step(setup.system, ls, sched.eta(t), setup.rule, None)
-        assert np.allclose(ls.J[0, :4], J_ref, atol=1e-12)
+        s, J, theta, _ = dense_step(setup.system, t, s, theta, J, sched.eta(t), setup.rule, None)
+        assert np.allclose(J[0, :4], J_ref, atol=1e-12)
 
 
 def test_fixed_beta2_two_arm_dichotomy():
@@ -169,7 +169,7 @@ def test_fixed_beta2_two_arm_dichotomy():
         rng = philox(seed)
         theta0 = setup.initial_theta(np.array([rng.uniform(-1.0, 1.0)]))
         phi = ProjectedUpdate(-1.0, 1.0, block=1)
-        rec = run_learning(setup.system, np.zeros(1), theta0, None, sched,
+        rec = run_learning(setup.system, np.zeros(1), theta0, sched,
                            rule=setup.rule, phi=phi, T=T,
                            theta_star=np.array([-1.0]), dist_dims=1, record_every=1000)
         return rec.final_dist()
@@ -280,7 +280,7 @@ def test_nan_preconditioner_is_an_abort_not_an_error():
     xs, ys, theta_star = regression_dataset()
     sysm = NonRecurrentRegression(xs, ys, sample_indices("cycling", len(xs), 50))
     rule = PreconditionedRule(lambda theta: np.full((4, 4), np.nan))
-    record = run_learning(sysm, np.zeros(1), theta_star + 0.1, None, StepSchedule(0.1, 0.5),
+    record = run_learning(sysm, np.zeros(1), theta_star + 0.1, StepSchedule(0.1, 0.5),
                           rule=rule, T=50, theta_star=theta_star)
     assert record.abort_t == 1
 
