@@ -147,10 +147,20 @@ class System(ABC):
     transition Jacobians have shapes dim(S_t) x dim(S_{t-1}) and
     dim(S_t) x p. Losses are defined for t >= 1. Methods treat s and theta
     as read-only, and callers never write into them after a call: a system
-    may keep what it computed for the same s and theta objects.
+    may keep what it computed for the same s and theta objects. Nor do
+    callers write into what a method returns, which may be what the system
+    keeps (except the M of `d_transition_dtheta_add`, theirs to begin with).
+
+    `recurrent` is True unless T_t never reads s, so that dT_t/ds = 0 at
+    every t, s and theta. A system that sets it False declares exactly
+    that: its forward Jacobian has no memory, J_t = dT_t/dtheta, and the
+    learners call neither d_transition_ds nor a product with it. The
+    declaration holds for every row of a seed batch and survives
+    `take_seeds`.
     """
 
     param_dim: int
+    recurrent = True
 
     @abstractmethod
     def state_dim(self, t: int) -> int: ...
@@ -404,7 +414,9 @@ class _Constant(dict):
 class _SeedBatchable(_ConstantDim, System):
     """Base of the systems of state dimension 1 whose seeds differ only in
     their index sequence. dT/ds is the constant `_ds` (a `_Constant`), and
-    dT/dtheta is `_row(t, theta)` in the leading core_dim columns, 0 after.
+    dT/dtheta is `_row(t, theta)` in the leading core_dim columns, 0 after;
+    without columns after, it is the row itself, which may be the memo's
+    (a caller never writes into what a method returns, see `System`).
 
     Built on a 2-D index array (one row per seed), such a system takes
     states (S, 1) and parameters (S, p) (s.ndim == 2; a sample loss then
@@ -434,15 +446,17 @@ class _SeedBatchable(_ConstantDim, System):
         return self._ds[s.shape[:-1] + (1, 1)]
 
     def d_transition_dtheta(self, t, s, theta):
-        out = np.zeros(s.shape[:-1] + (1, self.param_dim))
+        shape = s.shape[:-1] + (1, self.param_dim)
+        if self.core_dim == self.param_dim:  # the row itself, no copy
+            return self._row(t, theta).reshape(shape)
+        out = np.zeros(shape)
         out[..., 0, : self.core_dim] = self._row(t, theta)
         return out
 
     def d_transition_dtheta_add(self, t, s, theta, M):
         # The default's bits, minus its calls. Beside zero columns the dense
         # sum stays (+ 0.0 makes -0.0 0.0; sliced adds cost more here).
-        M += (self.d_transition_dtheta(t, s, theta) if self.core_dim < M.shape[-1]
-              else self._row(t, theta).reshape(M.shape))
+        M += self.d_transition_dtheta(t, s, theta)
         return M
 
 
@@ -455,6 +469,8 @@ class NonRecurrentRegression(_SeedBatchable):
     the leading coordinates of theta so that augmented parameters
     (theta, psi) used by adaptive rules pass through untouched.
     """
+
+    recurrent = False
 
     def __init__(self, xs, ys, indices, param_dim=None, core_dim=None):
         self.xs = np.asarray(xs, dtype=float)
@@ -620,7 +636,8 @@ class MomentumSystem(_SeedBatchable):
     gradients, so plain descent through it is SGD with momentum, and an
     adaptive update rule on top of it gives Adam-style methods.
     `core_dim` restricts the sample loss to the leading coordinates of an
-    augmented parameter.
+    augmented parameter. With beta = 0 the state is the sample loss alone
+    and the system is not `recurrent`.
     """
 
     def __init__(self, sample_loss, indices, beta, param_dim=None, core_dim=None):
@@ -629,6 +646,7 @@ class MomentumSystem(_SeedBatchable):
         self.sample_loss = sample_loss
         self._idx = _index_lookup(indices)
         self.beta = beta
+        self.recurrent = beta != 0.0
         self.core_dim = sample_loss.dim if core_dim is None else core_dim
         self.param_dim = self.core_dim if param_dim is None else param_dim
         self._ds, self._one = _Constant(beta), _Constant(1.0)

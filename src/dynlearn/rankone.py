@@ -215,14 +215,22 @@ def pair_step(sys: System, t: int, s, theta, pair: RankOnePair, eta: float, rule
     Bit for bit the reduction of `nbt_reduce` (nbt true) or `uoro_reduce`
     with the signs signs.take(dim S_t), dT/dtheta used only through the
     system's products, and the dense learner's guard stages in its order:
-    transition, jacobian, update-direction, parameter."""
-    jac_s = sys.d_transition_ds(t, s, theta)
+    transition, jacobian, update-direction, parameter. On a system that is
+    not `recurrent` the forwarded dT/ds . v_state is the exact zero vector,
+    so the first term is (0, v_param) without the product."""
+    recurrent = sys.recurrent
+    if recurrent:
+        jac_s = sys.d_transition_ds(t, s, theta)
     s_new = guard(sys.transition(t, s, theta), "transition", t)
-    v_state, v_param = jac_s @ pair.v_state, pair.v_param
-    norm = math.sqrt(v_state.dot(v_state))
-    if norm != 0.0:  # else (0, v_param), as in _first_term
-        v_state, v_param = _equalize(v_state, norm, v_param)
-    nu = signs.take(jac_s.shape[0])
+    v_param = pair.v_param
+    if recurrent:
+        v_state = jac_s @ pair.v_state
+        norm = math.sqrt(v_state.dot(v_state))
+        if norm != 0.0:  # else (0, v_param), as in _first_term
+            v_state, v_param = _equalize(v_state, norm, v_param)
+    else:
+        v_state = np.zeros(len(s_new))
+    nu = signs.take(len(v_state))
     if nbt:
         rho = np.sqrt(sys.d_transition_dtheta_row_norms(t, s, theta))
         weights = np.divide(nu, rho, out=np.zeros(rho.shape), where=rho > 0.0)

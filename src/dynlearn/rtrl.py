@@ -19,6 +19,11 @@ regularized pair of `deviation` all advance (s, J) through it. A rule or
 update operator of None is the identity rule U_t(g) = g and the plain
 update Phi_t(theta, w) = theta - w.
 
+On a system that is not `recurrent` (T_t does not read s, so dT_t/ds = 0)
+the recursion has no memory, J_t = dT_t/dtheta, and exact RTRL is SGD on
+the per-step loss: the step costs O(np), with neither dT/ds nor the
+product dT/ds . J_{t-1}, whose result is known to be zero.
+
 J_t is either a dense matrix or, for the rank-one algorithms (UORO,
 NoBackTrack), a `RankOnePair` (v_state, v_param) standing for
 v_state (x) v_param. A pair advances through `rankone.pair_step`: an
@@ -68,16 +73,29 @@ def forward_step(sys: System, t: int, s, theta, J):
     (a structured dT_t/dtheta is never built dense), and the gradient row
     g_t = dl_t/ds(s_t) . J_t. s_t is guarded as stage "transition", then
     J_t as stage "jacobian". A J of shape (S, n, p) advances S seeds.
+
+    On a system that is not `recurrent` J is not read: J_t is a fresh
+    0 + dT_t/dtheta, the bits of the product path, whose product is exact
+    zeros (+ 0.0 makes -0.0 0.0).
     """
     batched = J.ndim == 3
-    jac_s = sys.d_transition_ds(t, s, theta)
-    if getattr(jac_s, "ndim", 0) < 2:  # a scalar or vector of a system of dimension 1
-        jac_s = np.atleast_2d(jac_s)
+    recurrent = sys.recurrent
+    if recurrent:
+        jac_s = sys.d_transition_ds(t, s, theta)
+        if getattr(jac_s, "ndim", 0) < 2:  # a scalar or vector of a system of dimension 1
+            jac_s = np.atleast_2d(jac_s)
     s_new = sys.transition(t, s, theta)
     if type(s_new) is not np.ndarray or s_new.dtype is not _FLOAT:
         s_new = np.asarray(s_new, dtype=float)
     guard(s_new, "transition", t, batched)
-    J_new = guard(sys.d_transition_dtheta_add(t, s, theta, jac_s @ J), "jacobian", t, batched)
+    if recurrent:
+        J_new = sys.d_transition_dtheta_add(t, s, theta, jac_s @ J)
+    else:
+        J_new = sys.d_transition_dtheta(t, s, theta)
+        if getattr(J_new, "ndim", 0) < 2:
+            J_new = np.atleast_2d(J_new)
+        J_new = J_new + 0.0
+    J_new = guard(J_new, "jacobian", t, batched)
     dl = sys.d_loss_ds(t, s_new)
     if getattr(dl, "ndim", 0) < 1:
         dl = np.atleast_1d(dl)

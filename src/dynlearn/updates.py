@@ -105,7 +105,7 @@ class AdaptiveRule:
     def coupling(self, t):
         if self.fixed_beta2 is None:
             return self.c
-        return (1.0 - self.fixed_beta2) / self.schedule.eta(t)
+        return (1.0 - self.fixed_beta2) / self.schedule.eta_again(t)
 
     def apply(self, t, v, s, theta):
         psi = theta[..., self.theta_dim :]
@@ -116,7 +116,7 @@ class AdaptiveRule:
         psi_dir = c_t * (psi - stat)
         psi_used = psi
         if self.timing == "psi_first":
-            psi_used = psi - self.schedule.eta(t) * psi_dir
+            psi_used = psi - self.schedule.eta_again(t) * psi_dir
         core = theta[..., : self.theta_dim]
         P = self.precond(core, psi_used)
         v_core = v[..., : self.theta_dim]

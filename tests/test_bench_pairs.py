@@ -55,6 +55,40 @@ def test_summarize_pairs():
     assert summary["setup_s"]["change_wins"] == 3
 
 
+def test_arm_line_is_kept_and_summarized_per_side():
+    stdout = "\n".join([
+        "machine {}",
+        "us/step per arm: sgd-cycling 8.31 sgd-iid 8.29 adam-adaptive 14.02 adam-fixed 13.97",
+        "fail_frac 0.0 ratio (0 of 8 trials)",
+        json.dumps(result(5000.0, 0.12)),
+    ]) + "\n"
+    assert bench_pairs.parse_arms(stdout) == {
+        "sgd-cycling": 8.31, "sgd-iid": 8.29, "adam-adaptive": 14.02, "adam-fixed": 13.97}
+    assert bench_pairs.parse_arms("machine {}\n" + json.dumps(result(1.0, 1.0))) == {}
+
+    parent = {"sgd": [8.3, 8.4, 8.2], "rnn": [50.0, 51.0, 49.0]}
+    change = {"sgd": [7.4, 8.5, 7.3], "rnn": [50.0, 50.5, 49.5]}
+    runs = []
+    for k in range(3):
+        for side, arms in (("parent", parent), ("change", change)):
+            runs.append({"pair": k, "side": side, "result": result(100.0, 0.1),
+                         "arms": {arm: us[k] for arm, us in arms.items()}})
+    # A run of an older record, without arms, is summarized on its metrics.
+    runs.append({"pair": 3, "side": "parent", "result": result(100.0, 0.1)})
+    summary = bench_pairs.summarize(runs, {"steps_per_s": "higher"})
+
+    assert list(summary) == ["steps_per_s", "arm_us_per_step.rnn", "arm_us_per_step.sgd"]
+    sgd = summary["arm_us_per_step.sgd"]
+    assert sgd["better"] == "lower" and sgd["pairs"] == 3
+    assert sgd["parent"]["median"] == 8.3 and sgd["change"]["median"] == 7.4
+    assert sgd["parent"]["values"] == parent["sgd"] and sgd["change"]["values"] == change["sgd"]
+    assert sgd["change_wins"] == 2
+    assert summary["arm_us_per_step.rnn"]["change_wins"] == 1  # a tie, a win and a loss
+    # An arm that a paired run did not time is left out.
+    assert bench_pairs.summarize(runs[:-1] + [runs[-1] | {"pair": 0, "side": "change"}],
+                                 {"steps_per_s": "higher"}).keys() == {"steps_per_s"}
+
+
 def test_quartiles_of_one_value():
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
 

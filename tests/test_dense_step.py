@@ -3,10 +3,12 @@ Jacobians and dT/dtheta products of the one-dimensional systems."""
 
 import copy
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dynlearn.rtrl as rtrl
@@ -15,8 +17,10 @@ from dynlearn.dynamics import (
     LinearCoefficientLoss,
     MomentumSystem,
     NonRecurrentRegression,
+    NumericOverflow,
     SquaredErrorLoss,
     System,
+    _SeedBatchable,
     guard,
 )
 from dynlearn.harness import ExperimentConfig, run_trials
@@ -187,6 +191,90 @@ def test_seed_batched_arms_equal_the_oracle(arm, seeds, monkeypatch, tmp_path):
         assert len({r.abort_t for r in new if r.abort_t is not None}) >= 2
 
 
+# Arms on systems that are not recurrent (NonRecurrentRegression, and
+# MomentumSystem with beta = 0): the learner skips dT/ds, the oracle forms
+# the product with it.
+NONRECURRENT = {
+    "sgd-regression": {"algorithm.name": "sgd"},
+    "rtrl-regression": {"algorithm.name": "rtrl"},
+    "sgd-momentum-0": {"algorithm.name": "sgd", "system.kind": "momentum", "system.beta": 0.0},
+    "rtrl-momentum-0": ARMS["rtrl-momentum"],
+    "adam-regression-0": {"algorithm.name": "adam", "algorithm.beta1": 0.0},
+    "adam-regression-0-fixed": {"algorithm.name": "adam", "algorithm.beta1": 0.0, "algorithm.fixed_beta2": 0.99},
+    "rmsprop-regression": ARMS["rmsprop-regression"],
+    "rmsprop-regression-fixed": ARMS["rmsprop-regression-fixed"],
+    "adam-period3-0-fixed": {"algorithm.name": "adam", "algorithm.beta1": 0.0, "algorithm.fixed_beta2": 0.99,
+                             **PERIOD3},
+    "rmsprop-period3": ARMS["rmsprop-period3"],
+    "sgd-aborting": ARMS["sgd-aborting"],
+    "rtrl-momentum-0-aborting": {"algorithm.name": "rtrl", "system.kind": "momentum", "system.beta": 0.0,
+                                 "schedule.gamma": 0.3, "schedule.b": 0.05, "experiment.horizon": 400},
+    "rmsprop-aborting": {"algorithm.name": "rmsprop", "schedule.gamma": 1.0, "schedule.b": 0.05,
+                         "algorithm.fixed_beta2": 0.5},
+}
+
+
+def never(*args):
+    raise AssertionError("d_transition_ds called on a system that is not recurrent")
+
+
+@settings(max_examples=40, deadline=None)
+@given(arm=st.sampled_from(list(NONRECURRENT)),
+       seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True))
+@example(arm="sgd-aborting", seeds=list(range(8)))
+@example(arm="rtrl-momentum-0-aborting", seeds=list(range(8)))
+@example(arm="rmsprop-aborting", seeds=list(range(12)))
+def test_nonrecurrent_arms_equal_the_oracle(arm, seeds):
+    # One seed runs alone, several seed-batched; rows that abort shrink the
+    # batch, down to S = 1.
+    cfg = config(NONRECURRENT[arm])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_SeedBatchable, "d_transition_ds", never)
+        new = list(run_trials(cfg, seeds).values())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rtrl, "dense_step", oracle_dense_step)
+        old = list(run_trials(cfg, seeds).values())
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_records(new, old, Path(tmp))
+    if arm.endswith("aborting") and len(seeds) >= 8:
+        assert len({r.abort_t for r in new if r.abort_t is not None}) >= 2
+
+
+class NonRecurrentScalar(System):
+    """Not recurrent, with the Python scalars and lists of `ScalarSystem`
+    and a -0.0 entry in dT/dtheta."""
+
+    param_dim = 3
+    recurrent = False
+
+    def state_dim(self, t):
+        return 1
+
+    def transition(self, t, s, theta):
+        return theta[0] * math.sin(t) + theta[1]
+
+    def d_transition_ds(self, t, s, theta):
+        return 0.0
+
+    def d_transition_dtheta(self, t, s, theta):
+        return [math.sin(t), 1.0, -0.0]
+
+    def loss(self, t, s):
+        return (s.item() - 1.0) ** 2
+
+    def d_loss_ds(self, t, s):
+        return 2.0 * (s.item() - 1.0)
+
+
+def test_nonrecurrent_scalar_system_equals_the_oracle(monkeypatch, tmp_path):
+    def run():
+        return [run_learning(NonRecurrentScalar(), np.zeros(1), np.array([0.2, -0.1, -0.0]),
+                             StepSchedule(0.2, 0.6), T=150, theta_star=np.array([0.0, 0.5, 0.0]))]
+
+    new, old = with_oracle(monkeypatch, run)
+    assert_same_records(new, old, tmp_path)
+
+
 @pytest.mark.parametrize("arm", list(LOOPED))
 def test_looped_arms_equal_the_oracle(arm, monkeypatch, tmp_path):
     cfg = config({"experiment.horizon": 120, **LOOPED[arm]})
@@ -242,15 +330,16 @@ def _one_dim_system(kind, xs, ys, idx, extra):
     core = xs.shape[1]
     if kind == "nonrecurrent":
         return NonRecurrentRegression(xs, ys, idx, param_dim=core + extra)
-    if kind == "momentum-squared":
-        return MomentumSystem(SquaredErrorLoss(xs, ys), idx, 0.3, param_dim=core + extra)
+    if kind.startswith("momentum-squared"):
+        beta = 0.0 if kind.endswith("-0") else 0.3
+        return MomentumSystem(SquaredErrorLoss(xs, ys), idx, beta, param_dim=core + extra)
     return MomentumSystem(LinearCoefficientLoss(xs[:, 0]), idx, 0.0, param_dim=1 + extra, core_dim=1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), kind=st.sampled_from(["nonrecurrent", "momentum-squared", "momentum-coef"]),
-       batch=st.sampled_from([None, 1, 3]), extra=st.integers(0, 2))
-def test_dtheta_add_overrides_equal_the_default_bytes(data, kind, batch, extra):
+def draw_one_dim(data, kind, batch, extra):
+    """(system, lead, theta, matrix M shaped as J, t) drawn from ENTRIES:
+    a system of `_one_dim_system` on 3 samples of 2 features, seed-batched
+    on `batch` rows unless batch is None."""
     xs = np.array(data.draw(st.lists(st.lists(ENTRIES, min_size=2, max_size=2), min_size=3, max_size=3)))
     ys = np.array(data.draw(st.lists(ENTRIES, min_size=3, max_size=3)))
     T = 4
@@ -261,13 +350,44 @@ def test_dtheta_add_overrides_equal_the_default_bytes(data, kind, batch, extra):
     lead = () if batch is None else (batch,)
     p = sys.param_dim
     theta = np.array(data.draw(st.lists(ENTRIES, min_size=rows * p, max_size=rows * p))).reshape(lead + (p,))
-    s = np.zeros(lead + (1,))
     M = np.array(data.draw(st.lists(ENTRIES, min_size=rows * p, max_size=rows * p))).reshape(lead + (1, p))
-    t = data.draw(st.integers(1, T))
+    return sys, lead, theta, M, data.draw(st.integers(1, T))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["nonrecurrent", "momentum-squared", "momentum-coef"]),
+       batch=st.sampled_from([None, 1, 3]), extra=st.integers(0, 2))
+def test_dtheta_add_overrides_equal_the_default_bytes(data, kind, batch, extra):
+    sys, lead, theta, M, t = draw_one_dim(data, kind, batch, extra)
+    s = np.zeros(lead + (1,))
     want = System.d_transition_dtheta_add(sys, t, s, theta, M.copy())
     got = sys.d_transition_dtheta_add(t, s, theta, M.copy())
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def outcome_of(step, *args):
+    """The bytes of what step returns, or the stage, time and rows of its
+    overflow."""
+    try:
+        return [x.tobytes() for x in step(*args)]
+    except NumericOverflow as exc:
+        return exc.stage, exc.t, None if exc.rows is None else exc.rows.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["nonrecurrent", "momentum-squared-0", "momentum-coef"]),
+       batch=st.sampled_from([None, 1, 3]), extra=st.integers(0, 2))
+def test_nonrecurrent_forward_step_has_the_bits_of_the_product(data, kind, batch, extra):
+    # J_{t-1} (M) is read by the oracle's product only; -0.0 entries of
+    # dT/dtheta and of s_t must come out as the product path rounds them.
+    sys, lead, theta, M, t = draw_one_dim(data, kind, batch, extra)
+    assert not sys.recurrent
+    s = np.array(data.draw(st.lists(ENTRIES, min_size=len(M), max_size=len(M)))).reshape(lead + (1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome_of(rtrl.forward_step, sys, t, s, theta, M)
+        want = outcome_of(oracle_forward_step, sys, t, s, theta, M)
+    assert got == want
 
 
 def test_dtheta_add_keeps_the_default_signed_zero():

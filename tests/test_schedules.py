@@ -49,6 +49,36 @@ def test_schedule_homogeneity_over_growing_windows():
         assert 1.0 <= ratio <= 1.0 + 5 * T ** (-(1 - A)) * 0.7 * 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(0.0, 10.0), b=st.floats(0.01, 1.0),
+       ts=st.lists(st.integers(1, 10**9), min_size=1, max_size=6))
+def test_eta_again_has_the_bits_of_eta(gamma, b, ts):
+    sched, other = StepSchedule(gamma, b), StepSchedule(gamma, b)
+    for t in ts:
+        sched.eta(ts[0])
+        want = other.eta(t)
+        assert sched.eta_again(t) == want and sched.eta_again(t) == sched.eta(t)
+    assert sched == other and hash(sched) == hash(other)  # the memo is not a field
+
+
+def test_one_eta_evaluation_per_step(monkeypatch):
+    # The adam-fixed arm: the learner and the rule's fixed-beta2 coupling
+    # both take eta_t, from one evaluation per batch step.
+    from dynlearn.harness import ExperimentConfig, run_trials
+
+    calls = []
+    eta = StepSchedule.eta
+    monkeypatch.setattr(StepSchedule, "eta", lambda self, t: calls.append(t) or eta(self, t))
+    T = 300
+    cfg = ExperimentConfig({"experiment.name": "eta", "experiment.horizon": str(T),
+                            "system.kind": "period3", "algorithm.name": "adam", "algorithm.beta1": "0.0",
+                            "algorithm.fixed_beta2": "0.99", "schedule.gamma": "0.5",
+                            "schedule.b": "0.7", "init.radius": "1.0"})
+    records = run_trials(cfg, range(4))
+    assert not any(r.aborted for r in records.values())
+    assert calls == list(range(1, T + 1))
+
+
 def test_schedule_invalid():
     with pytest.raises(ConfigurationError):
         StepSchedule(0.1, 0.0)

@@ -16,12 +16,14 @@ tree's `src/`), one run at a time, and the side that runs first alternates
 from pair to pair. Pair k runs workload seed first_seed + k on both sides,
 for `run_seconds` of BENCHMARK.json unless `--seconds` is given.
 
-The output file holds the machine line, every run's result JSON and, per
-workload and end-to-end metric, each side's median and quartiles
-(`statistics.quantiles(values, n=4)`, as `perfbench/spread.py`), the
-parent's quartile spread as a share of its median, and the number of pairs
-the change won (ties count for neither side). `--workload` may be given
-more than once.
+The output file holds the machine line, every run's result JSON and
+`us/step per arm` line and, per workload, for each end-to-end metric and
+each arm's us/step (`arm_us_per_step.<arm>`, lower is better): each
+side's median and quartiles (`statistics.quantiles(values, n=4)`, as
+`perfbench/spread.py`), the parent's quartile spread as a share of its
+median, and the number of pairs the change won (ties count for neither
+side). The arms show which parts of a workload moved. `--workload` may be
+given more than once.
 """
 
 import argparse
@@ -36,6 +38,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+ARM_LINE = "us/step per arm: "
+ARM_PREFIX = "arm_us_per_step."
 
 
 def parse_output(stdout: str):
@@ -47,6 +51,16 @@ def parse_output(stdout: str):
     return machine, json.loads(lines[-1])
 
 
+def parse_arms(stdout: str):
+    """{arm: us/step} of the `us/step per arm: <arm> <us> ...` line of
+    perfbench/run.py ({} without one)."""
+    for line in stdout.splitlines():
+        if line.startswith(ARM_LINE):
+            words = line[len(ARM_LINE):].split()
+            return {arm: float(us) for arm, us in zip(words[::2], words[1::2])}
+    return {}
+
+
 def quartiles(values):
     """(q1, median, q3); one value is its own quartiles."""
     if len(values) == 1:
@@ -54,28 +68,40 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4))
 
 
+def run_values(run):
+    """{name: value} of one run: its end-to-end metrics, and its us/step
+    per arm (key "arms", optional) named ARM_PREFIX + arm."""
+    values = {name: metric["value"] for name, metric in run["result"]["metrics"].items()}
+    values.update((ARM_PREFIX + arm, us) for arm, us in run.get("arms", {}).items())
+    return values
+
+
 def summarize(runs, metrics):
     """Per-metric summary of paired runs.
 
-    runs: dicts with keys pair, side ("parent" or "change") and result (the
-    result JSON of run.py). metrics: {name: "higher" or "lower"}, the
-    direction in which the metric is better.
+    runs: dicts with keys pair, side ("parent" or "change"), result (the
+    result JSON of run.py) and, optionally, arms ({arm: us/step}).
+    metrics: {name: "higher" or "lower"}, the direction in which the metric
+    is better. Each arm that every paired run timed is summarized too, as
+    the metric ARM_PREFIX + arm, lower being better.
     """
     by_pair = {}
     for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run_values(run)
     pairs = [sides for _, sides in sorted(by_pair.items()) if len(sides) == 2]
+    timed = [set(sides[side]) for sides in pairs for side in SIDES]
+    arms = sorted(name for name in set.intersection(*timed) if name.startswith(ARM_PREFIX)) if timed else []
+    metrics = {**metrics, **dict.fromkeys(arms, "lower")}
     out = {}
     for name, better in metrics.items():
         entry = {"better": better, "pairs": len(pairs)}
         for side in SIDES:
-            values = [sides[side][name]["value"] for sides in pairs]
+            values = [sides[side][name] for sides in pairs]
             q1, median, q3 = quartiles(values)
             entry[side] = {"median": median, "q1": q1, "q3": q3, "values": values}
         sign = 1.0 if better == "higher" else -1.0
         entry["change_wins"] = sum(
-            sign * (sides["change"][name]["value"] - sides["parent"][name]["value"]) > 0
-            for sides in pairs)
+            sign * (sides["change"][name] - sides["parent"][name]) > 0 for sides in pairs)
         parent = entry["parent"]
         entry["parent_spread"] = (parent["q3"] - parent["q1"]) / parent["median"]
         out[name] = entry
@@ -115,7 +141,7 @@ def run_once(tree, workload, seed, seconds):
         cwd=tree, capture_output=True, text=True, timeout=20 * seconds + 300, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
-    return parse_output(proc.stdout)
+    return (*parse_output(proc.stdout), parse_arms(proc.stdout))
 
 
 def main(argv=None):
@@ -151,9 +177,9 @@ def main(argv=None):
             for k in range(args.pairs):
                 seed = args.first_seed + k
                 for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                    machine, result = run_once(trees[side], workload, seed, seconds)
+                    machine, result, arms = run_once(trees[side], workload, seed, seconds)
                     record["machine"] = record["machine"] or machine
-                    runs.append({"pair": k, "seed": seed, "side": side, "result": result})
+                    runs.append({"pair": k, "seed": seed, "side": side, "result": result, "arms": arms})
                     value = result["metrics"]["steps_per_s"]["value"]
                     print(f"{workload} pair {k} seed {seed} {side}: steps_per_s {value:.6g} "
                           f"correct {result['correct']}", flush=True)
