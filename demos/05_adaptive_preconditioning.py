@@ -49,8 +49,7 @@ class BlockProjection:
 
 for label, fixed_beta2 in (("beta2 -> 1 (1 - c*eta_t)", None), ("beta2 = 0.1 fixed", 0.1)):
     idx = sample_indices("cycling", 3, T)
-    setup = rule_adam(p3, idx, beta1=0.0, c=1.0, timing="psi_first",
-                      schedule=sched, fixed_beta2=fixed_beta2)
+    setup = rule_adam(p3, idx, beta1=0.0, c=1.0, timing="psi_first", fixed_beta2=fixed_beta2)
     theta0 = setup.initial_theta(np.array([0.0]))
     rec = run_learning(setup.system, np.zeros(1), theta0, sched,
                        rule=setup.rule, phi=BlockProjection(), T=T,

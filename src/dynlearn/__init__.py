@@ -63,7 +63,6 @@ from .updates import (
 from .diagnostics import (
     HorizonCertificate,
     check_stability,
-    convergence_detector,
     local_optimum_report,
     spectral_radius_horizon,
 )

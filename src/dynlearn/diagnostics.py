@@ -4,9 +4,10 @@ These turn the convergence theorem's assumptions into runnable probes:
 joint contraction of the linearized dynamics over some horizon (stability
 of the target trajectory), vanishing averaged updates with a
 positive-stable averaged update Jacobian (the candidate parameter is a
-local optimum of the algorithm), and convergence/divergence detection on
-recorded trials. Certificates here are sampled over finite windows; they
-are evidence, not proofs.
+local optimum of the algorithm), and a heuristic continuity probe of the
+update Jacobians. Certificates here are sampled over finite windows;
+they are evidence, not proofs. Whether a recorded trial converged is
+`TrialRecord.converged(tol)`, which `summary.csv` and `sweep.csv` report.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ContractViolation, NumericOverflow, System, run_trajectory
-from .records import TrialRecord
+from .dynamics import ContractViolation, System, run_trajectory
 from .rtrl import open_loop_updates
 from .schedules import ergodic_exponent_estimate
 from .updates import estimate_lambda, is_positive_stable
@@ -27,8 +27,6 @@ __all__ = [
     "check_stability",
     "OptimumReport",
     "local_optimum_report",
-    "Outcome",
-    "convergence_detector",
     "hessian_continuity_probe",
 ]
 
@@ -155,49 +153,6 @@ def local_optimum_report(sys: System, rule, theta_candidate, T: int, s0,
         rate_r_squared=erg.r_squared,
         passed=bool(decays and stable),
     )
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Result of scanning a trial record: converged / diverged / undecided."""
-
-    kind: str
-    t: int | None
-
-    @property
-    def converged(self):
-        return self.kind == "converged"
-
-    @property
-    def diverged(self):
-        return self.kind == "diverged"
-
-
-def convergence_detector(record: TrialRecord, theta_star=None, tol: float = 1e-3,
-                         window: int = 100) -> Outcome:
-    """Scan a record for sustained convergence or a recorded abort.
-
-    Converged at the first recorded time t whose trailing window
-    [t - window, t] lies entirely within tol of the reference; diverged
-    at the abort time when the trial overflowed; undecided otherwise.
-    The record's distances must have been computed against a reference
-    parameter at run time (theta_star here is informational).
-    """
-    if len(record.t) == 0:
-        raise ContractViolation("empty record")
-    if record.aborted:
-        return Outcome("diverged", int(record.abort_t))
-    dists = record.theta_dist
-    if np.any(np.isnan(dists)):
-        return Outcome("undecided", None)
-    ts = record.t
-    inside = dists <= tol
-    for i in range(len(ts)):
-        lo = ts[i] - window
-        mask = (ts >= lo) & (ts <= ts[i])
-        if ts[i] >= window and np.all(inside[mask]):
-            return Outcome("converged", int(ts[i]))
-    return Outcome("undecided", None)
 
 
 def hessian_continuity_probe(sys: System, rule, theta_star, T: int, s0,

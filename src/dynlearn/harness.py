@@ -318,7 +318,7 @@ def _run(cfg: ExperimentConfig, seed):
         return run_tbptt(plant.system, plant.s0, plant.theta0, schedule, _parse_truncation(cfg), T,
                          theta_star=plant.theta_star, config_meta=meta)
     if algo in ADAPTIVE:
-        system, rule, phi, theta0, dist_dims = _adaptive(cfg, algo, plant, schedule)
+        system, rule, phi, theta0, dist_dims = _adaptive(cfg, algo, plant)
     else:
         system, phi, theta0, dist_dims = plant.system, None, plant.theta0, None
         rule = rule_from_string(cfg.get("algorithm.rule", "identity"), theta0.shape[-1])
@@ -470,7 +470,7 @@ def system_kind(cfg: ExperimentConfig, algo=None) -> SystemKind:
     return entry
 
 
-def _adaptive(cfg, algo, plant, schedule):
+def _adaptive(cfg, algo, plant):
     """(system, rule, phi, theta0, dist_dims) of an adaptive algorithm on a
     kind's sample loss, seed-batched as the plant is: the augmented
     parameter (theta, psi) of rule_adam, or for ong of the outer-product
@@ -491,8 +491,7 @@ def _adaptive(cfg, algo, plant, schedule):
         psi0 = (np.outer(g, g) + cfg.getfloat("algorithm.psi0_ridge", 1.0) * np.eye(p)).ravel()
     else:
         fixed_beta2 = cfg.getfloat("algorithm.fixed_beta2")
-        setup = rule_adam(loss, indices, beta1, c=c, eps=eps, fixed_beta2=fixed_beta2,
-                          schedule=schedule if fixed_beta2 is not None else None)
+        setup = rule_adam(loss, indices, beta1, c=c, eps=eps, fixed_beta2=fixed_beta2)
     # Project the parameter block only; statistics are unconstrained.
     phi = None if plant.box is None else ProjectedUpdate(*plant.box, block=setup.theta_dim)
     return setup.system, setup.rule, phi, setup.initial_theta(plant.theta0, psi0=psi0), setup.theta_dim
@@ -591,10 +590,11 @@ def _check_keys(cfg: ExperimentConfig):
 def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
     """ConfigurationError unless cfg's kind runs its algorithm, its counts
     are >= 1, it sets no key the algorithm ignores, its exponents hold
-    (unless force; the error names arm when given), and its step schedule,
-    on tbptt its truncation, and its plant build. The plant is built (at
-    horizon 1) only when init.theta0 or system.s0 is not a keyword, since
-    their length is the plant's parameter or state dimension."""
+    (unless force; the error names arm when given), and its step schedule
+    (gamma > 0 under a fixed beta2), on tbptt its truncation, and its plant
+    build. The plant is built (at horizon 1) only when init.theta0 or
+    system.s0 is not a keyword, since their length is the plant's
+    parameter or state dimension."""
     kind = system_kind(cfg)
     for key in ("experiment.horizon", "experiment.record_every"):
         value = cfg.getint(key, 1)
@@ -611,7 +611,10 @@ def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
         _validate_config(cfg, force)
     except ConfigurationError as exc:
         raise (exc if arm is None else ConfigurationError(f"arm {arm!r}: {exc}")) from None
-    _step_schedule(cfg)
+    if (_step_schedule(cfg).gamma == 0.0 and algo in ("adam", "rmsprop")
+            and cfg.get("algorithm.fixed_beta2") is not None):
+        raise ConfigurationError("algorithm.fixed_beta2 needs schedule.gamma > 0: its coupling "
+                                 "(1 - beta2)/eta_t is undefined at eta_t = 0")
     if algo == "tbptt":
         _parse_truncation(cfg)
     if cfg.get("init.theta0", "near_optimum") != "near_optimum" or cfg.get("system.s0") not in (

@@ -246,7 +246,7 @@ def pair_step(sys: System, t: int, s, theta, pair: RankOnePair, eta: float, rule
     if rule is None:  # max_i |c v_i| = |c| max_i |v_i|: rounding is monotone
         guard(c * param_max, "update-direction", t)
     else:
-        v = guard(rule.apply(t, v, s_new, theta), "update-direction", t)
+        v = guard(rule.apply(t, v, s_new, theta, eta), "update-direction", t)
     w = eta * v
     theta_new = theta - w if phi is None else phi.apply(t, theta, w)
     pair = RankOnePair.__new__(RankOnePair)  # float arrays already

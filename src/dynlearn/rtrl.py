@@ -4,14 +4,16 @@ The learner carries (s_t, J_t, theta_t) and advances all three each step:
 
     s_t     = T_t(s_{t-1}, theta_{t-1})
     J_t     = dT_t/ds . J_{t-1} + dT_t/dtheta
-    v_t     = U_t(dl_t/ds . J_t, s_t, theta_{t-1})
+    v_t     = U_t(dl_t/ds . J_t, s_t, theta_{t-1}, eta_t)
     theta_t = Phi_t(theta_{t-1}, eta_t * v_t)
 
 with the Jacobians of T_t evaluated at (s_{t-1}, theta_{t-1}). The update
 ordering matters: the state and Jacobian both use theta_{t-1}, and only
-then is the parameter moved. With eta_t = 0 the parameter stays frozen
-and J_t is the exact Jacobian of the state with respect to the parameter,
-which is what the open-loop helpers below compute.
+then is the parameter moved. The learner evaluates eta_t once per step
+and hands it to the rule, which may read it (an adaptive rule's
+statistic coupling). With eta_t = 0 the parameter stays frozen and J_t
+is the exact Jacobian of the state with respect to the parameter, which
+is what the open-loop helpers below compute: they hand the rule 0.0.
 
 `forward_step` is the one place where the first two lines are written:
 the dense learner step `dense_step`, the open-loop helpers and the
@@ -111,7 +113,7 @@ def dense_step(sys: System, t: int, s, theta, J, eta: float, rule, phi):
     batched = J.ndim == 3
     s_new, J_new, v = forward_step(sys, t, s, theta, J)
     if rule is not None:
-        v = rule.apply(t, v, s_new, theta)
+        v = rule.apply(t, v, s_new, theta, eta)
     guard(v, "update-direction", t, batched)
     w = eta * v
     theta_new = theta - w if phi is None else phi.apply(t, theta, w)
@@ -121,10 +123,11 @@ def dense_step(sys: System, t: int, s, theta, J, eta: float, rule, phi):
 def open_loop_updates(sys: System, rule, s0, theta, T: int) -> np.ndarray:
     """Update directions v_1..v_T at frozen theta, one forward pass.
 
-    Row t-1 holds U_t(dl_t/ds . J_t, s_t, theta) with J_t propagated from
-    J_0 = 0, which equals the rule applied to the exact gradient of the
-    compound loss at time t. A rule's output is guarded as stage
-    "update-direction", as in the learner.
+    Row t-1 holds U_t(dl_t/ds . J_t, s_t, theta, 0.0) with J_t propagated
+    from J_0 = 0, which equals the rule applied to the exact gradient of
+    the compound loss at time t, at the frozen parameter's step size 0.0.
+    A rule's output is guarded as stage "update-direction", as in the
+    learner.
     """
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s0, dtype=float)
@@ -132,7 +135,7 @@ def open_loop_updates(sys: System, rule, s0, theta, T: int) -> np.ndarray:
     out = np.zeros((T, len(theta)))
     for t in range(1, T + 1):
         s, J, v = forward_step(sys, t, s, theta, J)
-        out[t - 1] = v if rule is None else guard(rule.apply(t, v, s, theta), "update-direction", t)
+        out[t - 1] = v if rule is None else guard(rule.apply(t, v, s, theta, 0.0), "update-direction", t)
     return out
 
 
@@ -270,8 +273,8 @@ def deviation(sys: System, theta_anchor, states, t0: int, t1: int,
         s_bar, J_bar, v_bar = forward_step(sys, t, s_bar, theta, J_bar)
         v = np.atleast_1d(sys.d_loss_ds(t, s_noisy)) @ J_noisy
         if rule is not None:
-            v = guard(rule.apply(t, v, s_noisy, theta), "update-direction", t)
-            v_bar = guard(rule.apply(t, v_bar, s_bar, theta), "update-direction", t)
+            v = guard(rule.apply(t, v, s_noisy, theta, eta), "update-direction", t)
+            v_bar = guard(rule.apply(t, v_bar, s_bar, theta, eta), "update-direction", t)
         theta_new = phi.apply(t, theta, eta * v) if phi is not None else theta - eta * v
         theta_bar = phi.apply(t, theta_bar, eta * v_bar) if phi is not None else theta_bar - eta * v_bar
         theta = theta_new

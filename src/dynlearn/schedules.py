@@ -33,11 +33,8 @@ class StepSchedule:
     """eta(t) = gamma * t^(-b), non-increasing, with zero slack.
 
     gamma is the overall learning rate (> 0 for actual descent; 0 freezes
-    the parameter, which some experiments use on purpose).
-
-    `eta` keeps its last value in a one-entry memo, which `eta_again`
-    reads: a part of a learner step (an adaptive rule's coupling) takes
-    the eta_t the learner evaluated, without a second evaluation.
+    the parameter, which some experiments use on purpose). The learner
+    evaluates eta(t) once per step and hands the value to its update rule.
     """
 
     gamma: float
@@ -48,19 +45,9 @@ class StepSchedule:
             raise ConfigurationError("overall rate gamma must be >= 0")
         if not 0.0 < self.b <= 1.0:
             raise ConfigurationError("exponent b must lie in (0, 1]")
-        object.__setattr__(self, "_last", [None, 0.0])  # [t, eta(t)] of the last eta call
 
     def eta(self, t: int) -> float:
-        eta = self.gamma * float(t) ** (-self.b)
-        last = self._last
-        last[0] = t
-        last[1] = eta
-        return eta
-
-    def eta_again(self, t: int) -> float:
-        """eta(t): the memo's value when the last eta call was at t."""
-        last = self._last
-        return last[1] if last[0] == t else self.eta(t)
+        return self.gamma * float(t) ** (-self.b)
 
     def etas(self, T: int) -> np.ndarray:
         return self.gamma * np.arange(1, T + 1, dtype=float) ** (-self.b)

@@ -127,25 +127,26 @@ def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int
 
 
 def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
-              trunc: TruncationSchedule, T: int, reset_state=None, phi=None,
-              theta_star=None, dist_dims=None, config_meta=None) -> TrialRecord:
+              trunc: TruncationSchedule, T: int, reset_state=None,
+              theta_star=None, config_meta=None) -> TrialRecord:
     """Interval-wise learning; records one row per interval boundary.
 
     reset_state=None carries the state across boundaries; otherwise the
     state is reset to the given value at the start of every interval (the
     Jacobian information is implicitly reset by construction). Each
-    interval applies one step with its summed gradient, through phi when
-    given. The (A, b) relation of the exponents is checked by the
-    experiment harness, not here.
+    interval takes one plain step theta - eta_{t_{k+1}} * grad with its
+    summed gradient; tbptt takes no update rule or operator. The (A, b)
+    relation of the exponents is checked by the experiment harness, not
+    here.
     """
     theta = np.asarray(theta0, dtype=float)
     s = np.asarray(s0, dtype=float)
-    ref = None if theta_star is None else np.asarray(theta_star, dtype=float)[:dist_dims]
+    ref = None if theta_star is None else np.asarray(theta_star, dtype=float)
 
     def dist(th):
         if ref is None:
             return np.nan
-        d = th[:dist_dims] - ref
+        d = th - ref
         return sqrt(d.dot(d))  # np.linalg.norm's formula
 
     eta_at, loss, methods = schedule.eta, sys.loss, _bind(sys)
@@ -158,8 +159,7 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
                 s = np.asarray(reset_state, dtype=float)
             grad, states = _interval_pass(methods, s, theta, t_lo, t_hi)
             s = states[-1]
-            w = eta_at(t_hi) * grad
-            theta = guard(phi.apply(t_hi, theta, w) if phi is not None else theta - w, "parameter", t_hi)
+            theta = guard(theta - eta_at(t_hi) * grad, "parameter", t_hi)
             add(t_hi, dist(theta), loss(t_hi, s), sqrt(grad.dot(grad)), k)
     except NumericOverflow as exc:
         builder.abort_t = exc.t

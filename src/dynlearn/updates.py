@@ -2,7 +2,9 @@
 
 An update rule U_t turns the raw gradient row v = dl/ds . J into an
 update direction (preconditioned, or adaptive with online statistics
-folded into an augmented parameter). A parameter-update operator Phi_t
+folded into an augmented parameter). The learner hands every rule its
+step size: `apply(t, v, s, theta, eta)` with eta = eta_t, or 0.0 open
+loop (frozen parameter). A parameter-update operator Phi_t
 applies the scaled direction (clipping, projection). The identity rule
 and the plain update theta - w are spelled None wherever a rule or an
 operator is taken. A rule does not test its own output: a non-finite
@@ -24,7 +26,6 @@ import numpy as np
 from .dynamics import ConfigurationError, MomentumSystem, System, _index_lookup
 from .records import write_csv
 from .rtrl import open_loop_updates
-from .schedules import StepSchedule
 
 __all__ = [
     "PreconditionedRule",
@@ -51,7 +52,7 @@ class PreconditionedRule:
     def __init__(self, precond):
         self.precond = precond
 
-    def apply(self, t, v, s, theta):
+    def apply(self, t, v, s, theta, eta):
         P = np.atleast_2d(self.precond(np.asarray(theta, dtype=float)))
         return P @ np.asarray(v, dtype=float)
 
@@ -66,11 +67,12 @@ class AdaptiveRule:
     so that a plain step theta <- theta - eta * direction realizes the
     moving average psi <- (1 - c*eta) psi + c*eta * Psi_t alongside the
     preconditioned parameter step. timing "simultaneous" feeds P the
-    current psi; "psi_first" feeds it the post-update psi (needs the step
-    schedule to know eta_t). A fixed inertia beta2 can override the
-    c*eta_t coupling (also schedule-dependent: c_t = (1-beta2)/eta_t),
-    which deliberately leaves the regime covered by the local convergence
-    guarantees; it exists for the divergence experiments.
+    current psi; "psi_first" feeds it the post-update psi
+    psi - eta * psi_dir (at eta = 0, open loop, the current psi). A fixed
+    inertia beta2 can override the c*eta_t coupling with
+    c_t = (1-beta2)/eta_t, which deliberately leaves the regime covered by
+    the local convergence guarantees; it exists for the divergence
+    experiments, and has no frozen-parameter (eta = 0) update.
 
     `apply` takes v and theta as float arrays. The statistic is called as
     stat_fn(t, theta) with the whole augmented theta, and reads theta_core,
@@ -83,14 +85,11 @@ class AdaptiveRule:
     """
 
     def __init__(self, stat_fn, precond, c, theta_dim, psi_dim,
-                 timing="simultaneous", schedule: StepSchedule | None = None,
-                 fixed_beta2: float | None = None):
+                 timing="simultaneous", fixed_beta2: float | None = None):
         if c <= 0:
             raise ConfigurationError("statistic coupling c must be > 0")
         if timing not in ("simultaneous", "psi_first"):
             raise ConfigurationError(f"unknown timing {timing!r}")
-        if (timing == "psi_first" or fixed_beta2 is not None) and schedule is None:
-            raise ConfigurationError("psi_first timing and fixed beta2 need the step schedule")
         if fixed_beta2 is not None and not 0.0 <= fixed_beta2 < 1.0:
             raise ConfigurationError("fixed beta2 must lie in [0, 1)")
         self.stat_fn = stat_fn
@@ -99,24 +98,22 @@ class AdaptiveRule:
         self.theta_dim = theta_dim
         self.psi_dim = psi_dim
         self.timing = timing
-        self.schedule = schedule
         self.fixed_beta2 = fixed_beta2
 
-    def coupling(self, t):
+    def coupling(self, eta):
         if self.fixed_beta2 is None:
             return self.c
-        return (1.0 - self.fixed_beta2) / self.schedule.eta_again(t)
+        return (1.0 - self.fixed_beta2) / eta
 
-    def apply(self, t, v, s, theta):
+    def apply(self, t, v, s, theta, eta):
         psi = theta[..., self.theta_dim :]
         stat = self.stat_fn(t, theta)
         if getattr(stat, "shape", None) != psi.shape:
             stat = np.reshape(stat, psi.shape)
-        c_t = self.coupling(t)
-        psi_dir = c_t * (psi - stat)
+        psi_dir = self.coupling(eta) * (psi - stat)
         psi_used = psi
         if self.timing == "psi_first":
-            psi_used = psi - self.schedule.eta_again(t) * psi_dir
+            psi_used = psi - eta * psi_dir
         core = theta[..., : self.theta_dim]
         P = self.precond(core, psi_used)
         v_core = v[..., : self.theta_dim]
@@ -225,13 +222,13 @@ class AdamSetup:
 
 
 def rule_adam(sample_loss, indices, beta1, c, eps=1e-8, timing="simultaneous",
-              schedule=None, fixed_beta2=None) -> AdamSetup:
+              fixed_beta2=None) -> AdamSetup:
     """Adaptive preconditioning with momentum (squared-gradient flavor).
 
     beta1 = 0 degenerates to the memoryless adaptive rule. The default
-    beta2 coupling is 1 - c*eta_t; pass fixed_beta2 (with the schedule)
-    to reproduce the fixed-inertia divergence behavior. The statistic
-    shares the system's per-step sample gradient.
+    beta2 coupling is 1 - c*eta_t; pass fixed_beta2 to reproduce the
+    fixed-inertia divergence behavior. The statistic shares the system's
+    per-step sample gradient.
     """
     if not 0.0 <= beta1 < 1.0:
         raise ConfigurationError("beta1 must lie in [0, 1)")
@@ -241,7 +238,7 @@ def rule_adam(sample_loss, indices, beta1, c, eps=1e-8, timing="simultaneous",
         _SampleSquaredGrad(system),
         rmsprop_preconditioner(eps),
         c, theta_dim=p, psi_dim=p,
-        timing=timing, schedule=schedule, fixed_beta2=fixed_beta2,
+        timing=timing, fixed_beta2=fixed_beta2,
     )
     return AdamSetup(system=system, rule=rule, theta_dim=p, psi_dim=p)
 

@@ -60,7 +60,7 @@ def oracle_step(sys, t, s, theta, J, eta_t, rule=None, phi=None):
     batched = theta.ndim == 2
     s_new, J_new, v = oracle_forward_step(sys, t, s, theta, J)
     if rule is not None:
-        v = rule.apply(t, v, s_new, theta)
+        v = rule.apply(t, v, s_new, theta, eta_t)
     guard(v, "update-direction", t, batched)
     w = eta_t * v
     theta_new = phi.apply(t, theta, w) if phi is not None else theta - w
@@ -69,18 +69,18 @@ def oracle_step(sys, t, s, theta, J, eta_t, rule=None, phi=None):
 
 
 class OracleAdaptiveRule(AdaptiveRule):
-    def apply(self, t, v, s, theta):
+    def apply(self, t, v, s, theta, eta):
         theta = np.asarray(theta, dtype=float)
         v = np.asarray(v, dtype=float)
         core = theta[..., : self.theta_dim]
         psi = theta[..., self.theta_dim :]
         stat = self.stat_fn(t, core)
         stat = np.reshape(stat, psi.shape) if theta.ndim == 2 else np.ravel(stat)
-        c_t = self.coupling(t)
+        c_t = self.coupling(eta)
         psi_dir = c_t * (psi - stat)
         psi_used = psi
         if self.timing == "psi_first":
-            psi_used = psi - self.schedule.eta(t) * psi_dir
+            psi_used = psi - eta * psi_dir
         P = self.precond(core, psi_used)
         v_core = v[..., : self.theta_dim]
         core_dir = P * v_core if np.shape(P) == v_core.shape else np.atleast_2d(P) @ v_core

@@ -1,4 +1,4 @@
-"""Stability certificates, optimum reports, convergence detection."""
+"""Stability certificates, optimum reports, continuity probes."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,12 @@ from conftest import philox, regression_dataset
 
 from dynlearn.diagnostics import (
     HorizonCertificate,
-    convergence_detector,
     hessian_continuity_probe,
     spectral_radius_horizon,
     check_stability,
     local_optimum_report,
 )
 from dynlearn.dynamics import NonRecurrentRegression, RNNSystem
-from dynlearn.records import TrialRecord
 from dynlearn.schedules import sample_indices
 
 
@@ -123,39 +121,6 @@ def test_report_text_format():
     text = report.to_text()
     assert "verdict: pass" in text and "positive_stable: True" in text
     assert "np." not in text  # plain floats, not numpy scalar reprs
-
-
-def make_record(dists, abort_t=None):
-    ts = np.arange(len(dists))
-    return TrialRecord(
-        t=ts, theta_dist=np.asarray(dists, dtype=float),
-        loss=np.zeros(len(ts)), grad_norm=np.zeros(len(ts)), abort_t=abort_t,
-    )
-
-
-def test_convergence_detector_constant_at_optimum():
-    rec = make_record(np.zeros(500))
-    out = convergence_detector(rec, tol=1e-3, window=100)
-    assert out.converged and out.t == 100
-
-
-def test_convergence_detector_aborted():
-    rec = make_record(np.ones(10), abort_t=9)
-    out = convergence_detector(rec, tol=1e-3, window=5)
-    assert out.diverged and out.t == 9
-
-
-def test_convergence_detector_geometric_crossing():
-    # 0.99^t <= 1e-3 from t = 688 on; declared after a full window
-    dists = 0.99 ** np.arange(0, 1000)
-    out = convergence_detector(make_record(dists), tol=1e-3, window=100)
-    assert out.converged and out.t == 788
-
-
-def test_convergence_detector_undecided():
-    rec = make_record(np.ones(50))
-    out = convergence_detector(rec, tol=1e-3, window=10)
-    assert out.kind == "undecided" and out.t is None
 
 
 def test_hessian_continuity_probe_runs():

@@ -333,6 +333,9 @@ def test_cli_run_invalid_exponents_exit_2(tmp_path, capsys):
     assert code == 0
 
 
+FIXED_BETA2_AT_GAMMA_0 = ("algorithm.fixed_beta2 needs schedule.gamma > 0: its coupling "
+                         "(1 - beta2)/eta_t is undefined at eta_t = 0")
+
 BAD_VALUES = [
     ("experiment.record_every=0", "experiment.record_every", "rnn_stability.ini"),
     ("experiment.horizon=0", "experiment.horizon", "rnn_stability.ini"),
@@ -583,6 +586,9 @@ def test_cli_degenerate_grid_or_seeds_exit_2(command, args, message, tmp_path, c
     assert not out.exists()
 
 
+FIXED_BETA2_AT_GAMMA_0 = ("algorithm.fixed_beta2 needs schedule.gamma > 0: its coupling "
+                         "(1 - beta2)/eta_t is undefined at eta_t = 0")
+
 BAD_VALUES = [
     ("run", "rnn_stability.ini", ["--set", "arms.a=schedule.b=0.5", "--set", "arms.b=schedule.b=2.0",
                                   "--set", "experiment.horizon=50"], "exponent b must lie in (0, 1]"),
@@ -594,6 +600,8 @@ BAD_VALUES = [
     ("sweep", "rnn_stability.ini", ["--set", "sweep.truncation.spec=fixed:0",
                                     "--set", "algorithm.name=tbptt", "--set", "arms.a=schedule.b=0.5"],
      "fixed interval length must be >= 1"),
+    ("run", "adam_beta2.ini", ["--set", "schedule.gamma=0", "--set", "experiment.horizon=50"],
+     FIXED_BETA2_AT_GAMMA_0),
 ]
 
 
@@ -613,6 +621,21 @@ def test_cli_bad_schedule_or_truncation_value_exit_2(command, config, args, mess
     assert cli_main([command, os.path.join(CONFIG_DIR, config), *args, "--out", str(out)]) == 2
     assert f"config error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_sweep_fixed_beta2_at_gamma_0_is_an_error_row(tmp_path):
+    # eta_t = 0 leaves the fixed arm's coupling (1 - beta2)/eta_t undefined:
+    # that row is refused before its trials run, and the other rows run.
+    out = tmp_path / "o"
+    code = cli_main(["sweep", os.path.join(CONFIG_DIR, "adam_beta2.ini"), "--set", "sweep.schedule.gamma=0,0.5",
+                     "--set", "experiment.horizon=50", "--seed", "0", "1", "--out", str(out)])
+    assert code == 0
+    with open(out / "adam_beta2" / "sweep.csv") as fh:
+        lines = fh.read().strip().splitlines()
+    assert lines[2] == f"0,fixed,nan,0.0,ConfigurationError: {FIXED_BETA2_AT_GAMMA_0}"
+    assert [line.endswith(",") for line in lines[1:]] == [True, False, True, True]
+    assert not (out / "adam_beta2" / "0" / "fixed").exists()
+    assert (out / "adam_beta2" / "0" / "adaptive" / "1.csv").exists()
 
 
 BAD_KEYS = [
@@ -976,9 +999,9 @@ def test_rule_from_string_precond():
     import numpy as _np
 
     rule = rule_from_string("precond:scale:2.0", 3)
-    assert _np.allclose(rule.apply(1, _np.ones(3), None, _np.zeros(3)), 2.0 * _np.ones(3))
+    assert _np.allclose(rule.apply(1, _np.ones(3), None, _np.zeros(3), 0.1), 2.0 * _np.ones(3))
     rule = rule_from_string("precond:diag:1,2,4", 3)
-    assert _np.allclose(rule.apply(1, _np.ones(3), None, _np.zeros(3)), [1.0, 2.0, 4.0])
+    assert _np.allclose(rule.apply(1, _np.ones(3), None, _np.zeros(3), 0.1), [1.0, 2.0, 4.0])
     with pytest.raises(ConfigurationError):
         rule_from_string("precond:diag:1,2", 3)
     cfg = small_config(**{"algorithm.rule": "precond:scale:0.5", "experiment.horizon": 200})

@@ -180,7 +180,7 @@ def test_run_learning_csv_equals_the_oracle_loop(plant, reducer, tmp_path):
 class Identity:
     """A rule that returns v itself: the step then guards v entry by entry."""
 
-    def apply(self, t, v, s, theta):
+    def apply(self, t, v, s, theta, eta):
         return v
 
 

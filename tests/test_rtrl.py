@@ -374,3 +374,61 @@ def test_deviation_accepts_rank_one_states():
     dense = [(s, pair.matrix()) for s, pair in states]
     assert dev == deviation(sysm, theta, dense, 0, 20, sched)
     assert dev > 0.0
+
+
+# --- the step size a rule is handed --------------------------------------------
+
+class RecordingRule:
+    """The identity rule, asserting that at every t it is handed exactly the
+    schedule's eta_t (0.0 without a schedule: the frozen parameter). It keeps
+    the t of every call."""
+
+    def __init__(self, schedule=None):
+        self.schedule = schedule
+        self.ts = []
+
+    def apply(self, t, v, s, theta, eta):
+        want = 0.0 if self.schedule is None else self.schedule.eta(t)
+        assert type(eta) is float and eta == want, (t, eta, want)
+        self.ts.append(t)
+        return v
+
+
+ETA_SCHEDULE = StepSchedule(0.05, 0.6)
+
+
+@pytest.mark.parametrize("injector", [None, "uoro", "nbt"])
+def test_learner_hands_the_rule_eta_t(injector):
+    sysm, s0, theta = random_tanh(11)
+    rule = RecordingRule(ETA_SCHEDULE)
+    run_learning(sysm, s0, theta, ETA_SCHEDULE, rule=rule, T=40, rng=philox(11),
+                 injector=None if injector is None else RankOneInjector(injector))
+    assert rule.ts == list(range(1, 41))
+
+
+def test_seed_batched_learner_hands_the_rule_eta_t():
+    xs, ys, theta_star = regression_dataset()
+    T = 40
+    idx = np.stack([sample_indices("iid", len(xs), T, philox(seed)) for seed in range(3)])
+    rule = RecordingRule(ETA_SCHEDULE)
+    records = run_learning(NonRecurrentRegression(xs, ys, idx), np.zeros((3, 1)),
+                           np.tile(theta_star + 0.2, (3, 1)), ETA_SCHEDULE, rule=rule, T=T,
+                           config_meta=[{}] * 3)
+    assert len(records) == 3 and not any(r.aborted for r in records)
+    assert rule.ts == list(range(1, T + 1))
+
+
+def test_deviation_hands_the_rule_eta_t():
+    sysm, s0, theta = random_tanh(12)
+    pairs, _ = collect_noisy_states(sysm, s0, theta, ETA_SCHEDULE, 20)
+    rule = RecordingRule(ETA_SCHEDULE)
+    deviation(sysm, theta, pairs, 0, 20, ETA_SCHEDULE, rule, None)
+    assert rule.ts == [t for t in range(1, 21) for _ in range(2)]  # the noisy and the regularized pair
+
+
+def test_open_loop_updates_hand_the_rule_zero():
+    sysm, s0, theta = random_tanh(13)
+    rule = RecordingRule()
+    assert np.array_equal(open_loop_updates(sysm, rule, s0, theta, 30),
+                          open_loop_updates(sysm, None, s0, theta, 30))
+    assert rule.ts == list(range(1, 31))

@@ -49,21 +49,9 @@ def test_schedule_homogeneity_over_growing_windows():
         assert 1.0 <= ratio <= 1.0 + 5 * T ** (-(1 - A)) * 0.7 * 2
 
 
-@settings(max_examples=200, deadline=None)
-@given(gamma=st.floats(0.0, 10.0), b=st.floats(0.01, 1.0),
-       ts=st.lists(st.integers(1, 10**9), min_size=1, max_size=6))
-def test_eta_again_has_the_bits_of_eta(gamma, b, ts):
-    sched, other = StepSchedule(gamma, b), StepSchedule(gamma, b)
-    for t in ts:
-        sched.eta(ts[0])
-        want = other.eta(t)
-        assert sched.eta_again(t) == want and sched.eta_again(t) == sched.eta(t)
-    assert sched == other and hash(sched) == hash(other)  # the memo is not a field
-
-
 def test_one_eta_evaluation_per_step(monkeypatch):
-    # The adam-fixed arm: the learner and the rule's fixed-beta2 coupling
-    # both take eta_t, from one evaluation per batch step.
+    # The adam-fixed arm: the learner evaluates eta_t once per batch step
+    # and hands it to the rule's fixed-beta2 coupling.
     from dynlearn.harness import ExperimentConfig, run_trials
 
     calls = []

@@ -50,7 +50,7 @@ def test_rule_identity_and_preconditioned():
     rng = philox(1)
     v = rng.normal(size=4)
     rule = PreconditionedRule(lambda theta: 2.0 * np.eye(4))
-    assert np.allclose(rule.apply(1, v, None, np.zeros(4)), 2.0 * v, atol=0)
+    assert np.allclose(rule.apply(1, v, None, np.zeros(4), 0.1), 2.0 * v, atol=0)
 
 
 def test_rule_affine_combination_identity():
@@ -64,9 +64,9 @@ def test_rule_affine_combination_identity():
     theta = np.concatenate([rng.normal(size=4), np.abs(rng.normal(size=4)) + 0.5])
     v1, v2 = rng.normal(size=8), rng.normal(size=8)
     for a, b in [(0.0, 1.0), (1.0, 0.0), (2.0, -0.5)]:
-        lhs = rule.apply(3, a * v1 + b * v2, None, theta)
-        rhs = (a * rule.apply(3, v1, None, theta) + b * rule.apply(3, v2, None, theta)
-               + (1 - a - b) * rule.apply(3, np.zeros(8), None, theta))
+        lhs = rule.apply(3, a * v1 + b * v2, None, theta, 0.1)
+        rhs = (a * rule.apply(3, v1, None, theta, 0.1) + b * rule.apply(3, v2, None, theta, 0.1)
+               + (1 - a - b) * rule.apply(3, np.zeros(8), None, theta, 0.1))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_rmsprop_diagonal_equals_the_matrix_product():
     for t in range(1, 50):
         theta = np.concatenate([rng.normal(size=4), np.abs(rng.normal(size=4)) * 10.0 ** rng.integers(-9, 3)])
         v = rng.normal(size=8) * 10.0 ** rng.integers(-6, 6)
-        assert np.array_equal(diag.apply(t, v, None, theta), matrix.apply(t, v, None, theta))
+        assert np.array_equal(diag.apply(t, v, None, theta, 0.1), matrix.apply(t, v, None, theta, 0.1))
 
 
 def test_preconditioned_lambda_positive_stable():
@@ -105,7 +105,7 @@ def test_adaptive_statistic_fixed_point():
     theta = np.concatenate([np.zeros(2), np.array([10.0, -4.0])])
     gap0 = theta[2:] - target
     for k in range(1, 40):
-        direction = rule.apply(k, np.zeros(4), None, theta)
+        direction = rule.apply(k, np.zeros(4), None, theta, eta)
         theta = theta - eta * direction
         assert np.allclose(theta[2:] - target, gap0 * (1 - eta) ** k, atol=1e-12)
 
@@ -164,8 +164,7 @@ def test_fixed_beta2_two_arm_dichotomy():
 
     def run_arm(fixed_beta2, seed):
         idx = sample_indices("cycling", 3, T)
-        setup = rule_adam(loss, idx, beta1=0.0, c=1.0, timing="psi_first",
-                          schedule=sched, fixed_beta2=fixed_beta2)
+        setup = rule_adam(loss, idx, beta1=0.0, c=1.0, timing="psi_first", fixed_beta2=fixed_beta2)
         rng = philox(seed)
         theta0 = setup.initial_theta(np.array([rng.uniform(-1.0, 1.0)]))
         phi = ProjectedUpdate(-1.0, 1.0, block=1)
