@@ -452,6 +452,18 @@ SYSTEM_KINDS = {
     "period3": SystemKind(_period3, ADAPTIVE, ("adam", "rmsprop")),
 }
 
+# The algorithms that read each algorithm.* key besides the name, and what
+# they do with it; `_check_row` refuses a key that the row's algorithm
+# ignores (an identity rule, the default, excepted).
+ALGORITHM_KEY_READERS = {
+    "algorithm.rule": (("sgd", "rtrl", "uoro", "nobacktrack"), "take an update rule"),
+    "algorithm.beta1": (ADAPTIVE, "read it"),
+    "algorithm.c": (ADAPTIVE, "read it"),
+    "algorithm.eps": (ADAPTIVE, "read it"),
+    "algorithm.fixed_beta2": (("adam", "rmsprop"), "read it"),
+    "algorithm.psi0_ridge": (("ong",), "reads it"),
+}
+
 # sgd and rtrl batch only with the identity rule (see _seed_batched).
 SEED_BATCHED = {(algo, kind) for kind, entry in SYSTEM_KINDS.items() for algo in entry.batched}
 
@@ -589,30 +601,40 @@ def _check_keys(cfg: ExperimentConfig):
 
 def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
     """ConfigurationError unless cfg's kind runs its algorithm, its counts
-    are >= 1, it sets no key the algorithm ignores, its exponents hold
-    (unless force; the error names arm when given), and its step schedule
-    (gamma > 0 under a fixed beta2), on tbptt its truncation, and its plant
-    build. The plant is built (at horizon 1) only when init.theta0 or
-    system.s0 is not a keyword, since their length is the plant's
-    parameter or state dimension."""
+    are >= 1, it sets no key the algorithm ignores (ALGORITHM_KEY_READERS,
+    and record_every on tbptt), its adaptive knobs are in range (beta1 and
+    fixed_beta2 in [0, 1), c > 0), its exponents hold (unless force; the
+    error names arm when given), and its step schedule (gamma > 0 under a
+    fixed beta2), on tbptt its truncation, and its plant build. The plant
+    is built (at horizon 1) only when init.theta0 or system.s0 is not a
+    keyword, since their length is the plant's parameter or state
+    dimension."""
     kind = system_kind(cfg)
     for key in ("experiment.horizon", "experiment.record_every"):
         value = cfg.getint(key, 1)
         if value < 1:
             raise ConfigurationError(f"{key} must be >= 1, got {value}")
-    algo, rule = cfg.get("algorithm.name", "sgd"), cfg.get("algorithm.rule", "identity")
-    if algo in ("tbptt",) + ADAPTIVE and rule not in ("", "identity"):
-        raise ConfigurationError(f"algorithm.rule = {rule} is ignored by {algo}; only "
-                                 "sgd, rtrl, uoro and nobacktrack take an update rule")
+    algo = cfg.get("algorithm.name", "sgd")
+    for key, (readers, verb) in ALGORITHM_KEY_READERS.items():
+        value = cfg.get(key)
+        if value is None or algo in readers or (key == "algorithm.rule" and value in ("", "identity")):
+            continue
+        names = f"{', '.join(readers[:-1])} and {readers[-1]}" if len(readers) > 1 else readers[0]
+        raise ConfigurationError(f"{key} = {value} is ignored by {algo}; only {names} {verb}")
     if algo == "tbptt" and (every := cfg.getint("experiment.record_every", 1)) != 1:
         raise ConfigurationError(f"experiment.record_every = {every} is ignored by tbptt, "
                                  "which records one row per interval")
+    for key in ("algorithm.beta1", "algorithm.fixed_beta2"):
+        value = cfg.getfloat(key)
+        if value is not None and not 0.0 <= value < 1.0:
+            raise ConfigurationError(f"{key} must lie in [0, 1), got {value}")
+    if (c := cfg.getfloat("algorithm.c", 1.0)) <= 0.0:
+        raise ConfigurationError(f"algorithm.c must be > 0, got {c}")
     try:
         _validate_config(cfg, force)
     except ConfigurationError as exc:
         raise (exc if arm is None else ConfigurationError(f"arm {arm!r}: {exc}")) from None
-    if (_step_schedule(cfg).gamma == 0.0 and algo in ("adam", "rmsprop")
-            and cfg.get("algorithm.fixed_beta2") is not None):
+    if _step_schedule(cfg).gamma == 0.0 and cfg.get("algorithm.fixed_beta2") is not None:
         raise ConfigurationError("algorithm.fixed_beta2 needs schedule.gamma > 0: its coupling "
                                  "(1 - beta2)/eta_t is undefined at eta_t = 0")
     if algo == "tbptt":

@@ -13,6 +13,8 @@ from itertools import islice
 
 import numpy as np
 
+from .dynamics import row_dot
+
 __all__ = ["TrialRecord", "config_hash", "write_csv"]
 
 # Each trial CSV column and how a cell of it is read: int() into an int64
@@ -22,6 +24,12 @@ CSV_COLUMNS = {"t": int, "theta_dist": float, "loss": float, "grad_norm": float,
 CSV_FIELDS = tuple(CSV_COLUMNS)[:-1]
 _TYPECODES = {int: "q", float: "d"}
 CSV_BLOCK_ROWS = 1024
+# A RecordBuilder derives its norm columns once per block of rows. A block
+# keeps at most this many parameter floats alive, and as many update
+# direction floats. Each block's stacked copy (120 KiB) then stays below the
+# 128 KiB from which malloc maps fresh pages for it: blocks of twice this
+# size cost four times as much per row as the per-row norms at p = 4,224.
+RECORD_BLOCK_ENTRIES = 15 * 1024
 
 
 def config_hash(meta) -> str:
@@ -41,29 +49,37 @@ def _cell(x) -> str:
     return repr(float(x))
 
 
-def _cells(column):
-    """The cells of a column: a numeric array formatted whole (`tolist`,
-    then str of an int, repr of a float), anything else cell by cell."""
+def _formatted(column):
+    """(directive, cells) of a column for a % template: a float array's
+    floats for %r (repr), an int array's ints for %d (str), anything else
+    as `_cell` text for %s."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
-        return map(repr if column.dtype.kind == "f" else str, column.tolist())
-    return map(_cell, column)
+        return "%r" if column.dtype.kind == "f" else "%d", column.tolist()
+    return "%s", list(map(_cell, column))
 
 
 def write_csv(path, header, columns):
     """Write the columns under header as a CSV, via a temp file and a
     rename so readers never see partials. The bytes are csv.writer's
-    (lines end in CRLF), without a formatting call per cell of a numeric
-    array column; with no rows the file is the header alone."""
+    (lines end in CRLF). Each block of CSV_BLOCK_ROWS rows is one %
+    template, a line of the columns' directives per row, applied to the
+    block's cells, without a formatting call per cell; with no rows the
+    file is the header alone."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(",".join(map(_cell, header)) + "\r\n")
+            width = len(columns)
             # Blocks of rows bound the memory of the formatted cells.
             for start in range(0, len(columns[0]) if columns else 0, CSV_BLOCK_ROWS):
-                cells = [_cells(c[start : start + CSV_BLOCK_ROWS]) for c in columns]
-                fh.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+                directives, blocks = zip(*(_formatted(c[start : start + CSV_BLOCK_ROWS]) for c in columns))
+                rows = len(blocks[0])
+                cells = [None] * (rows * width)
+                for j, block in enumerate(blocks):  # row-major: cell (i, j) at i * width + j
+                    cells[j::width] = block
+                fh.write((",".join(directives) + "\r\n") * rows % tuple(cells))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -196,28 +212,71 @@ def _first_bad_row(path, header, block, rows_before):
 
 
 class RecordBuilder:
-    """Accumulates rows during a run; avoids growing numpy arrays. The
-    columns are typed arrays, 8 bytes a cell, since a seed-batched run
-    keeps the builders of all its seeds at once, and `build` hands them
-    to the record without a copy (the builder takes no rows after it)."""
+    """Accumulates the rows of one trial, and derives its two norm columns
+    a block of rows at a time.
 
-    def __init__(self, config_meta=None, with_intervals=False):
+    A row is (t, theta, v, loss[, interval]): the parameter theta_t and
+    the update direction v_t (None where grad_norm is NaN: the first row
+    and an abort row) as float arrays that nobody writes into afterwards,
+    since they are kept until the block ends. Then theta_dist =
+    ||theta[:dist_dims] - theta_star[:dist_dims]|| (NaN without theta_star)
+    and grad_norm = ||v|| of the whole block come from one stacked
+    `row_dot` and one `np.sqrt` each, which round as math.sqrt(x.dot(x))
+    of each row. A block ends at CSV_BLOCK_ROWS rows, or sooner once its
+    parameters keep RECORD_BLOCK_ENTRIES floats alive (a row of a
+    seed-batched parameter keeps its whole batch); the first row is a
+    block of its own, which sizes the others.
+
+    The columns are typed arrays, 8 bytes a cell, since a seed-batched run
+    keeps the builders of all its seeds at once, and `build` hands them to
+    the record without a copy (the builder takes no rows after it)."""
+
+    def __init__(self, config_meta=None, with_intervals=False, theta_star=None, dist_dims=None):
         self.ts, self.intervals = array("q"), array("q") if with_intervals else None
         self.dists, self.losses, self.gnorms = array("d"), array("d"), array("d")
         self.abort_t = None
         self.meta = dict(config_meta) if config_meta else {}
+        self.ref = None if theta_star is None else np.asarray(theta_star, dtype=float)[:dist_dims]
+        self.dist_dims = dist_dims
+        self.thetas, self.directions, self.block_rows = [], [], 1
 
-    def add(self, t, dist, loss, gnorm, interval=None):
+    def add(self, t, theta, v, loss, interval=0):
         # The typed arrays convert each cell themselves: t and interval as
-        # integers (a float raises), the rest as float() would.
+        # integers (a float raises), loss as float() would.
         self.ts.append(t)
-        self.dists.append(dist)
         self.losses.append(loss)
-        self.gnorms.append(gnorm)
         if self.intervals is not None:
-            self.intervals.append(0 if interval is None else interval)
+            self.intervals.append(interval)
+        thetas = self.thetas
+        thetas.append(theta)
+        self.directions.append(v)
+        if len(thetas) == self.block_rows:
+            self._flush()
+
+    def _flush(self):
+        """Derive theta_dist and grad_norm of the pending rows."""
+        thetas, directions = self.thetas, self.directions
+        if len(thetas) == len(self.ts):  # the first block: size the others
+            base = thetas[0].base
+            kept = base.size if isinstance(base, np.ndarray) else thetas[0].size
+            self.block_rows = max(1, min(CSV_BLOCK_ROWS, RECORD_BLOCK_ENTRIES // kept))
+        if self.ref is None:
+            self.dists.extend([np.nan] * len(thetas))
+        else:
+            d = np.array(thetas)[:, : self.dist_dims]  # a fresh copy, so subtract in place
+            d -= self.ref
+            self.dists.frombytes(np.sqrt(row_dot(d, d)).tobytes())
+        norms = np.full(len(directions), np.nan)  # NaN where there is no direction
+        rows = [i for i, v in enumerate(directions) if v is not None]
+        if rows:
+            v = np.array([directions[i] for i in rows])
+            norms[rows] = np.sqrt(row_dot(v, v))
+        self.gnorms.frombytes(norms.tobytes())
+        self.thetas, self.directions = [], []
 
     def build(self, final_theta=None):
+        if self.thetas:
+            self._flush()
         return TrialRecord(
             t=np.frombuffer(self.ts, dtype=np.int64),
             theta_dist=np.frombuffer(self.dists),

@@ -46,11 +46,9 @@ ones.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .dynamics import ContractViolation, NumericOverflow, System, guard, row_dot
+from .dynamics import ContractViolation, NumericOverflow, System, guard
 from .rankone import RankOneInjector, RankOnePair, SignStream, pair_step
 from .records import RecordBuilder, TrialRecord
 from .schedules import StepSchedule
@@ -168,6 +166,10 @@ def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi
     there as it would alone; it is dropped (`take_seeds` of the system,
     rule and operator, where they have one) and step t is redone for the
     other rows from the same state.
+
+    Each recorded theta_t and v_t is kept until its block of rows ends
+    (`records.RecordBuilder`), so a rule and an update operator return an
+    array that nobody writes into afterwards, as the library's do.
     """
     if T < 1:
         raise ContractViolation("horizon T must be >= 1")
@@ -185,19 +187,18 @@ def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi
     else:
         J = RankOnePair.zero(len(s), len(theta))
         step, step_args = pair_step, (injector.nbt, SignStream(rng, T))
-    ref = None if theta_star is None else np.asarray(theta_star, dtype=float)[:dist_dims]
-
-    def dists(theta):
-        if ref is None:
-            return [np.nan] * (len(theta) if theta.ndim == 2 else 1)
-        return _norms(theta[..., :dist_dims] - ref)
-
-    # One builder per row of the learner state, in row order.
-    live = [RecordBuilder(meta) for meta in (config_meta if batched else [config_meta])]
+    # One builder per row of the learner state, in row order; rows(x) are
+    # the per-seed rows of x (views, batched).
+    live = [RecordBuilder(meta, theta_star=theta_star, dist_dims=dist_dims)
+            for meta in (config_meta if batched else [config_meta])]
     builders = list(live)
+
+    def rows(x):
+        return x if batched else (x,)
+
     final_theta = {}
-    for builder, dist in zip(live, dists(theta)):
-        builder.add(0, dist, np.nan, np.nan)
+    for builder, row_theta in zip(live, rows(theta)):
+        builder.add(0, row_theta, None, np.nan)
     t = 1
     while t <= T:
         try:  # (s, J, theta) are rebound only when the step succeeds
@@ -207,7 +208,7 @@ def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi
             for r in failed:
                 row_theta = theta[r] if batched else theta
                 live[r].abort_t = exc.t
-                live[r].add(exc.t, dists(row_theta)[0], np.nan, np.nan)
+                live[r].add(exc.t, row_theta, None, np.nan)
                 final_theta[live[r]] = row_theta
             keep = np.setdiff1d(np.arange(len(live)), failed)
             if not len(keep):
@@ -221,21 +222,13 @@ def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi
             continue
         if t % record_every == 0 or t == T:
             losses = np.atleast_1d(sys.loss(t, s))
-            for builder, dist, loss, gnorm in zip(live, dists(theta), losses, _norms(v)):
-                builder.add(t, dist, loss, gnorm)
+            for builder, row_theta, row_v, loss in zip(live, rows(theta), rows(v), losses):
+                builder.add(t, row_theta, row_v, loss)
         t += 1
     for r, builder in enumerate(live):
         final_theta[builder] = theta[r] if batched else theta
     records = [builder.build(final_theta=final_theta[builder]) for builder in builders]
     return records if batched else records[0]
-
-
-def _norms(x):
-    """[||x||] for a vector, or the norms of the rows of a seed-batched x."""
-    if x.ndim == 1:
-        # np.linalg.norm's own formula, minus its call overhead.
-        return [math.sqrt(x.dot(x))]
-    return np.sqrt(row_dot(x, x))
 
 
 def deviation(sys: System, theta_anchor, states, t0: int, t1: int,

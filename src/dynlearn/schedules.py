@@ -11,6 +11,7 @@ target trajectory).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -50,7 +51,11 @@ class StepSchedule:
         return self.gamma * float(t) ** (-self.b)
 
     def etas(self, T: int) -> np.ndarray:
-        return self.gamma * np.arange(1, T + 1, dtype=float) ** (-self.b)
+        """[eta(1), ..., eta(T)] with the bits of `eta`: each power is a
+        Python float's (libm's pow), which numpy's vectorised power is not
+        (they differ in the last bit at about 5% of t)."""
+        powers = map(float.__pow__, map(float, range(1, T + 1)), repeat(-self.b))
+        return self.gamma * np.fromiter(powers, dtype=float, count=T)
 
 
 ALGORITHM_CLASSES = ("exact_rtrl", "imperfect_rtrl", "tbptt")

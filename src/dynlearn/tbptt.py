@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, pairwise, repeat, takewhile
-from math import ceil, sqrt
+from math import ceil
 
 import numpy as np
 
@@ -141,18 +141,10 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
     """
     theta = np.asarray(theta0, dtype=float)
     s = np.asarray(s0, dtype=float)
-    ref = None if theta_star is None else np.asarray(theta_star, dtype=float)
-
-    def dist(th):
-        if ref is None:
-            return np.nan
-        d = th - ref
-        return sqrt(d.dot(d))  # np.linalg.norm's formula
-
     eta_at, loss, methods = schedule.eta, sys.loss, _bind(sys)
-    builder = RecordBuilder(config_meta, with_intervals=True)
+    builder = RecordBuilder(config_meta, with_intervals=True, theta_star=theta_star)
     add = builder.add
-    add(0, dist(theta), np.nan, np.nan, 0)
+    add(0, theta, None, np.nan, 0)
     try:
         for k, (t_lo, t_hi) in enumerate(trunc.intervals(T), start=1):
             if reset_state is not None:
@@ -160,8 +152,8 @@ def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
             grad, states = _interval_pass(methods, s, theta, t_lo, t_hi)
             s = states[-1]
             theta = guard(theta - eta_at(t_hi) * grad, "parameter", t_hi)
-            add(t_hi, dist(theta), loss(t_hi, s), sqrt(grad.dot(grad)), k)
+            add(t_hi, theta, grad, loss(t_hi, s), k)
     except NumericOverflow as exc:
         builder.abort_t = exc.t
-        add(exc.t, dist(theta), np.nan, np.nan, k)
+        add(exc.t, theta, None, np.nan, k)
     return builder.build(final_theta=theta)

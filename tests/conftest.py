@@ -13,11 +13,31 @@ from dynlearn.dynamics import (
     System,
     TanhSystem,
 )
+from dynlearn.records import TrialRecord
 from dynlearn.schedules import sample_indices
 
 
 def philox(seed):
     return np.random.default_rng(np.random.Philox(key=seed))
+
+
+class RowRecord:
+    """The oracle recorder: each row's cells (t, theta_dist, loss,
+    grad_norm[, interval]) as the caller computed them, one row at a time."""
+
+    def __init__(self, with_intervals=False):
+        self.rows, self.with_intervals, self.abort_t = [], with_intervals, None
+
+    def add(self, t, dist, loss, gnorm, interval=None):
+        self.rows.append((t, dist, loss, gnorm, 0 if interval is None else interval))
+
+    def build(self, final_theta=None):
+        t, dist, loss, gnorm, k = (list(column) for column in zip(*self.rows))
+        return TrialRecord(t=np.array(t, dtype=np.int64), theta_dist=np.array(dist, dtype=float),
+                           loss=np.array(loss, dtype=float), grad_norm=np.array(gnorm, dtype=float),
+                           abort_t=self.abort_t,
+                           interval_k=np.array(k, dtype=np.int64) if self.with_intervals else None,
+                           final_theta=final_theta)
 
 
 def regression_dataset(seed=1234, n=16, p=4, noise=0.1):

@@ -124,3 +124,47 @@ def test_both_sides_are_copies_made_the_same_way(tmp_path):
     assert sides == {"parent": ["gone.txt", "src/a.py"], "change": ["src/a.py"]}
     assert (tmp_path / "parent" / "src" / "a.py").read_text() == "A = 1\n"
     assert (tmp_path / "change" / "src" / "a.py").read_text() == "A = 2\n"
+
+
+def paired(parent, change, name="steps_per_s", better="higher", bound=0.15):
+    """The summary entry of one metric over canned pairs of values."""
+    runs = []
+    for k, (p, c) in enumerate(zip(parent, change)):
+        for side, value in (("parent", p), ("change", c)):
+            runs.append({"pair": k, "side": side, "result": {"correct": True, "metrics": {
+                name: {"value": value, "unit": "x"}}}})
+    return bench_pairs.summarize(runs, {name: better}, {name: bound})[name]
+
+
+STEADY = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.0, 100.5]
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    # 10/10 wins by 8%, far beyond the parent's quartile spread (1.5%).
+    (STEADY, [v * 1.08 for v in STEADY], "higher", "gain"),
+    # 9/10 wins are enough; lower is better for a time.
+    (STEADY, [v * 0.9 for v in STEADY[:9]] + [STEADY[9] * 1.01], "lower", "gain"),
+    # 8/10 wins are not, and the median moved less than the bound.
+    (STEADY, [v * 1.05 for v in STEADY[:8]] + [v * 0.99 for v in STEADY[8:]], "higher", "unchanged"),
+    # 10/10 wins within the parent's spread: no gain.
+    (STEADY, [v + 0.01 for v in STEADY], "higher", "unchanged"),
+    # Worse by 20% with a 15% bound.
+    (STEADY, [v * 0.8 for v in STEADY], "higher", "regression"),
+    (STEADY, [v * 1.2 for v in STEADY], "lower", "regression"),
+    # Worse by 10%, inside the bound.
+    (STEADY, [v * 0.9 for v in STEADY], "higher", "unchanged"),
+    # A parent spread wider than the bound says nothing, even at 10/10.
+    ([50.0, 150.0, 80.0, 120.0, 100.0, 60.0, 140.0, 90.0, 110.0, 100.0],
+     [200.0] * 10, "higher", "unresolved"),
+])
+def test_verdict_of_canned_pairs(parent, change, better, want):
+    entry = paired(parent, change, better=better)
+    assert entry["verdict"] == want
+    assert bench_pairs.verdict(entry, 0.15) == want
+
+
+def test_verdict_only_for_metrics_with_a_bound():
+    runs = [{"pair": 0, "side": side, "result": result(100.0, 0.1)} for side in ("parent", "change")]
+    summary = bench_pairs.summarize(runs, {"steps_per_s": "higher", "setup_s": "lower"}, {"setup_s": 0.25})
+    assert "verdict" not in summary["steps_per_s"] and summary["setup_s"]["verdict"] == "unchanged"
+    assert "verdict" not in bench_pairs.summarize(runs, {"steps_per_s": "higher"})["steps_per_s"]

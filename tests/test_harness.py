@@ -702,6 +702,14 @@ UNREAD_KEYS = [
     ("adam", "algorithm.rule=bogus", "algorithm.rule = bogus " + RULE_IGNORED.format("adam")),
     ("rmsprop", "algorithm.rule=precond:scale:2", "algorithm.rule = precond:scale:2 " + RULE_IGNORED.format("rmsprop")),
     ("ong", "algorithm.rule=bogus", "algorithm.rule = bogus " + RULE_IGNORED.format("ong")),
+    ("sgd", "algorithm.fixed_beta2=0.5",
+     "algorithm.fixed_beta2 = 0.5 is ignored by sgd; only adam and rmsprop read it"),
+    ("ong", "algorithm.fixed_beta2=0.5",
+     "algorithm.fixed_beta2 = 0.5 is ignored by ong; only adam and rmsprop read it"),
+    ("rtrl", "algorithm.beta1=0.5", "algorithm.beta1 = 0.5 is ignored by rtrl; only adam, rmsprop and ong read it"),
+    ("tbptt", "algorithm.c=2", "algorithm.c = 2 is ignored by tbptt; only adam, rmsprop and ong read it"),
+    ("sgd", "algorithm.eps=1e-3", "algorithm.eps = 1e-3 is ignored by sgd; only adam, rmsprop and ong read it"),
+    ("adam", "algorithm.psi0_ridge=2", "algorithm.psi0_ridge = 2 is ignored by adam; only ong reads it"),
 ]
 
 
@@ -780,6 +788,58 @@ def test_cli_sweep_unread_key_point_is_an_error_row(swept, failing, tmp_path):
     bad = [row for row in rows if "ConfigurationError" in row]
     assert len(bad) == 1 and f" = {failing} is ignored by tbptt" in bad[0]
     assert [row for row in rows if row not in bad][0].endswith(",")
+
+
+def test_cli_sweep_swept_algorithm_checks_each_algorithm_key(tmp_path):
+    # fixed_beta2 fails only the point whose algorithm ignores it.
+    path = write_config(tmp_path, small_config(**{
+        "experiment.name": "betagrid", "experiment.horizon": "50", "algorithm.fixed_beta2": "0.9",
+        "sweep.algorithm.name": "sgd, adam"}))
+    assert cli_main(["sweep", path, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "betagrid" / "sweep.csv").read_text().strip().splitlines()
+    assert rows[1] == ("sgd,nan,0.0,ConfigurationError: algorithm.fixed_beta2 = 0.9 is ignored by sgd; "
+                       "only adam and rmsprop read it")
+    assert rows[2].startswith("adam,") and rows[2].endswith(",")
+
+
+ADAPTIVE_KNOBS = [
+    ("arms.fixed=algorithm.fixed_beta2=0.99;algorithm.c=0", "algorithm.c must be > 0, got 0.0"),
+    ("arms.fixed=algorithm.fixed_beta2=0.99;algorithm.c=-1", "algorithm.c must be > 0, got -1.0"),
+    ("arms.fixed=algorithm.fixed_beta2=1.5", "algorithm.fixed_beta2 must lie in [0, 1), got 1.5"),
+    ("arms.fixed=algorithm.fixed_beta2=1", "algorithm.fixed_beta2 must lie in [0, 1), got 1.0"),
+    ("arms.fixed=algorithm.fixed_beta2=-0.1", "algorithm.fixed_beta2 must lie in [0, 1), got -0.1"),
+    ("arms.fixed=algorithm.fixed_beta2=0.99;algorithm.beta1=1.5", "algorithm.beta1 must lie in [0, 1), got 1.5"),
+    ("algorithm.beta1=1", "algorithm.beta1 must lie in [0, 1), got 1.0"),
+]
+
+
+@pytest.mark.parametrize("override, message", ADAPTIVE_KNOBS, ids=[o for o, _ in ADAPTIVE_KNOBS])
+def test_cli_run_adaptive_knob_out_of_range_exit_2(override, message, tmp_path, capsys):
+    # Refused by the up-front row checks: the adaptive arm, which comes
+    # first, writes nothing (no trial runs) when only the fixed arm is bad.
+    out = tmp_path / "o"
+    code = cli_main(["run", os.path.join(CONFIG_DIR, "adam_beta2.ini"), "--set", override,
+                     "--set", "experiment.horizon=20", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, values, bad", [
+    ("algorithm.c", "0,1", "algorithm.c must be > 0, got 0.0"),
+    ("algorithm.beta1", "0.5,1.5", "algorithm.beta1 must lie in [0, 1), got 1.5"),
+])
+def test_cli_sweep_adaptive_knob_out_of_range_is_an_error_row(key, values, bad, tmp_path):
+    # The point with the bad knob fails both arms before any trial; the
+    # other point runs.
+    out = tmp_path / "o"
+    code = cli_main(["sweep", os.path.join(CONFIG_DIR, "adam_beta2.ini"), "--set", f"sweep.{key}={values}",
+                     "--set", "experiment.horizon=20", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    lines = (out / "adam_beta2" / "sweep.csv").read_text().strip().splitlines()[1:]
+    errors = [line for line in lines if line.endswith(f',"ConfigurationError: {bad}"')]  # quoted: a comma
+    assert len(lines) == 4 and len(errors) == 2
+    assert all(line.endswith(",") for line in lines if line not in errors)
 
 
 def test_cli_sweep_swept_algorithm_checks_each_point(tmp_path):

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox, random_tanh
+from conftest import RowRecord, philox, random_tanh
 
 from dynlearn.dynamics import InfluenceBalancing, NumericOverflow, RNNSystem, System, guard
 from dynlearn.harness import ExperimentConfig, run_trial
-from dynlearn.records import RecordBuilder
 from dynlearn.schedules import StepSchedule
 from dynlearn.tbptt import TruncationSchedule, bptt_interval_gradient, run_tbptt
 
@@ -65,7 +64,7 @@ def oracle_run_tbptt(sys, s0, theta0, schedule, trunc, T, theta_star=None):
         d = th - ref
         return sqrt(d.dot(d))
 
-    builder = RecordBuilder(None, with_intervals=True)
+    builder = RowRecord(with_intervals=True)
     builder.add(0, dist(theta), np.nan, np.nan, 0)
     try:
         for k, (t_lo, t_hi) in enumerate(oracle_intervals(trunc, T), start=1):

@@ -22,11 +22,10 @@ from dynlearn.rankone import (
     sample_signs,
     uoro_reduce,
 )
-from dynlearn.records import RecordBuilder
 from dynlearn.rtrl import run_learning
 from dynlearn.schedules import StepSchedule
 
-from conftest import philox, random_tanh
+from conftest import RowRecord, philox, random_tanh
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -96,7 +95,7 @@ def oracle_record(sysm, s0, theta0, schedule, reducer, T, rng, theta_star):
     reduce = nbt_reduce if reducer == "nbt" else uoro_reduce
     s, theta = np.asarray(s0, dtype=float), np.asarray(theta0, dtype=float)
     pair = RankOnePair.zero(len(s), len(theta))
-    builder = RecordBuilder(None)
+    builder = RowRecord()
 
     def dist(th):
         return float(np.linalg.norm(th - theta_star))

@@ -292,3 +292,32 @@ def test_reading_a_long_interval_csv_holds_columns_and_one_block(tmp_path):
         tracemalloc.stop()
     assert peak < 3 * 2**20
     assert_same_record(back, oracle_from_csv(path))
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+def test_write_csv_blocks_match_csv_writer(n, tmp_path):
+    # One % template per block of rows writes the oracle's bytes at the
+    # block edges, for every kind of cell: text that needs quoting, numpy
+    # ints (an int64 array, and np.int64 cells in a list), Python and numpy
+    # bools, floats with NaN, +-inf, -0.0, 1e16 and 5e-324 (a float array,
+    # and Python floats in a list), and a list of mixed cells.
+    texts = ["plain", "a,b", 'say "hi"', "line\nbreak", "cr\r", "", "é λ"]
+    specials = [np.nan, np.inf, -np.inf, -0.0, 1e16, 5e-324, 0.1 + 0.2, -2.5, 123456789.0]
+    floats = np.array([specials[i % len(specials)] for i in range(n)])
+    mixed = [texts[1], np.int64(-3), 1e16, True, -0.0, 7, np.float64(5e-324)]
+    columns = [
+        [texts[i % len(texts)] for i in range(n)],
+        np.arange(n, dtype=np.int64) * 9_000_000_000_000 - 2**62,
+        [np.int64(i * 7) for i in range(n)],
+        [bool(i % 3) for i in range(n)],
+        np.arange(n) % 2 == 0,
+        floats,
+        floats[::-1].tolist(),
+        [mixed[i % len(mixed)] for i in range(n)],
+    ]
+    header = [f"c{j}" for j in range(len(columns))] + ["a,b"]
+    columns.append(np.arange(n, dtype=np.uint64))
+    write_csv(str(tmp_path / "got.csv"), header, columns)
+    want = csv_writer_bytes(tmp_path / "want.csv", header, zip(*columns))
+    assert (tmp_path / "got.csv").read_bytes() == want
+    assert want.count(b"\r\n") >= n + 1

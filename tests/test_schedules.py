@@ -49,6 +49,26 @@ def test_schedule_homogeneity_over_growing_windows():
         assert 1.0 <= ratio <= 1.0 + 5 * T ** (-(1 - A)) * 0.7 * 2
 
 
+def test_etas_have_the_bits_of_eta_on_the_shipped_schedules():
+    # etas(T) is [eta(1), ..., eta(T)] bit for bit: numpy's vectorised
+    # power differs from the scalar pow in the last bit at about 5% of t.
+    import glob
+    import os
+
+    from dynlearn.harness import ExperimentConfig, _step_schedule
+
+    configs = glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.ini"))
+    pairs = {(s.gamma, s.b) for s in (_step_schedule(arm) for path in configs
+                                      for _, arm in ExperimentConfig.load(path).arms())}
+    assert {(0.05, 0.7), (0.1, 0.3), (0.1, 0.7), (0.5, 0.7)} <= pairs
+    T = 100_000
+    for gamma, b in sorted(pairs):
+        sched = StepSchedule(gamma, b)
+        want = np.array([sched.eta(t) for t in range(1, T + 1)])
+        assert np.array_equal(sched.etas(T).view(np.int64), want.view(np.int64)), (gamma, b)
+    assert StepSchedule(0.1, 0.7).etas(0).shape == (0,)
+
+
 def test_one_eta_evaluation_per_step(monkeypatch):
     # The adam-fixed arm: the learner evaluates eta_t once per batch step
     # and hands it to the rule's fixed-beta2 coupling.

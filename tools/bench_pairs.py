@@ -22,8 +22,9 @@ each arm's us/step (`arm_us_per_step.<arm>`, lower is better): each
 side's median and quartiles (`statistics.quantiles(values, n=4)`, as
 `perfbench/spread.py`), the parent's quartile spread as a share of its
 median, and the number of pairs the change won (ties count for neither
-side). The arms show which parts of a workload moved. `--workload` may be
-given more than once.
+side). The arms show which parts of a workload moved. Each end-to-end
+metric also gets a `verdict` (see `verdict`) against its bound in
+BENCHMARK.json. `--workload` may be given more than once.
 """
 
 import argparse
@@ -76,14 +77,35 @@ def run_values(run):
     return values
 
 
-def summarize(runs, metrics):
+def verdict(entry, bound):
+    """What the summary entry of a metric with this BENCHMARK.json bound
+    (a share of the parent's median) shows, in the first of these that
+    holds: "unresolved" when the parent's quartile spread, as a share of
+    its median, is wider than the bound; "gain" when the change wins at
+    least 9/10 of the pairs and its median is better by more than the
+    parent's quartile spread; "regression" when its median is worse by
+    more than the bound; else "unchanged"."""
+    parent, change = entry["parent"], entry["change"]
+    if entry["parent_spread"] > bound:
+        return "unresolved"
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    better_by = sign * (change["median"] - parent["median"])
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and better_by > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -better_by > bound * abs(parent["median"]):
+        return "regression"
+    return "unchanged"
+
+
+def summarize(runs, metrics, bounds=None):
     """Per-metric summary of paired runs.
 
     runs: dicts with keys pair, side ("parent" or "change"), result (the
     result JSON of run.py) and, optionally, arms ({arm: us/step}).
     metrics: {name: "higher" or "lower"}, the direction in which the metric
     is better. Each arm that every paired run timed is summarized too, as
-    the metric ARM_PREFIX + arm, lower being better.
+    the metric ARM_PREFIX + arm, lower being better. bounds: {name: bound}
+    of the metrics that get a `verdict`.
     """
     by_pair = {}
     for run in runs:
@@ -104,6 +126,8 @@ def summarize(runs, metrics):
             sign * (sides["change"][name] - sides["parent"][name]) > 0 for sides in pairs)
         parent = entry["parent"]
         entry["parent_spread"] = (parent["q3"] - parent["q1"]) / parent["median"]
+        if bounds and name in bounds:
+            entry["verdict"] = verdict(entry, bounds[name])
         out[name] = entry
     return out
 
@@ -158,6 +182,7 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = args.seconds or bench["run_seconds"]
 
     def rev_parse(rev):
@@ -183,14 +208,14 @@ def main(argv=None):
                     value = result["metrics"]["steps_per_s"]["value"]
                     print(f"{workload} pair {k} seed {seed} {side}: steps_per_s {value:.6g} "
                           f"correct {result['correct']}", flush=True)
-            summary = summarize(runs, metrics)
+            summary = summarize(runs, metrics, bounds)
             record["workloads"][workload] = {"runs": runs, "summary": summary}
             for name, s in summary.items():
                 print(f"{workload} {name}: parent {s['parent']['median']:.6g} "
                       f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] -> change "
                       f"{s['change']['median']:.6g} [{s['change']['q1']:.6g}, "
-                      f"{s['change']['q3']:.6g}], change better in {s['change_wins']}/{s['pairs']}",
-                      flush=True)
+                      f"{s['change']['q3']:.6g}], change better in {s['change_wins']}/{s['pairs']}"
+                      + (f", {s['verdict']}" if "verdict" in s else ""), flush=True)
             with open(args.out, "w") as fh:
                 json.dump(record, fh, indent=1)
                 fh.write("\n")
