@@ -7,12 +7,13 @@ independent counter-based random stream and writes one trial CSV per
 seed plus a summary, and `run_sweep` does the same at every [sweep] grid
 point with one aggregated row per (point, arm). Both go through one
 planner: `_rows` refuses any key outside `KEYS` in each arm, crosses the
-grid points with the arms and checks each row with `_check_row` before
-any trial runs (`run_trial` and `run_trials` run both checks on their
-one arm), and `_outcomes` runs the rows' seeds over one pool.
-Everything is deterministic from (config, seed): streams are keyed by
-the config hash and seed, trials never share state, and files are
-written atomically.
+grid points with the arms, and before any trial runs checks each row
+with `_check_row` and builds its learner call at horizon 1 with
+`_learner`, the one builder (`run_trial` and `run_trials` check their
+one arm and build only its trials); `_outcomes` runs the rows' seeds
+over one pool. Everything is deterministic from (config, seed): streams
+are keyed by the config hash and seed, trials never share state, and
+files are written atomically.
 
 `SYSTEM_KINDS` maps each config system kind to its builder, the
 algorithms that run on it and those of them whose seeds batch; every
@@ -36,6 +37,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -246,8 +248,8 @@ def run_trial(cfg: ExperimentConfig, seed: int):
     hash and the seed, split into independent children for sampling,
     initialization, and injector noise, so arms that consume different
     amounts of randomness stay comparable. A config that fails
-    `_check_keys` or `_check_row`, or a seed outside [0, 2**63), raises
-    ConfigurationError before any trial.
+    `_check_keys`, `_check_row` or its build, or a seed outside [0, 2**63),
+    raises ConfigurationError before any learner step.
     """
     _check_keys(cfg)
     _check_row(cfg)
@@ -302,10 +304,6 @@ def _run(cfg: ExperimentConfig, seed):
     """run_trial for one seed; for a list of seeds, the list of their
     records from one seed-batched learner (SEED_BATCHED arms only). cfg
     has passed `_check_row`."""
-    algo = cfg.get("algorithm.name", "sgd")
-    kind = SYSTEM_KINDS[cfg.get("system.kind", "linear_regression")]
-    T = cfg.horizon
-    schedule = _step_schedule(cfg)
     if isinstance(seed, list):
         streams = [_seed_streams(cfg, s) for s in seed]
         rng_sample, rng_init = [r[0] for r in streams], [r[1] for r in streams]
@@ -313,10 +311,20 @@ def _run(cfg: ExperimentConfig, seed):
     else:
         rng_sample, rng_init, rng_inject = _seed_streams(cfg, seed)
         meta = {**cfg.values, "trial.seed": str(seed)}
+    return _learner(cfg, cfg.horizon, rng_sample, rng_init, rng_inject)(config_meta=meta)
+
+
+def _learner(cfg: ExperimentConfig, T: int, rng_sample, rng_init, rng_inject):
+    """cfg's run_learning or run_tbptt call at horizon T on these generators
+    (seed lists and no rng_inject when seed-batched), waiting for its
+    config_meta; cfg has passed `_check_row`."""
+    algo = cfg.get("algorithm.name", "sgd")
+    kind = SYSTEM_KINDS[cfg.get("system.kind", "linear_regression")]
+    schedule = _step_schedule(cfg)
     plant = kind.build(cfg, cfg.get("sampling.scheme", "cycling"), T, rng_sample, rng_init)
     if algo == "tbptt":
-        return run_tbptt(plant.system, plant.s0, plant.theta0, schedule, _parse_truncation(cfg), T,
-                         theta_star=plant.theta_star, config_meta=meta)
+        return partial(run_tbptt, plant.system, plant.s0, plant.theta0, schedule, _parse_truncation(cfg), T,
+                       theta_star=plant.theta_star)
     if algo in ADAPTIVE:
         system, rule, phi, theta0, dist_dims = _adaptive(cfg, algo, plant)
     else:
@@ -325,12 +333,9 @@ def _run(cfg: ExperimentConfig, seed):
     injector = None
     if algo in ("uoro", "nobacktrack"):
         injector = RankOneInjector("uoro" if algo == "uoro" else "nbt")
-    return run_learning(
-        system, plant.s0, theta0, schedule, rule=rule, phi=phi,
-        injector=injector, T=T, rng=rng_inject, theta_star=plant.theta_star,
-        dist_dims=dist_dims, record_every=cfg.getint("experiment.record_every", 1),
-        config_meta=meta,
-    )
+    return partial(run_learning, system, plant.s0, theta0, schedule, rule=rule, phi=phi,
+                   injector=injector, T=T, rng=rng_inject, theta_star=plant.theta_star,
+                   dist_dims=dist_dims, record_every=cfg.getint("experiment.record_every", 1))
 
 
 def _step_schedule(cfg: ExperimentConfig) -> StepSchedule:
@@ -601,19 +606,16 @@ def _check_keys(cfg: ExperimentConfig):
 
 def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
     """ConfigurationError unless cfg's kind runs its algorithm, its counts
-    are >= 1, it sets no key the algorithm ignores (ALGORITHM_KEY_READERS,
-    and record_every on tbptt), its adaptive knobs are in range (beta1 and
-    fixed_beta2 in [0, 1), c > 0), its exponents hold (unless force; the
-    error names arm when given), and its step schedule (gamma > 0 under a
-    fixed beta2), on tbptt its truncation, and its plant build. The plant
-    is built (at horizon 1) only when init.theta0 or system.s0 is not a
-    keyword, since their length is the plant's parameter or state
-    dimension."""
-    kind = system_kind(cfg)
-    for key in ("experiment.horizon", "experiment.record_every"):
-        value = cfg.getint(key, 1)
-        if value < 1:
-            raise ConfigurationError(f"{key} must be >= 1, got {value}")
+    are >= 1 (system.m >= 0), it sets no key the algorithm ignores
+    (ALGORITHM_KEY_READERS, and record_every on tbptt), its adaptive knobs
+    are in range (beta1 and fixed_beta2 in [0, 1), c > 0), its exponents
+    hold (unless force; the error names arm when given), and its step
+    schedule (gamma > 0 under a fixed beta2). It builds nothing."""
+    system_kind(cfg)
+    for key, least in (("experiment.horizon", 1), ("experiment.record_every", 1), ("system.dim", 1),
+                       ("system.n", 1), ("system.n_samples", 1), ("system.m", 0)):
+        if (value := cfg.getint(key, least)) < least:
+            raise ConfigurationError(f"{key} must be >= {least}, got {value}")
     algo = cfg.get("algorithm.name", "sgd")
     for key, (readers, verb) in ALGORITHM_KEY_READERS.items():
         value = cfg.get(key)
@@ -637,20 +639,16 @@ def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
     if _step_schedule(cfg).gamma == 0.0 and cfg.get("algorithm.fixed_beta2") is not None:
         raise ConfigurationError("algorithm.fixed_beta2 needs schedule.gamma > 0: its coupling "
                                  "(1 - beta2)/eta_t is undefined at eta_t = 0")
-    if algo == "tbptt":
-        _parse_truncation(cfg)
-    if cfg.get("init.theta0", "near_optimum") != "near_optimum" or cfg.get("system.s0") not in (
-            None, "zeros", "stationary"):
-        kind.build(cfg, cfg.get("sampling.scheme", "cycling"), 1, *[np.random.default_rng(0)] * 2)
 
 
 def _rows(cfg: ExperimentConfig, force: bool, grid=()):
     """The (point, arm, config, error) rows of cfg: each point of the grid
     ([sweep] (key, values) pairs; one empty point without) crossed with
     each arm, in order, the point's values set over the arm's clauses.
-    error is the exception of the row's `_check_row`, or None; a run's
-    exponent error names its arm. A key outside KEYS, a grid entry or seed
-    list without values or with one twice raises here."""
+    error is the exception of the row's `_check_row` or of its `_learner`
+    built at horizon 1 on throwaway generators, or None; a run's exponent
+    error names its arm. A key outside KEYS, a grid entry or seed list
+    without values or with one twice raises here."""
     arms = cfg.arms()
     for _, arm_cfg in arms:
         _check_keys(arm_cfg)
@@ -664,7 +662,8 @@ def _rows(cfg: ExperimentConfig, force: bool, grid=()):
             error = None
             try:
                 _check_row(row_cfg, force, None if grid else arm)
-            except ConfigurationError as exc:  # failures are data in a sweep
+                _learner(row_cfg, 1, *[np.random.default_rng(0)] * 3)
+            except Exception as exc:  # failures are data in a sweep
                 error = exc
             rows.append((point, arm, row_cfg, error))
     return rows

@@ -175,9 +175,10 @@ def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi
         raise ContractViolation("horizon T must be >= 1")
     s = np.asarray(s0, dtype=float)
     theta = np.asarray(theta0, dtype=float)
-    if s.ndim not in (1, 2) or theta.ndim != s.ndim or theta.shape[:-1] != s.shape[:-1]:
-        raise ContractViolation(
-            f"s0 {s.shape} and theta0 {theta.shape} must be (n,) and (p,), or (S, n) and (S, p)")
+    if (s.ndim not in (1, 2) or theta.ndim != s.ndim or theta.shape[:-1] != s.shape[:-1]
+            or 0 in (s.shape[-1], theta.shape[-1])):
+        raise ContractViolation(f"s0 {s.shape} and theta0 {theta.shape} must be (n,) and (p,), "
+                                "or (S, n) and (S, p), with n, p >= 1")
     batched = theta.ndim == 2
     step, step_args = dense_step, ()
     if injector is None:

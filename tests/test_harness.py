@@ -194,7 +194,7 @@ def test_sweep_files_identical_across_jobs(tmp_path, monkeypatch):
                         for root, _, fs in os.walk(d) for f in fs) for d in dirs]
         assert files[0] == files[1] == files[2] and len(files[0]) == n_files
         for name in files[0]:
-            a, *others = (open(os.path.join(d, name), "rb").read() for d in dirs)
+            a, *others = (Path(d, name).read_bytes() for d in dirs)
             assert all(a == b for b in others), name
         with open(os.path.join(dirs[0], "sweep.csv")) as fh:
             assert sum("ConfigurationError" in line for line in fh) == n_errors
@@ -526,8 +526,8 @@ def test_arms_sweep_trials_equal_run_experiment(tmp_path):
         run_dir = run_experiment(cfg.with_overrides({"schedule.gamma": gamma}), str(tmp_path / label))
         for arm in ("cycling", "iid"):
             for seed in (0, 1, 2):
-                a = open(os.path.join(sweep_dir, label, arm, f"{seed}.csv"), "rb").read()
-                assert a == open(os.path.join(run_dir, arm, f"{seed}.csv"), "rb").read(), (label, arm, seed)
+                a = Path(sweep_dir, label, arm, f"{seed}.csv").read_bytes()
+                assert a == Path(run_dir, arm, f"{seed}.csv").read_bytes(), (label, arm, seed)
 
 
 def test_sweep_value_overrides_the_arm_clause(tmp_path):
@@ -853,34 +853,55 @@ def test_cli_sweep_swept_algorithm_checks_each_point(tmp_path):
     assert rows[2].startswith("adam,") and "is ignored by adam" in rows[2]
 
 
-def test_cli_sweep_point_bad_count_is_an_error_row(tmp_path):
-    # A horizon that only one grid point sets fails that point alone.
+@pytest.mark.parametrize("key, values, message", [
+    ("experiment.horizon", "0, 20", "experiment.horizon must be >= 1, got 0"),
+    ("system.n_samples", "0, 20", "system.n_samples must be >= 1, got 0"),
+], ids=["horizon", "n_samples"])
+def test_cli_sweep_point_bad_count_is_an_error_row(key, values, message, tmp_path):
+    # A count that only one grid point sets fails that point alone.
     path = write_config(tmp_path, small_config(**{
-        "experiment.name": "pointfail", "sweep.experiment.horizon": "0, 20"}))
+        "experiment.name": "pointfail", f"sweep.{key}": values}))
     code = cli_main(["sweep", path, "--out", str(tmp_path / "o")])
     assert code == 0
     with open(tmp_path / "o" / "pointfail" / "sweep.csv") as fh:
         lines = fh.read().strip().splitlines()
     assert len(lines) == 3
-    assert "ConfigurationError: experiment.horizon must be >= 1, got 0" in lines[1]
+    assert f"ConfigurationError: {message}" in lines[1]
     assert lines[2].endswith(",")
 
 
-PLANT_VALUES = [
-    (["run", os.path.join(CONFIG_DIR, "rnn_stability.ini"), "--set", "arms.a=init.radius=0.5",
-      "--set", "arms.b=init.theta0=1,2"], "init.theta0 must be 18 comma-separated numbers, got '1,2'"),
-    (["run", TBPTT_INI, "--set", "arms.a=system.s0=stationary", "--set", "arms.b=system.s0=1,2"],
-     "system.s0 must be 6 comma-separated numbers, got '1,2'"),
-    (["sweep", os.path.join(CONFIG_DIR, "rnn_stability.ini"), "--set", "sweep.init.radius=0.3,0.5",
-      "--set", "init.theta0=1,2"], "init.theta0 must be 18 comma-separated numbers, got '1,2'"),
-    (["sweep", TBPTT_INI, "--set", "system.s0=1,2"], "system.s0 must be 6 comma-separated numbers, got '1,2'"),
-]
+CYCLING_INI = os.path.join(CONFIG_DIR, "cycling_vs_iid.ini")
+RNN_INI = os.path.join(CONFIG_DIR, "rnn_stability.ini")
+BUILD_FAILURES = {
+    "run-theta0": (["run", RNN_INI, "--set", "arms.a=init.radius=0.5", "--set", "arms.b=init.theta0=1,2"],
+                   "init.theta0 must be 18 comma-separated numbers, got '1,2'"),
+    "run-s0": (["run", TBPTT_INI, "--set", "arms.a=system.s0=stationary", "--set", "arms.b=system.s0=1,2"],
+               "system.s0 must be 6 comma-separated numbers, got '1,2'"),
+    "sweep-theta0": (["sweep", RNN_INI, "--set", "sweep.init.radius=0.3,0.5", "--set", "init.theta0=1,2"],
+                     "init.theta0 must be 18 comma-separated numbers, got '1,2'"),
+    "sweep-s0": (["sweep", TBPTT_INI, "--set", "system.s0=1,2"], "system.s0 must be 6 comma-separated numbers, got '1,2'"),
+    "run-second-arm-rule": (["run", CYCLING_INI, "--set", "arms.iid=algorithm.rule=precond:bogus"],
+                            "unknown preconditioner 'precond:bogus'"),
+    "run-second-arm-beta": (["run", CYCLING_INI, "--set", "arms.iid=system.kind=momentum;system.beta=1.5"],
+                            "momentum beta must lie in [0, 1)"),
+    "sweep-n_plus": (["sweep", TBPTT_INI, "--set", "system.n_plus=5"], "need 1 <= n_plus < n/2 for the sign imbalance"),
+    "run-dim": (["run", CYCLING_INI, "--set", "system.dim=0"], "system.dim must be >= 1, got 0"),
+    "run-n_samples": (["run", CYCLING_INI, "--set", "system.n_samples=-3"], "system.n_samples must be >= 1, got -3"),
+    "run-n": (["run", RNN_INI, "--set", "system.n=-2"], "system.n must be >= 1, got -2"),
+    "run-m": (["run", RNN_INI, "--set", "system.m=-1"], "system.m must be >= 0, got -1"),
+    "run-second-arm-n": (["run", RNN_INI, "--set", "arms.a=system.n=3", "--set", "arms.b=system.n=0"],
+                         "system.n must be >= 1, got 0"),
+    "sweep-n": (["sweep", TBPTT_INI, "--set", "system.n=0"], "system.n must be >= 1, got 0"),
+    "sweep-every-point-dim": (["sweep", CYCLING_INI, "--set", "sweep.system.dim=0,-1"], "system.dim must be >= 1, got 0"),
+}
 
 
-@pytest.mark.parametrize("argv, message", PLANT_VALUES, ids=["run-theta0", "run-s0", "sweep-theta0", "sweep-s0"])
-def test_cli_bad_plant_value_fails_before_any_trial(argv, message, tmp_path, capsys, monkeypatch):
-    # init.theta0 and system.s0 need the plant's dimensions; a bad value in
-    # any row fails before the first row runs (every row of a sweep here).
+@pytest.mark.parametrize("argv, message", BUILD_FAILURES.values(), ids=BUILD_FAILURES)
+def test_cli_row_that_does_not_build_fails_before_any_trial(argv, message, tmp_path, capsys, monkeypatch):
+    # A value that a row's build refuses (a plant value of the wrong length,
+    # a preconditioner, a plant constant) or a dimension below its least
+    # value, in any row, exits 2 before the first row runs (every row of a
+    # sweep here) and writes nothing.
     import dynlearn.harness as harness
 
     def no_learning(*args, **kwargs):
@@ -906,25 +927,38 @@ def test_cli_sweep_bad_plant_value_point_is_an_error_row(tmp_path):
                        "comma-separated numbers, got 'abc'\"")
 
 
-def test_keyword_plant_values_build_nothing_up_front(monkeypatch):
-    # Rows with near_optimum, zeros or stationary (every shipped row) build no
-    # plant in the row check; a row that lists numbers builds one.
+def test_rows_build_every_row_once_and_trials_only_themselves(monkeypatch):
+    # The row check builds each row once at horizon 1, keyword plant values
+    # (near_optimum, zeros, stationary) included; run_trials builds its
+    # trials at their horizon and nothing else: one build for a
+    # seed-batched arm, one per seed for a looped one.
     import dataclasses
 
     import dynlearn.harness as harness
 
     built = []
+
+    def counted(build):
+        def counting(cfg, scheme, T, *rngs):
+            built.append(T)
+            return build(cfg, scheme, T, *rngs)
+        return counting
+
     monkeypatch.setattr(harness, "SYSTEM_KINDS", {
-        name: dataclasses.replace(kind, build=lambda *args: built.append(args[0]))
-        for name, kind in harness.SYSTEM_KINDS.items()})
+        name: dataclasses.replace(kind, build=counted(kind.build)) for name, kind in harness.SYSTEM_KINDS.items()})
     for name in sorted(os.listdir(CONFIG_DIR)):
         base = ExperimentConfig.load(os.path.join(CONFIG_DIR, name))
         grid = [(key.split(".", 1)[1], base.getlist(key)) for key in sorted(base.values) if key.startswith("sweep.")]
-        for cfg in (base, base.with_overrides({"system.s0": "zeros"})):
-            assert all(error is None for *_, error in harness._rows(cfg, False, grid))
-    assert built == []
-    harness._rows(small_config(**{"init.theta0": "1,2,3"}), False)
-    assert len(built) == 1
+        for cfg in (base, base.with_overrides({"system.s0": "zeros"}),
+                    base.with_overrides({"init.theta0": "near_optimum"})):
+            built.clear()
+            rows = harness._rows(cfg, False, grid)
+            assert all(error is None for *_, error in rows), name
+            assert built == [1] * len(rows), name
+    for algo, builds in (("sgd", 1), ("uoro", 3)):
+        built.clear()
+        harness.run_trials(small_config(**{"algorithm.name": algo, "experiment.horizon": 30}), [0, 1, 2])
+        assert built == [30] * builds, algo
 
 
 def test_cli_check_schedule(capsys):
@@ -1052,6 +1086,21 @@ def test_sweep_missing_dataset_point_is_an_error_row(tmp_path):
     rows = (tmp_path / "o" / "datagrid" / "sweep.csv").read_text().splitlines()
     assert rows[1].startswith(f"{data},") and rows[1].endswith(",")
     assert rows[2].startswith(f"{missing},nan,0.0,ConfigurationError: system.data_csv {str(missing)!r} cannot be read")
+
+
+def test_sweep_dataset_that_does_not_fit_is_an_error_row(tmp_path):
+    # A data CSV whose least-squares fit fails (a nan cell) fails its point
+    # in the row's build, as a trial failure did, and the other point runs.
+    data, bad = tmp_path / "data.csv", tmp_path / "nan.csv"
+    np.savetxt(data, [[1.0, 2.0, 3.0], [2.0, 1.0, 2.0], [3.0, 4.0, 5.0]], delimiter=",")
+    np.savetxt(bad, [[1.0, 2.0, 3.0], [np.nan, 1.0, 2.0], [3.0, 4.0, 5.0]], delimiter=",")
+    path = write_config(tmp_path, small_config(**{
+        "experiment.name": "fitgrid", "experiment.horizon": "20", "system.dim": "2",
+        "sweep.system.data_csv": f"{data}, {bad}"}))
+    assert cli_main(["sweep", path, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "fitgrid" / "sweep.csv").read_text().splitlines()
+    assert rows[1].startswith(f"{data},") and rows[1].endswith(",")
+    assert rows[2].startswith(f"{bad},nan,0.0,LinAlgError: ")
 
 
 def test_rule_from_string_precond():

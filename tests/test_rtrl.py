@@ -151,7 +151,12 @@ def test_run_learning_records_abort():
     (np.zeros(1), np.zeros((3, 2))),
     (np.zeros((3, 1)), np.zeros(2)),
     (np.zeros((3, 1, 1)), np.zeros((3, 1, 2))),
-], ids=["0-d-s0", "vector-s0-batched-theta0", "batched-s0-vector-theta0", "3-d"])
+    (np.zeros(0), np.zeros(2)),
+    (np.zeros(1), np.zeros(0)),
+    (np.zeros((3, 0)), np.zeros((3, 2))),
+    (np.zeros((3, 1)), np.zeros((3, 0))),
+], ids=["0-d-s0", "vector-s0-batched-theta0", "batched-s0-vector-theta0", "3-d", "empty-s0", "empty-theta0",
+        "batched-empty-s0", "batched-empty-theta0"])
 def test_run_learning_refuses_inconsistent_shapes(s0, theta0):
     sysm = LinearSystem(A=[[0.5]], B=[[1.0, 0.0]])
     with pytest.raises(ContractViolation, match="must be"):
