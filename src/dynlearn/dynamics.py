@@ -35,7 +35,6 @@ __all__ = [
     "compound_loss",
     "check_jacobians",
     "guard",
-    "row_dot",
 ]
 
 OVERFLOW_LIMIT = 1e12
@@ -115,16 +114,6 @@ def guard(x, stage, t, batched=False):
         row_max = np.abs(np.reshape(x, (len(x), -1))).max(axis=1)
         rows = np.flatnonzero(~(row_max <= OVERFLOW_LIMIT))
     raise NumericOverflow(stage, t, rows=rows)
-
-
-def row_dot(a, b):
-    """Row-wise dot products of two (S, k) arrays.
-
-    Each entry is bit-identical to the 1-D product a[r] @ b[r]: a stacked
-    matmul of (1, k) by (k, 1) runs the same dot kernel per row, while
-    einsum and (a * b).sum(1) may round differently in the last bit.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _pow2(x):
@@ -302,7 +291,7 @@ class SquaredErrorLoss:
 
     def predict(self, i, theta):
         if np.ndim(theta) == 2:
-            return row_dot(self.xs.take(i, axis=0), theta)
+            return np.vecdot(self.xs.take(i, axis=0), theta)
         return float(self.xs[i] @ theta)
 
     def value(self, i, theta):
@@ -320,7 +309,7 @@ class SquaredErrorLoss:
         """(value(i, theta), grad(i, theta)), bit for bit, from one residual."""
         if theta.ndim == 2:
             x = self.xs.take(i, axis=0)
-            residual = row_dot(x, theta) - self.ys.take(i)
+            residual = np.vecdot(x, theta) - self.ys.take(i)
             return _pow2(residual), (2.0 * residual)[:, None] * x
         x = self.xs[i]
         residual = float(x @ theta) - self.ys[i]
@@ -494,8 +483,8 @@ class NonRecurrentRegression(_SeedBatchable):
 
     def transition(self, t, s, theta):
         x = self._sample(t)[1]
-        if s.ndim == 2:  # row_dot's matmul, shaped as s
-            return np.matmul(x[:, None, :], theta[:, : self.core_dim, None])[:, 0]
+        if s.ndim == 2:  # shaped as s
+            return np.vecdot(x, theta[:, : self.core_dim])[:, None]
         return np.array([x @ theta[: self.core_dim]])
 
     def _row(self, t, theta):
@@ -642,7 +631,7 @@ class MomentumSystem(_SeedBatchable):
 
     def __init__(self, sample_loss, indices, beta, param_dim=None, core_dim=None):
         if not 0.0 <= beta < 1.0:
-            raise ConfigurationError("momentum beta must lie in [0, 1)")
+            raise ConfigurationError(f"beta = {beta}: a momentum beta must lie in [0, 1)")
         self.sample_loss = sample_loss
         self._idx = _index_lookup(indices)
         self.beta = beta
@@ -695,9 +684,9 @@ class InfluenceBalancing(_ConstantDim, System):
 
     def __init__(self, n=6, n_plus=2, delta=0.05):
         if not (1 <= n_plus < n / 2):
-            raise ConfigurationError("need 1 <= n_plus < n/2 for the sign imbalance")
+            raise ConfigurationError(f"n_plus = {n_plus}: need 1 <= n_plus < n/2 = {n / 2:g} for the sign imbalance")
         if not 0.0 < delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
+            raise ConfigurationError(f"delta = {delta}: delta must lie in (0, 1)")
         A = np.zeros((n, n))
         for i in range(n):
             A[i, i] = (1.0 + delta) / 2.0 if i < n_plus else (1.0 - delta) / 2.0

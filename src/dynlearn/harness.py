@@ -204,6 +204,11 @@ def build_dataset(cfg: ExperimentConfig):
                 raise ConfigurationError(f"system.data_csv {path!r} is not a numeric CSV: {exc}") from None
         if raw.shape[1] < 2:
             raise ConfigurationError(f"dataset {path!r} needs x columns and a y column")
+        bad = np.argwhere(~np.isfinite(raw))
+        if len(bad):
+            row, column = bad[0]
+            raise ConfigurationError(f"system.data_csv {path!r}: data row {row + 1}, "
+                                     f"column {column + 1} is {raw[row, column]}, not a finite number")
         xs, ys = raw[:, :-1], raw[:, -1]
     else:
         n = cfg.getint("system.n_samples", 16)
@@ -389,9 +394,18 @@ def _regression(cfg, scheme, T, rng_sample, rng_init):
                  loss=SquaredErrorLoss(xs, ys), indices=indices)
 
 
+def _system_keys(make, *args):
+    """make(*args). A plant constructor's refusal begins with the name of
+    the parameter, which is its key in [system]: the error names the key."""
+    try:
+        return make(*args)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"system.{exc}") from None
+
+
 def _momentum(cfg, scheme, T, rng_sample, rng_init):
     plant = _regression(cfg, scheme, T, rng_sample, rng_init)
-    plant.system = MomentumSystem(plant.loss, plant.indices, cfg.getfloat("system.beta", 0.5))
+    plant.system = _system_keys(MomentumSystem, plant.loss, plant.indices, cfg.getfloat("system.beta", 0.5))
     return plant
 
 
@@ -411,10 +425,8 @@ def _rnn(cfg, scheme, T, rng_sample, rng_init):
 
 
 def _influence_balancing(cfg, scheme, T, rng_sample, rng_init):
-    system = InfluenceBalancing(
-        cfg.getint("system.n", 6), cfg.getint("system.n_plus", 2),
-        cfg.getfloat("system.delta", 0.05),
-    )
+    system = _system_keys(InfluenceBalancing, cfg.getint("system.n", 6), cfg.getint("system.n_plus", 2),
+                          cfg.getfloat("system.delta", 0.05))
     theta_star = np.zeros(1)
     theta0 = _theta_init(cfg, theta_star, rng_init, 1)
     if cfg.get("system.s0") == "stationary":
@@ -604,13 +616,13 @@ def _check_keys(cfg: ExperimentConfig):
         raise ConfigurationError(f"unknown key {key}{hint}")
 
 
-def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
+def _check_row(cfg: ExperimentConfig, force: bool = True):
     """ConfigurationError unless cfg's kind runs its algorithm, its counts
     are >= 1 (system.m >= 0), it sets no key the algorithm ignores
     (ALGORITHM_KEY_READERS, and record_every on tbptt), its adaptive knobs
     are in range (beta1 and fixed_beta2 in [0, 1), c > 0), its exponents
-    hold (unless force; the error names arm when given), and its step
-    schedule (gamma > 0 under a fixed beta2). It builds nothing."""
+    hold (unless force), and its step schedule (gamma > 0 under a fixed
+    beta2). It builds nothing."""
     system_kind(cfg)
     for key, least in (("experiment.horizon", 1), ("experiment.record_every", 1), ("system.dim", 1),
                        ("system.n", 1), ("system.n_samples", 1), ("system.m", 0)):
@@ -632,10 +644,7 @@ def _check_row(cfg: ExperimentConfig, force: bool = True, arm=None):
             raise ConfigurationError(f"{key} must lie in [0, 1), got {value}")
     if (c := cfg.getfloat("algorithm.c", 1.0)) <= 0.0:
         raise ConfigurationError(f"algorithm.c must be > 0, got {c}")
-    try:
-        _validate_config(cfg, force)
-    except ConfigurationError as exc:
-        raise (exc if arm is None else ConfigurationError(f"arm {arm!r}: {exc}")) from None
+    _validate_config(cfg, force)
     if _step_schedule(cfg).gamma == 0.0 and cfg.get("algorithm.fixed_beta2") is not None:
         raise ConfigurationError("algorithm.fixed_beta2 needs schedule.gamma > 0: its coupling "
                                  "(1 - beta2)/eta_t is undefined at eta_t = 0")
@@ -646,9 +655,9 @@ def _rows(cfg: ExperimentConfig, force: bool, grid=()):
     ([sweep] (key, values) pairs; one empty point without) crossed with
     each arm, in order, the point's values set over the arm's clauses.
     error is the exception of the row's `_check_row` or of its `_learner`
-    built at horizon 1 on throwaway generators, or None; a run's exponent
-    error names its arm. A key outside KEYS, a grid entry or seed list
-    without values or with one twice raises here."""
+    built at horizon 1 on throwaway generators, or None; a run's
+    configuration error names its arm. A key outside KEYS, a grid entry or
+    seed list without values or with one twice raises here."""
     arms = cfg.arms()
     for _, arm_cfg in arms:
         _check_keys(arm_cfg)
@@ -661,8 +670,10 @@ def _rows(cfg: ExperimentConfig, force: bool, grid=()):
             row_cfg = arm_cfg.with_overrides({key: v for (key, _), v in zip(grid, point)})
             error = None
             try:
-                _check_row(row_cfg, force, None if grid else arm)
+                _check_row(row_cfg, force)
                 _learner(row_cfg, 1, *[np.random.default_rng(0)] * 3)
+            except ConfigurationError as exc:
+                error = exc if grid else ConfigurationError(f"arm {arm!r}: {exc}")
             except Exception as exc:  # failures are data in a sweep
                 error = exc
             rows.append((point, arm, row_cfg, error))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 from array import array
@@ -12,8 +13,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-
-from .dynamics import row_dot
 
 __all__ = ["TrialRecord", "config_hash", "write_csv"]
 
@@ -220,12 +219,13 @@ class RecordBuilder:
     and an abort row) as float arrays that nobody writes into afterwards,
     since they are kept until the block ends. Then theta_dist =
     ||theta[:dist_dims] - theta_star[:dist_dims]|| (NaN without theta_star)
-    and grad_norm = ||v|| of the whole block come from one stacked
-    `row_dot` and one `np.sqrt` each, which round as math.sqrt(x.dot(x))
-    of each row. A block ends at CSV_BLOCK_ROWS rows, or sooner once its
-    parameters keep RECORD_BLOCK_ENTRIES floats alive (a row of a
-    seed-batched parameter keeps its whole batch); the first row is a
-    block of its own, which sizes the others.
+    and grad_norm = ||v|| of the whole block come from one `np.vecdot` of
+    the stacked rows and one `np.sqrt` each, the bits of the formula
+    math.sqrt(x.dot(x)) that a block missing a direction takes per row.
+    A block ends at CSV_BLOCK_ROWS rows, or sooner once its parameters
+    keep RECORD_BLOCK_ENTRIES floats alive (a row of a seed-batched
+    parameter keeps its whole batch); the first row is a block of its
+    own, which sizes the others.
 
     The columns are typed arrays, 8 bytes a cell, since a seed-batched run
     keeps the builders of all its seeds at once, and `build` hands them to
@@ -265,13 +265,12 @@ class RecordBuilder:
         else:
             d = np.array(thetas)[:, : self.dist_dims]  # a fresh copy, so subtract in place
             d -= self.ref
-            self.dists.frombytes(np.sqrt(row_dot(d, d)).tobytes())
-        norms = np.full(len(directions), np.nan)  # NaN where there is no direction
-        rows = [i for i, v in enumerate(directions) if v is not None]
-        if rows:
-            v = np.array([directions[i] for i in rows])
-            norms[rows] = np.sqrt(row_dot(v, v))
-        self.gnorms.frombytes(norms.tobytes())
+            self.dists.frombytes(np.sqrt(np.vecdot(d, d)).tobytes())
+        if all(v is not None for v in directions):
+            v = np.array(directions)
+            self.gnorms.frombytes(np.sqrt(np.vecdot(v, v)).tobytes())
+        else:  # the first row or an abort row: NaN where there is no direction
+            self.gnorms.extend([np.nan if v is None else math.sqrt(v.dot(v)) for v in directions])
         self.thetas, self.directions = [], []
 
     def build(self, final_theta=None):

@@ -40,8 +40,8 @@ The dense learner also runs seed-batched: s (S, n), J (S, n, p) and
 theta (S, p) hold S seeds of one arm, on a system, rule and update
 operator that act row by row (see `dynamics._SeedBatchable`). Every row
 is bit-identical to its seed run alone: the row products are stacked
-matmuls (or `dynamics.row_dot`), which run the same kernels as the 2-D
-ones.
+matmuls, `np.vecdot` and `np.vecmat`, which run the one-seed products'
+kernels (einsum and (a * b).sum(1) may round otherwise).
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def forward_step(sys: System, t: int, s, theta, J):
     dl = sys.d_loss_ds(t, s_new)
     if getattr(dl, "ndim", 0) < 1:
         dl = np.atleast_1d(dl)
-    g = np.matmul(dl[:, None, :], J_new)[:, 0] if batched else dl @ J_new
-    return s_new, J_new, g
+    return s_new, J_new, np.vecmat(dl, J_new)
 
 
 def dense_step(sys: System, t: int, s, theta, J, eta: float, rule, phi):

@@ -336,29 +336,36 @@ def test_cli_run_invalid_exponents_exit_2(tmp_path, capsys):
 FIXED_BETA2_AT_GAMMA_0 = ("algorithm.fixed_beta2 needs schedule.gamma > 0: its coupling "
                          "(1 - beta2)/eta_t is undefined at eta_t = 0")
 
+# The last entry names the arm whose row check refuses the value ('main'
+# in a config without [arms]), or is None for an error of the whole config.
 BAD_VALUES = [
-    ("experiment.record_every=0", "experiment.record_every", "rnn_stability.ini"),
-    ("experiment.horizon=0", "experiment.horizon", "rnn_stability.ini"),
-    ("init.theta0=1,2,3", "init.theta0", "rnn_stability.ini"),
-    ("experiment.seeds=0,abc", "experiment.seeds", "rnn_stability.ini"),
-    ("init.theta0=abc", "init.theta0", "influence_balancing_tbptt.ini"),
-    ("system.s0=1,abc", "system.s0", "influence_balancing_tbptt.ini"),
-    ("truncation.spec=fixed:abc", "truncation.spec", "influence_balancing_tbptt.ini"),
-    ("truncation.spec=grow:abc", "truncation.spec", "influence_balancing_tbptt.ini"),
-    ("algorithm.rule=precond:diag:1,x", "algorithm.rule", "cycling_vs_iid.ini"),
-    ("arms.iid=sampling.scheme", "arm 'iid':", "cycling_vs_iid.ini"),
-    ("schedule.gamma=nan", "schedule.gamma", "rnn_stability.ini"),
-    ("init.radius=inf", "init.radius", "rnn_stability.ini"),
-    ("algorithm.rule=precond:scale:inf", "algorithm.rule", "cycling_vs_iid.ini"),
-    ("experiment.seeds=18446744073709551616", "experiment.seeds must lie in [0, 2**63),", "rnn_stability.ini"),
-    ("experiment.seeds=0,-1", "experiment.seeds must lie in [0, 2**63),", "rnn_stability.ini"),
+    ("experiment.record_every=0", "experiment.record_every", "rnn_stability.ini", "main"),
+    ("experiment.horizon=0", "experiment.horizon", "rnn_stability.ini", "main"),
+    ("init.theta0=1,2,3", "init.theta0", "rnn_stability.ini", "main"),
+    ("experiment.seeds=0,abc", "experiment.seeds", "rnn_stability.ini", None),
+    ("init.theta0=abc", "init.theta0", "influence_balancing_tbptt.ini", "main"),
+    ("system.s0=1,abc", "system.s0", "influence_balancing_tbptt.ini", "main"),
+    ("truncation.spec=fixed:abc", "truncation.spec", "influence_balancing_tbptt.ini", "main"),
+    ("truncation.spec=grow:abc", "truncation.spec", "influence_balancing_tbptt.ini", "main"),
+    ("algorithm.rule=precond:diag:1,x", "algorithm.rule", "cycling_vs_iid.ini", "cycling"),
+    ("arms.iid=sampling.scheme", "arm 'iid':", "cycling_vs_iid.ini", None),
+    ("schedule.gamma=nan", "schedule.gamma", "rnn_stability.ini", "main"),
+    ("init.radius=inf", "init.radius", "rnn_stability.ini", "main"),
+    ("algorithm.rule=precond:scale:inf", "algorithm.rule", "cycling_vs_iid.ini", "cycling"),
+    ("experiment.seeds=18446744073709551616", "experiment.seeds must lie in [0, 2**63),", "rnn_stability.ini", None),
+    ("experiment.seeds=0,-1", "experiment.seeds must lie in [0, 2**63),", "rnn_stability.ini", None),
 ]
 
 
+def arm_prefix(arm):
+    """How a run's row error begins: with the arm's name."""
+    return "" if arm is None else f"arm {arm!r}: "
+
+
 # The ids of the rnn_stability.ini cases leave out the config file.
-@pytest.mark.parametrize("override, message, config", BAD_VALUES, ids=[
-    f"{o}-{m}" + ("" if c == "rnn_stability.ini" else f"-{c}") for o, m, c in BAD_VALUES])
-def test_cli_run_bad_value_exit_2(override, message, config, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("override, message, config, arm", BAD_VALUES, ids=[
+    f"{o}-{m}" + ("" if c == "rnn_stability.ini" else f"-{c}") for o, m, c, _ in BAD_VALUES])
+def test_cli_run_bad_value_exit_2(override, message, config, arm, tmp_path, capsys, monkeypatch):
     # Refused as a configuration error before the first learner step.
     import dynlearn.harness as harness
 
@@ -370,7 +377,7 @@ def test_cli_run_bad_value_exit_2(override, message, config, tmp_path, capsys, m
     code = cli_main(["run", os.path.join(CONFIG_DIR, config),
                      "--set", override, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert f"config error: {message} " in capsys.readouterr().err
+    assert f"config error: {arm_prefix(arm)}{message} " in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -591,22 +598,22 @@ FIXED_BETA2_AT_GAMMA_0 = ("algorithm.fixed_beta2 needs schedule.gamma > 0: its c
 
 BAD_VALUES = [
     ("run", "rnn_stability.ini", ["--set", "arms.a=schedule.b=0.5", "--set", "arms.b=schedule.b=2.0",
-                                  "--set", "experiment.horizon=50"], "exponent b must lie in (0, 1]"),
-    ("run", "influence_balancing_tbptt.ini", ["--set", "schedule.gamma=-0.1"],
+                                  "--set", "experiment.horizon=50"], "b", "exponent b must lie in (0, 1]"),
+    ("run", "influence_balancing_tbptt.ini", ["--set", "schedule.gamma=-0.1"], "main",
      "overall rate gamma must be >= 0"),
-    ("run", "influence_balancing_tbptt.ini", ["--set", "truncation.spec=grow:x"],
+    ("run", "influence_balancing_tbptt.ini", ["--set", "truncation.spec=grow:x"], "main",
      "truncation.spec must be a number, got 'x'"),
-    ("sweep", "influence_balancing_tbptt.ini", ["--set", "schedule.b=0"], "exponent b must lie in (0, 1]"),
+    ("sweep", "influence_balancing_tbptt.ini", ["--set", "schedule.b=0"], None, "exponent b must lie in (0, 1]"),
     ("sweep", "rnn_stability.ini", ["--set", "sweep.truncation.spec=fixed:0",
-                                    "--set", "algorithm.name=tbptt", "--set", "arms.a=schedule.b=0.5"],
+                                    "--set", "algorithm.name=tbptt", "--set", "arms.a=schedule.b=0.5"], None,
      "fixed interval length must be >= 1"),
-    ("run", "adam_beta2.ini", ["--set", "schedule.gamma=0", "--set", "experiment.horizon=50"],
+    ("run", "adam_beta2.ini", ["--set", "schedule.gamma=0", "--set", "experiment.horizon=50"], "fixed",
      FIXED_BETA2_AT_GAMMA_0),
 ]
 
 
-@pytest.mark.parametrize("command, config, args, message", BAD_VALUES, ids=[m for *_, m in BAD_VALUES])
-def test_cli_bad_schedule_or_truncation_value_exit_2(command, config, args, message, tmp_path, capsys,
+@pytest.mark.parametrize("command, config, args, arm, message", BAD_VALUES, ids=[m for *_, m in BAD_VALUES])
+def test_cli_bad_schedule_or_truncation_value_exit_2(command, config, args, arm, message, tmp_path, capsys,
                                                      monkeypatch):
     # The step schedule and a tbptt row's truncation are built by the
     # up-front row checks, so a bad value in a later arm exits 2 before the
@@ -619,7 +626,7 @@ def test_cli_bad_schedule_or_truncation_value_exit_2(command, config, args, mess
     monkeypatch.setattr(harness, "run_trials", no_trials)
     out = tmp_path / "o"
     assert cli_main([command, os.path.join(CONFIG_DIR, config), *args, "--out", str(out)]) == 2
-    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert f"config error: {arm_prefix(arm)}{message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -728,7 +735,7 @@ def test_cli_unread_keys_exit_2(command, algo, override, message, tmp_path, caps
     out = tmp_path / "o"
     code = cli_main([command, path, "--set", override, "--out", str(out)])
     assert code == 2
-    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert f"config error: {arm_prefix('main' if command == 'run' else None)}{message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -743,7 +750,7 @@ def test_cli_run_checks_every_arm_unread_keys(tmp_path, capsys, monkeypatch):
     code = cli_main(["run", os.path.join(CONFIG_DIR, "adam_beta2.ini"), "--set",
                      "arms.fixed=algorithm.fixed_beta2=0.99; algorithm.rule=bogus", "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "config error: algorithm.rule = bogus " + RULE_IGNORED.format("adam") in capsys.readouterr().err
+    assert "config error: arm 'fixed': algorithm.rule = bogus " + RULE_IGNORED.format("adam") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -769,7 +776,7 @@ def test_library_entry_points_refuse_unread_keys(entry, algo, override, message,
             run_trial(cfg, 0)
         else:  # the module's own run_trials; two seeds take the batched branch where there is one
             run_trials(cfg, [0, 1])
-    assert str(err.value) == message
+    assert str(err.value) == arm_prefix("main" if entry == "run_experiment" else None) + message
     assert not out.exists()
 
 
@@ -821,7 +828,8 @@ def test_cli_run_adaptive_knob_out_of_range_exit_2(override, message, tmp_path, 
     code = cli_main(["run", os.path.join(CONFIG_DIR, "adam_beta2.ini"), "--set", override,
                      "--set", "experiment.horizon=20", "--seed", "0", "--out", str(out)])
     assert code == 2
-    assert f"config error: {message}\n" in capsys.readouterr().err
+    arm = "fixed" if override.startswith("arms.fixed=") else "adaptive"  # else both arms: the first
+    assert f"config error: arm {arm!r}: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -872,25 +880,36 @@ def test_cli_sweep_point_bad_count_is_an_error_row(key, values, message, tmp_pat
 
 CYCLING_INI = os.path.join(CONFIG_DIR, "cycling_vs_iid.ini")
 RNN_INI = os.path.join(CONFIG_DIR, "rnn_stability.ini")
+NAN_CELL_CSV = os.path.join(os.path.dirname(__file__), "data", "nan_cell.csv")
 BUILD_FAILURES = {
     "run-theta0": (["run", RNN_INI, "--set", "arms.a=init.radius=0.5", "--set", "arms.b=init.theta0=1,2"],
-                   "init.theta0 must be 18 comma-separated numbers, got '1,2'"),
+                   "arm 'b': init.theta0 must be 18 comma-separated numbers, got '1,2'"),
     "run-s0": (["run", TBPTT_INI, "--set", "arms.a=system.s0=stationary", "--set", "arms.b=system.s0=1,2"],
-               "system.s0 must be 6 comma-separated numbers, got '1,2'"),
+               "arm 'b': system.s0 must be 6 comma-separated numbers, got '1,2'"),
     "sweep-theta0": (["sweep", RNN_INI, "--set", "sweep.init.radius=0.3,0.5", "--set", "init.theta0=1,2"],
                      "init.theta0 must be 18 comma-separated numbers, got '1,2'"),
     "sweep-s0": (["sweep", TBPTT_INI, "--set", "system.s0=1,2"], "system.s0 must be 6 comma-separated numbers, got '1,2'"),
     "run-second-arm-rule": (["run", CYCLING_INI, "--set", "arms.iid=algorithm.rule=precond:bogus"],
-                            "unknown preconditioner 'precond:bogus'"),
+                            "arm 'iid': unknown preconditioner 'precond:bogus'"),
     "run-second-arm-beta": (["run", CYCLING_INI, "--set", "arms.iid=system.kind=momentum;system.beta=1.5"],
-                            "momentum beta must lie in [0, 1)"),
-    "sweep-n_plus": (["sweep", TBPTT_INI, "--set", "system.n_plus=5"], "need 1 <= n_plus < n/2 for the sign imbalance"),
-    "run-dim": (["run", CYCLING_INI, "--set", "system.dim=0"], "system.dim must be >= 1, got 0"),
-    "run-n_samples": (["run", CYCLING_INI, "--set", "system.n_samples=-3"], "system.n_samples must be >= 1, got -3"),
-    "run-n": (["run", RNN_INI, "--set", "system.n=-2"], "system.n must be >= 1, got -2"),
-    "run-m": (["run", RNN_INI, "--set", "system.m=-1"], "system.m must be >= 0, got -1"),
+                            "arm 'iid': system.beta = 1.5: a momentum beta must lie in [0, 1)"),
+    "sweep-n_plus": (["sweep", TBPTT_INI, "--set", "system.n_plus=5"],
+                     "system.n_plus = 5: need 1 <= n_plus < n/2 = 3 for the sign imbalance"),
+    "run-n_plus": (["run", TBPTT_INI, "--set", "system.n_plus=5"],
+                   "arm 'main': system.n_plus = 5: need 1 <= n_plus < n/2 = 3 for the sign imbalance"),
+    "run-delta": (["run", TBPTT_INI, "--set", "system.delta=1.5"],
+                  "arm 'main': system.delta = 1.5: delta must lie in (0, 1)"),
+    "run-data-csv-nan": (["run", CYCLING_INI, "--set", f"system.data_csv={NAN_CELL_CSV}",
+                          "--set", "experiment.seeds=0"],
+                         f"arm 'cycling': system.data_csv {NAN_CELL_CSV!r}: data row 2, column 2 is nan, "
+                         "not a finite number"),
+    "run-dim": (["run", CYCLING_INI, "--set", "system.dim=0"], "arm 'cycling': system.dim must be >= 1, got 0"),
+    "run-n_samples": (["run", CYCLING_INI, "--set", "system.n_samples=-3"],
+                      "arm 'cycling': system.n_samples must be >= 1, got -3"),
+    "run-n": (["run", RNN_INI, "--set", "system.n=-2"], "arm 'main': system.n must be >= 1, got -2"),
+    "run-m": (["run", RNN_INI, "--set", "system.m=-1"], "arm 'main': system.m must be >= 0, got -1"),
     "run-second-arm-n": (["run", RNN_INI, "--set", "arms.a=system.n=3", "--set", "arms.b=system.n=0"],
-                         "system.n must be >= 1, got 0"),
+                         "arm 'b': system.n must be >= 1, got 0"),
     "sweep-n": (["sweep", TBPTT_INI, "--set", "system.n=0"], "system.n must be >= 1, got 0"),
     "sweep-every-point-dim": (["sweep", CYCLING_INI, "--set", "sweep.system.dim=0,-1"], "system.dim must be >= 1, got 0"),
 }
@@ -899,9 +918,10 @@ BUILD_FAILURES = {
 @pytest.mark.parametrize("argv, message", BUILD_FAILURES.values(), ids=BUILD_FAILURES)
 def test_cli_row_that_does_not_build_fails_before_any_trial(argv, message, tmp_path, capsys, monkeypatch):
     # A value that a row's build refuses (a plant value of the wrong length,
-    # a preconditioner, a plant constant) or a dimension below its least
-    # value, in any row, exits 2 before the first row runs (every row of a
-    # sweep here) and writes nothing.
+    # a preconditioner, a plant constant, a data cell) or a dimension below
+    # its least value, in any row, exits 2 before the first row runs (every
+    # row of a sweep here) and writes nothing. A run's error names the arm,
+    # and a plant constant's its key and value.
     import dynlearn.harness as harness
 
     def no_learning(*args, **kwargs):
@@ -1069,7 +1089,7 @@ def test_dataset_csv_non_numeric_cell_exit_2(tmp_path, capsys):
     code = cli_main(["run", os.path.join(CONFIG_DIR, "cycling_vs_iid.ini"),
                      "--set", f"system.data_csv={path}", "--out", str(tmp_path / "o")])
     assert code == 2
-    assert f"config error: system.data_csv {str(path)!r} is not a numeric CSV" in capsys.readouterr().err
+    assert f"config error: arm 'cycling': system.data_csv {str(path)!r} is not a numeric CSV" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -1089,8 +1109,9 @@ def test_sweep_missing_dataset_point_is_an_error_row(tmp_path):
 
 
 def test_sweep_dataset_that_does_not_fit_is_an_error_row(tmp_path):
-    # A data CSV whose least-squares fit fails (a nan cell) fails its point
-    # in the row's build, as a trial failure did, and the other point runs.
+    # A data CSV with a nan cell, on which the least-squares fit would fail,
+    # fails its point in the row's build as a configuration error that
+    # names the cell, and the other point runs.
     data, bad = tmp_path / "data.csv", tmp_path / "nan.csv"
     np.savetxt(data, [[1.0, 2.0, 3.0], [2.0, 1.0, 2.0], [3.0, 4.0, 5.0]], delimiter=",")
     np.savetxt(bad, [[1.0, 2.0, 3.0], [np.nan, 1.0, 2.0], [3.0, 4.0, 5.0]], delimiter=",")
@@ -1100,7 +1121,8 @@ def test_sweep_dataset_that_does_not_fit_is_an_error_row(tmp_path):
     assert cli_main(["sweep", path, "--out", str(tmp_path / "o")]) == 0
     rows = (tmp_path / "o" / "fitgrid" / "sweep.csv").read_text().splitlines()
     assert rows[1].startswith(f"{data},") and rows[1].endswith(",")
-    assert rows[2].startswith(f"{bad},nan,0.0,LinAlgError: ")
+    assert rows[2] == (f'{bad},nan,0.0,"ConfigurationError: system.data_csv {str(bad)!r}: data row 2, column 1 '
+                       'is nan, not a finite number"')
 
 
 def test_rule_from_string_precond():

@@ -1,8 +1,9 @@
 """The recorder's block-derived norm columns against the per-row formula.
 
 `RecordBuilder` derives theta_dist and grad_norm once per block of rows
-with one stacked `row_dot` and one `np.sqrt`; the oracle is the formula
-the learners applied to each row before, math.sqrt(x.dot(x)).
+with one `np.vecdot` of the stacked rows and one `np.sqrt`; the oracle
+is the formula the learners applied to each row before,
+math.sqrt(x.dot(x)).
 """
 
 import math
