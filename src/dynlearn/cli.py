@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import ConfigurationError
 from .diagnostics import check_stability, local_optimum_report
-from .harness import ExperimentConfig, parse_numbers, run_experiment, run_sweep, system_kind
+from .harness import ExperimentConfig, _check_keys, parse_numbers, run_experiment, run_sweep, system_kind
 from .rankone import UnbiasednessReport, verify_unbiased
 from .records import write_csv
 from .schedules import ExponentProfile, validate_exponents
@@ -74,7 +74,9 @@ def cmd_check_schedule(args):
 
 def _check_plant(cfg, horizon):
     """The plant of cfg's system kind that exact RTRL trains, built on one
-    generator (index rows drawn first, then theta0)."""
+    generator (index rows drawn first, then theta0), once cfg has passed
+    `_check_keys` as a run's config does."""
+    _check_keys(cfg)
     rng = np.random.default_rng(np.random.Philox(key=0))
     return system_kind(cfg, "rtrl").build(cfg, cfg.get("sampling.scheme", "cycling"), horizon, rng, rng)
 

@@ -29,7 +29,6 @@ for a batched arm.
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import difflib
 import io
@@ -311,18 +310,16 @@ def _run(cfg: ExperimentConfig, seed):
     has passed `_check_row`."""
     if isinstance(seed, list):
         streams = [_seed_streams(cfg, s) for s in seed]
-        rng_sample, rng_init = [r[0] for r in streams], [r[1] for r in streams]
-        rng_inject, meta = None, [{**cfg.values, "trial.seed": str(s)} for s in seed]
+        rng_sample, rng_init, rng_inject = [r[0] for r in streams], [r[1] for r in streams], None
     else:
         rng_sample, rng_init, rng_inject = _seed_streams(cfg, seed)
-        meta = {**cfg.values, "trial.seed": str(seed)}
-    return _learner(cfg, cfg.horizon, rng_sample, rng_init, rng_inject)(config_meta=meta)
+    return _learner(cfg, cfg.horizon, rng_sample, rng_init, rng_inject)()
 
 
 def _learner(cfg: ExperimentConfig, T: int, rng_sample, rng_init, rng_inject):
     """cfg's run_learning or run_tbptt call at horizon T on these generators
-    (seed lists and no rng_inject when seed-batched), waiting for its
-    config_meta; cfg has passed `_check_row`."""
+    (seed lists and no rng_inject when seed-batched), built and waiting to
+    be called with no arguments; cfg has passed `_check_row`."""
     algo = cfg.get("algorithm.name", "sgd")
     kind = SYSTEM_KINDS[cfg.get("system.kind", "linear_regression")]
     schedule = _step_schedule(cfg)
@@ -557,8 +554,10 @@ def _usable_jobs(jobs: int) -> int:
 
 def _map_jobs(job, tasks, jobs):
     """job(task) for each task, yielded in the order of the tasks, over
-    one pool of `jobs` processes when jobs > 1."""
+    one pool of `jobs` processes when jobs > 1 (the pool's module is
+    imported only then)."""
     if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             yield from pool.map(job, tasks)
     else:

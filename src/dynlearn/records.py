@@ -9,7 +9,7 @@ import math
 import os
 import tempfile
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -31,9 +31,10 @@ CSV_BLOCK_ROWS = 1024
 RECORD_BLOCK_ENTRIES = 15 * 1024
 
 
-def config_hash(meta) -> str:
-    """Stable hash of configuration metadata (canonical JSON, sha256)."""
-    blob = json.dumps(meta, sort_keys=True, default=str).encode()
+def config_hash(values) -> str:
+    """Stable hash of a config's values (canonical JSON, sha256); it keys
+    the random streams of the config's trials."""
+    blob = json.dumps(values, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -96,7 +97,9 @@ class TrialRecord:
     `grad_norm` ||v_t||. `abort_t` is set when the trial overflowed; the
     abort itself is data for the divergence experiments. `interval_k`,
     when present, is the truncation-interval index and is emitted as an
-    extra CSV column.
+    extra CSV column. `final_theta` is the parameter the learner ended on.
+    A record holds the trial's series and nothing of the config that ran
+    it.
     """
 
     t: np.ndarray
@@ -105,9 +108,7 @@ class TrialRecord:
     grad_norm: np.ndarray
     abort_t: int | None = None
     interval_k: np.ndarray | None = None
-    config_hash: str = ""
     final_theta: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def aborted(self) -> bool:
@@ -231,11 +232,10 @@ class RecordBuilder:
     keeps the builders of all its seeds at once, and `build` hands them to
     the record without a copy (the builder takes no rows after it)."""
 
-    def __init__(self, config_meta=None, with_intervals=False, theta_star=None, dist_dims=None):
+    def __init__(self, with_intervals=False, theta_star=None, dist_dims=None):
         self.ts, self.intervals = array("q"), array("q") if with_intervals else None
         self.dists, self.losses, self.gnorms = array("d"), array("d"), array("d")
         self.abort_t = None
-        self.meta = dict(config_meta) if config_meta else {}
         self.ref = None if theta_star is None else np.asarray(theta_star, dtype=float)[:dist_dims]
         self.dist_dims = dist_dims
         self.thetas, self.directions, self.block_rows = [], [], 1
@@ -283,7 +283,5 @@ class RecordBuilder:
             grad_norm=np.frombuffer(self.gnorms),
             abort_t=self.abort_t,
             interval_k=None if self.intervals is None else np.frombuffer(self.intervals, dtype=np.int64),
-            config_hash=config_hash(self.meta) if self.meta else "",
             final_theta=None if final_theta is None else np.asarray(final_theta, dtype=float),
-            meta=self.meta,
         )

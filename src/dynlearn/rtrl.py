@@ -145,7 +145,7 @@ def open_loop_gradient(sys: System, s0, theta, t: int) -> np.ndarray:
 
 def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi=None,
                  injector=None, T: int = 1, rng=None, theta_star=None, dist_dims=None,
-                 record_every: int = 1, config_meta=None) -> TrialRecord | list[TrialRecord]:
+                 record_every: int = 1) -> TrialRecord | list[TrialRecord]:
     """Run T learning steps from J_0 = 0 and record the trial.
 
     An overflow anywhere aborts the trial and records the abort time;
@@ -159,12 +159,12 @@ def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi
     (`rankone.SignStream`).
 
     Seed-batched: theta0 of shape (S, p) and s0 of shape (S, n) run S seeds
-    through one learner (dense J, no injector), config_meta is a list of S
-    dicts and the result a list of S TrialRecords, each identical to the
-    record of its seed run alone. A row that overflows at step t ends
-    there as it would alone; it is dropped (`take_seeds` of the system,
-    rule and operator, where they have one) and step t is redone for the
-    other rows from the same state.
+    through one learner (dense J, no injector), every other argument as for
+    one seed; the result is a list of S TrialRecords, each identical to the
+    record of its seed run alone. A row that overflows at step t ends there
+    as it would alone; it is dropped (`take_seeds` of the system, rule and
+    operator, where they have one) and step t is redone for the other rows
+    from the same state.
 
     Each recorded theta_t and v_t is kept until its block of rows ends
     (`records.RecordBuilder`), so a rule and an update operator return an
@@ -187,14 +187,13 @@ def run_learning(sys: System, s0, theta0, schedule: StepSchedule, rule=None, phi
     else:
         J = RankOnePair.zero(len(s), len(theta))
         step, step_args = pair_step, (injector.nbt, SignStream(rng, T))
-    # One builder per row of the learner state, in row order; rows(x) are
-    # the per-seed rows of x (views, batched).
-    live = [RecordBuilder(meta, theta_star=theta_star, dist_dims=dist_dims)
-            for meta in (config_meta if batched else [config_meta])]
-    builders = list(live)
-
+    # rows(x) are the per-seed rows of x (views, batched); one builder per
+    # row of the learner state, in row order.
     def rows(x):
         return x if batched else (x,)
+
+    live = [RecordBuilder(theta_star=theta_star, dist_dims=dist_dims) for _ in rows(theta)]
+    builders = list(live)
 
     final_theta = {}
     for builder, row_theta in zip(live, rows(theta)):

@@ -128,21 +128,22 @@ def bptt_interval_gradient(sys: System, s_start, theta, t_start: int, t_end: int
 
 def run_tbptt(sys: System, s0, theta0, schedule: StepSchedule,
               trunc: TruncationSchedule, T: int, reset_state=None,
-              theta_star=None, config_meta=None) -> TrialRecord:
+              theta_star=None) -> TrialRecord:
     """Interval-wise learning; records one row per interval boundary.
 
     reset_state=None carries the state across boundaries; otherwise the
     state is reset to the given value at the start of every interval (the
     Jacobian information is implicitly reset by construction). Each
     interval takes one plain step theta - eta_{t_{k+1}} * grad with its
-    summed gradient; tbptt takes no update rule or operator. The (A, b)
+    summed gradient; tbptt takes no update rule or operator. theta_star
+    (optional) is the reference for the recorded distances. The (A, b)
     relation of the exponents is checked by the experiment harness, not
     here.
     """
     theta = np.asarray(theta0, dtype=float)
     s = np.asarray(s0, dtype=float)
     eta_at, loss, methods = schedule.eta, sys.loss, _bind(sys)
-    builder = RecordBuilder(config_meta, with_intervals=True, theta_star=theta_star)
+    builder = RecordBuilder(with_intervals=True, theta_star=theta_star)
     add = builder.add
     add(0, theta, None, np.nan, 0)
     try:

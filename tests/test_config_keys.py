@@ -1,12 +1,14 @@
 """KEYS, the config keys the library reads: it holds every literal key
 that src/dynlearn reads and nothing else, and `run`, `sweep`, `run_trial`
-and `run_trials` refuse any other key before a trial runs."""
+and `run_trials` refuse any other key before a trial runs, as `check
+stability` and `check optimum` do before they build their plant."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import dynlearn.cli as cli
 import dynlearn.harness as harness
 from dynlearn.cli import main as cli_main
 from dynlearn.harness import KEYS
@@ -85,3 +87,23 @@ def test_trial_entry_points_refuse_unknown_keys(entry, config, monkeypatch):
         else:
             harness.run_trials(cfg, [0, 1])
     assert str(err.value) == "unknown key schedule.gama; did you mean schedule.gamma?"
+
+
+@pytest.mark.parametrize("command", ["run", "check optimum --config", "check stability --config"],
+                         ids=["run", "check-optimum", "check-stability"])
+def test_check_refuses_unknown_keys_as_run_does(command, tmp_path, capsys, monkeypatch):
+    # A check would otherwise certify a config that run refuses, built
+    # with the defaults of the keys it misread.
+    def no_build(*args, **kwargs):
+        raise AssertionError("a plant was built for a bad config")
+
+    monkeypatch.setattr(harness, "run_trials", no_build)
+    monkeypatch.setattr(cli, "system_kind", no_build)
+    text = (CONFIG_DIR / "cycling_vs_iid.ini").read_text()
+    text = text.replace("[experiment]\n", "[experiment]\ntypo_key = 3\n").replace("gamma = ", "gama = ")
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    monkeypatch.setenv("DYNLEARN_OUT", str(tmp_path / "o"))
+    assert cli_main([*command.split(), str(path)]) == 2
+    assert capsys.readouterr().err == "config error: unknown key experiment.typo_key; did you mean experiment.tol?\n"
+    assert not (tmp_path / "o").exists()

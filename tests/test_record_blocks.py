@@ -58,7 +58,7 @@ def test_builder_norms_equal_the_per_row_formula(p, seeds, size, cut, with_star,
     scale = np.exp(rng.uniform(-20.0, 20.0, size=(n, 1)))
     thetas, directions = rng.normal(size=(n, p)) * scale, rng.normal(size=(n, p)) / scale
     none_rows = {i % n for i in none_rows} | {0}
-    builder = RecordBuilder(None, with_intervals=True, theta_star=star, dist_dims=dist_dims)
+    builder = RecordBuilder(with_intervals=True, theta_star=star, dist_dims=dist_dims)
     for i in range(n):
         if seeds:
             theta = np.tile(thetas[i], (seeds, 1))[seeds - 1]
@@ -152,8 +152,7 @@ def test_learner_rows_equal_the_per_row_formula(data, p, seeds, every, with_star
             for r in range(seeds)]
     if batched:
         got = run_learning(NonRecurrentRegression(xs, ys, indices), np.zeros((seeds, 1)), theta0, schedule,
-                           T=T, theta_star=star, dist_dims=dist_dims, record_every=every,
-                           config_meta=[{}] * seeds)
+                           T=T, theta_star=star, dist_dims=dist_dims, record_every=every)
     else:
         got = [run_learning(NonRecurrentRegression(xs, ys, indices[0]), np.zeros(1), theta0[0], schedule,
                             T=T, theta_star=star, dist_dims=dist_dims, record_every=every)]

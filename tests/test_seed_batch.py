@@ -61,7 +61,6 @@ def assert_same_as_loop(cfg, seeds, tmp_path):
         got = batched[seed]
         assert csv_bytes(got, tmp_path / "batch.csv") == csv_bytes(alone, tmp_path / "loop.csv")
         assert got.abort_t == alone.abort_t
-        assert got.config_hash == alone.config_hash
         assert np.array_equal(got.final_theta, alone.final_theta)
     return batched
 
@@ -190,13 +189,29 @@ def test_batched_learner_contracts():
     sys = NonRecurrentRegression(xs, np.ones(2), np.zeros((3, 5), dtype=int))
     with pytest.raises(ContractViolation):
         run_learning(sys, np.zeros((3, 1)), np.zeros((3, 2)), StepSchedule(0.1, 0.5),
-                     injector=RankOneInjector("uoro"), T=2, config_meta=[{}] * 3)
+                     injector=RankOneInjector("uoro"), T=2)
     with pytest.raises(ContractViolation):  # the seed axes of s0 and theta0 differ
-        run_learning(sys, np.zeros((3, 1)), np.zeros((2, 2)), StepSchedule(0.1, 0.5), T=2,
-                     config_meta=[{}] * 3)
+        run_learning(sys, np.zeros((3, 1)), np.zeros((2, 2)), StepSchedule(0.1, 0.5), T=2)
     records = run_learning(sys, np.zeros((3, 1)), np.zeros((3, 2)), StepSchedule(0.1, 0.5),
-                           T=4, theta_star=np.ones(2), config_meta=[{}] * 3)
+                           T=4, theta_star=np.ones(2))
     assert len(records) == 3 and all(len(r.t) == 5 for r in records)
+
+
+def test_batched_learner_needs_no_per_seed_arguments(tmp_path):
+    # A seed batch is theta0's rows alone: the call takes the arguments of
+    # one seed's call, and each record is the one that seed's call returns.
+    from dynlearn.dynamics import NonRecurrentRegression
+
+    rng = np.random.default_rng(np.random.Philox(key=27))
+    xs, ys = rng.normal(size=(8, 3)), rng.normal(size=8)
+    indices, theta0 = rng.integers(0, 8, size=(4, 61)), rng.normal(size=(4, 3))
+    kw = dict(schedule=StepSchedule(0.1, 0.5), T=60, theta_star=np.zeros(3), record_every=7)
+    records = run_learning(NonRecurrentRegression(xs, ys, indices), np.zeros((4, 1)), theta0, **kw)
+    assert len(records) == 4
+    for r, got in enumerate(records):
+        alone = run_learning(NonRecurrentRegression(xs, ys, indices[r]), np.zeros(1), theta0[r], **kw)
+        assert csv_bytes(got, tmp_path / "batch.csv") == csv_bytes(alone, tmp_path / "loop.csv")
+        assert np.array_equal(got.final_theta, alone.final_theta)
 
 
 def test_batched_losses_round_as_scalars():
