@@ -25,9 +25,9 @@ loss = SquaredErrorLoss(xs, ys)
 N, c = 16, 0.9
 T = N * 25
 idx = sample_indices("cycling", N, T)
-setup = rule_adam(loss, idx, beta1=0.0, c=c, eps=1e-3)
+system, rule = rule_adam(loss, idx, beta1=0.0, c=c, eps=1e-3)
 psi_star = np.mean([loss.grad(i, theta_star) ** 2 for i in range(N)], axis=0)
-lam, _ = estimate_lambda(setup.system, setup.rule,
+lam, _ = estimate_lambda(system, rule,
                          np.concatenate([theta_star, psi_star]), T, np.zeros(1))
 eigs = np.sort_complex(np.linalg.eigvals(lam))
 stable, min_real = is_positive_stable(lam)
@@ -49,10 +49,10 @@ class BlockProjection:
 
 for label, fixed_beta2 in (("beta2 -> 1 (1 - c*eta_t)", None), ("beta2 = 0.1 fixed", 0.1)):
     idx = sample_indices("cycling", 3, T)
-    setup = rule_adam(p3, idx, beta1=0.0, c=1.0, timing="psi_first", fixed_beta2=fixed_beta2)
-    theta0 = setup.initial_theta(np.array([0.0]))
-    rec = run_learning(setup.system, np.zeros(1), theta0, sched,
-                       rule=setup.rule, phi=BlockProjection(), T=T,
+    system, rule = rule_adam(p3, idx, beta1=0.0, c=1.0, timing="psi_first", fixed_beta2=fixed_beta2)
+    theta0 = rule.initial_theta(np.array([0.0]))
+    rec = run_learning(system, np.zeros(1), theta0, sched,
+                       rule=rule, phi=BlockProjection(), T=T,
                        theta_star=np.array([-1.0]), dist_dims=1, record_every=5000)
     print(f"  {label:>24}: final theta {rec.final_theta[0]:+.4f} "
           f"(optimum -1, distance {rec.final_dist():.2e})")

@@ -22,7 +22,7 @@ from .diagnostics import check_stability, local_optimum_report
 from .harness import ExperimentConfig, _check_keys, parse_numbers, run_experiment, run_sweep, system_kind
 from .rankone import UnbiasednessReport, verify_unbiased
 from .records import write_csv
-from .schedules import ExponentProfile, validate_exponents
+from .schedules import ALGORITHM_CLASSES, ExponentProfile, validate_exponents
 from .updates import export_matrix_csv, solve_lyapunov
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def build_parser():
     def add_common(p):
         p.add_argument("config", help="experiment INI file")
         p.add_argument("--out", default=None, help="output root (default $DYNLEARN_OUT or ./out)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel trials")
+        p.add_argument("--jobs", type=_count, default=1, help="parallel trials")
         p.add_argument("--force", action="store_true", help="skip exponent validation")
         p.add_argument("--seed", type=int, nargs="+", default=None, help="override the seed list")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
@@ -160,9 +160,8 @@ def build_parser():
     check_sub = p_check.add_subparsers(dest="check_command", required=True)
 
     p_sched = check_sub.add_parser("schedule", help="validate step-size exponents")
-    p_sched.add_argument("--class", dest="algo_class", required=True,
-                         choices=("exact_rtrl", "imperfect_rtrl", "tbptt"),
-                         help="algorithm class (accepts exact/imperfect/tbptt)")
+    p_sched.add_argument("--class", dest="algo_class", required=True, choices=ALGORITHM_CLASSES,
+                         help=f"algorithm class: {', '.join(ALGORITHM_CLASSES)}")
     p_sched.add_argument("--a", type=float, required=True, help="ergodic exponent")
     p_sched.add_argument("--gamma", type=float, default=0.0, help="loss-growth exponent")
     p_sched.add_argument("--b", type=float, required=True, help="step-size exponent")

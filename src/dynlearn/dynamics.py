@@ -422,13 +422,19 @@ class _SeedBatchable(_ConstantDim, System):
     _idx: object
     _dim = 1
     _last = None
+    _taken = None
 
     def take_seeds(self, rows):
         """The same system restricted to the seed rows `rows`, with an empty
-        memo."""
+        memo; asked again for the same rows (by a statistic that reads the
+        system, see `updates.rule_adam`), the same copy, whose memo the
+        learner and the statistic then share."""
+        if self._taken is not None and np.array_equal(self._taken[0], rows):
+            return self._taken[1]
         out = copy.copy(self)
         out._idx = self._idx.take(rows)
-        out._last = None
+        out._last = out._taken = None
+        self._taken = (np.array(rows), out)
         return out
 
     def d_transition_ds(self, t, s, theta):
@@ -643,7 +649,7 @@ class MomentumSystem(_SeedBatchable):
     def sample(self, t, theta):
         """(l, grad l) of step t's samples at theta's leading core_dim
         entries: one `value_and_grad`, kept while t and the theta object
-        come back (the adaptive statistic of `rule_adam` reads it too)."""
+        come back (the statistics of `rule_adam` and `rule_ong` read it too)."""
         last = self._last
         if last is not None and last[0] == t and last[1] is theta:
             return last[2]

@@ -55,8 +55,7 @@ from .records import config_hash, write_csv
 from .rtrl import run_learning
 from .schedules import ExponentProfile, StepSchedule, sample_indices, validate_exponents
 from .tbptt import TruncationSchedule, run_tbptt
-from .updates import (AdamSetup, AdaptiveRule, PreconditionedRule, ProjectedUpdate,
-                      inverse_matrix_preconditioner, outer_grad_statistic, rule_adam)
+from .updates import PreconditionedRule, ProjectedUpdate, rule_adam, rule_ong
 
 __all__ = ["ExperimentConfig", "KEYS", "parse_numbers", "run_experiment", "run_sweep", "run_trials"]
 
@@ -328,7 +327,8 @@ def _learner(cfg: ExperimentConfig, T: int, rng_sample, rng_init, rng_inject):
         return partial(run_tbptt, plant.system, plant.s0, plant.theta0, schedule, _parse_truncation(cfg), T,
                        theta_star=plant.theta_star)
     if algo in ADAPTIVE:
-        system, rule, phi, theta0, dist_dims = _adaptive(cfg, algo, plant)
+        system, rule, phi, theta0 = _adaptive(cfg, algo, plant)
+        dist_dims = rule.theta_dim
     else:
         system, phi, theta0, dist_dims = plant.system, None, plant.theta0, None
         rule = rule_from_string(cfg.get("algorithm.rule", "identity"), theta0.shape[-1])
@@ -391,18 +391,18 @@ def _regression(cfg, scheme, T, rng_sample, rng_init):
                  loss=SquaredErrorLoss(xs, ys), indices=indices)
 
 
-def _system_keys(make, *args):
-    """make(*args). A plant constructor's refusal begins with the name of
-    the parameter, which is its key in [system]: the error names the key."""
+def _keyed(section, make, *args, **kwargs):
+    """make(*args, **kwargs). A constructor's refusal begins with the name of
+    its parameter, its key in [section]: the error names the key."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"system.{exc}") from None
+        raise ConfigurationError(f"{section}.{exc}") from None
 
 
 def _momentum(cfg, scheme, T, rng_sample, rng_init):
     plant = _regression(cfg, scheme, T, rng_sample, rng_init)
-    plant.system = _system_keys(MomentumSystem, plant.loss, plant.indices, cfg.getfloat("system.beta", 0.5))
+    plant.system = _keyed("system", MomentumSystem, plant.loss, plant.indices, cfg.getfloat("system.beta", 0.5))
     return plant
 
 
@@ -422,8 +422,8 @@ def _rnn(cfg, scheme, T, rng_sample, rng_init):
 
 
 def _influence_balancing(cfg, scheme, T, rng_sample, rng_init):
-    system = _system_keys(InfluenceBalancing, cfg.getint("system.n", 6), cfg.getint("system.n_plus", 2),
-                          cfg.getfloat("system.delta", 0.05))
+    system = _keyed("system", InfluenceBalancing, cfg.getint("system.n", 6), cfg.getint("system.n_plus", 2),
+                    cfg.getfloat("system.delta", 0.05))
     theta_star = np.zeros(1)
     theta0 = _theta_init(cfg, theta_star, rng_init, 1)
     if cfg.get("system.s0") == "stationary":
@@ -497,30 +497,24 @@ def system_kind(cfg: ExperimentConfig, algo=None) -> SystemKind:
 
 
 def _adaptive(cfg, algo, plant):
-    """(system, rule, phi, theta0, dist_dims) of an adaptive algorithm on a
-    kind's sample loss, seed-batched as the plant is: the augmented
-    parameter (theta, psi) of rule_adam, or for ong of the outer-product
-    statistic, with theta projected onto the plant's box."""
-    loss, indices = plant.loss, plant.indices
-    beta1 = cfg.getfloat("algorithm.beta1", 0.9 if algo == "adam" else 0.0)
-    c, eps = cfg.getfloat("algorithm.c", 1.0), cfg.getfloat("algorithm.eps", 1e-8)
+    """(system, rule, phi, theta0) of an adaptive algorithm on a kind's
+    sample loss, seed-batched as the plant is: the augmented parameter
+    (theta, psi) of rule_adam, or of rule_ong with a ridged psi0, with
+    theta projected onto the plant's box."""
+    args = (plant.loss, plant.indices, cfg.getfloat("algorithm.beta1", 0.9 if algo == "adam" else 0.0),
+            cfg.getfloat("algorithm.c", 1.0), cfg.getfloat("algorithm.eps", 1e-8))
     psi0 = None
     if algo == "ong":
-        p = loss.dim
-        system = MomentumSystem(loss, indices, beta1, param_dim=p + p * p, core_dim=p)
-        rule = AdaptiveRule(outer_grad_statistic(loss, indices), inverse_matrix_preconditioner(eps),
-                            c, theta_dim=p, psi_dim=p * p)
-        setup = AdamSetup(system=system, rule=rule, theta_dim=p, psi_dim=p * p)
+        system, rule = _keyed("algorithm", rule_ong, *args)
         # the first outer-product statistic is rank-one; ridge it so the
         # inverse preconditioner starts well conditioned
-        g = loss.grad(indices[1], plant.theta0)
-        psi0 = (np.outer(g, g) + cfg.getfloat("algorithm.psi0_ridge", 1.0) * np.eye(p)).ravel()
+        ridge = cfg.getfloat("algorithm.psi0_ridge", 1.0) * np.eye(rule.theta_dim).ravel()
+        psi0 = rule.stat_fn(1, plant.theta0) + ridge
     else:
-        fixed_beta2 = cfg.getfloat("algorithm.fixed_beta2")
-        setup = rule_adam(loss, indices, beta1, c=c, eps=eps, fixed_beta2=fixed_beta2)
+        system, rule = _keyed("algorithm", rule_adam, *args, fixed_beta2=cfg.getfloat("algorithm.fixed_beta2"))
     # Project the parameter block only; statistics are unconstrained.
-    phi = None if plant.box is None else ProjectedUpdate(*plant.box, block=setup.theta_dim)
-    return setup.system, setup.rule, phi, setup.initial_theta(plant.theta0, psi0=psi0), setup.theta_dim
+    phi = None if plant.box is None else ProjectedUpdate(*plant.box, block=rule.theta_dim)
+    return system, rule, phi, rule.initial_theta(plant.theta0, psi0)
 
 
 def _trials_job(args):
@@ -618,10 +612,9 @@ def _check_keys(cfg: ExperimentConfig):
 def _check_row(cfg: ExperimentConfig, force: bool = True):
     """ConfigurationError unless cfg's kind runs its algorithm, its counts
     are >= 1 (system.m >= 0), it sets no key the algorithm ignores
-    (ALGORITHM_KEY_READERS, and record_every on tbptt), its adaptive knobs
-    are in range (beta1 and fixed_beta2 in [0, 1), c > 0), its exponents
-    hold (unless force), and its step schedule (gamma > 0 under a fixed
-    beta2). It builds nothing."""
+    (ALGORITHM_KEY_READERS, and record_every on tbptt), its exponents hold
+    (unless force), and its step schedule (gamma > 0 under a fixed beta2).
+    It builds nothing: the constructors `_learner` runs check each knob."""
     system_kind(cfg)
     for key, least in (("experiment.horizon", 1), ("experiment.record_every", 1), ("system.dim", 1),
                        ("system.n", 1), ("system.n_samples", 1), ("system.m", 0)):
@@ -637,12 +630,6 @@ def _check_row(cfg: ExperimentConfig, force: bool = True):
     if algo == "tbptt" and (every := cfg.getint("experiment.record_every", 1)) != 1:
         raise ConfigurationError(f"experiment.record_every = {every} is ignored by tbptt, "
                                  "which records one row per interval")
-    for key in ("algorithm.beta1", "algorithm.fixed_beta2"):
-        value = cfg.getfloat(key)
-        if value is not None and not 0.0 <= value < 1.0:
-            raise ConfigurationError(f"{key} must lie in [0, 1), got {value}")
-    if (c := cfg.getfloat("algorithm.c", 1.0)) <= 0.0:
-        raise ConfigurationError(f"algorithm.c must be > 0, got {c}")
     _validate_config(cfg, force)
     if _step_schedule(cfg).gamma == 0.0 and cfg.get("algorithm.fixed_beta2") is not None:
         raise ConfigurationError("algorithm.fixed_beta2 needs schedule.gamma > 0: its coupling "

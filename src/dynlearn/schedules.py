@@ -181,7 +181,8 @@ def ergodic_exponent_estimate(values, T=None, n_probes=20) -> ErgodicReport:
     sums = np.cumsum(values[:total], axis=0)
     norms = np.linalg.norm(sums, axis=1)
 
-    probes = np.unique(np.round(np.logspace(np.log10(max(2, total // 10)), np.log10(total), n_probes)).astype(int))
+    probes = np.round(np.logspace(np.log10(max(2, total // 10)), np.log10(total), n_probes)).astype(int)
+    probes = np.unique(np.minimum(probes, len(norms)))  # T = 1: probe 2 is past the input
     probe_norms = norms[probes - 1]
     if np.all(probe_norms < 1e-300):
         return ErgodicReport(0.0, 1.0, True, probes, probe_norms)

@@ -31,9 +31,8 @@ __all__ = [
     "PreconditionedRule",
     "AdaptiveRule",
     "rule_adam",
-    "AdamSetup",
+    "rule_ong",
     "squared_grad_statistic",
-    "outer_grad_statistic",
     "rmsprop_preconditioner",
     "inverse_matrix_preconditioner",
     "ClippedUpdate",
@@ -86,12 +85,12 @@ class AdaptiveRule:
 
     def __init__(self, stat_fn, precond, c, theta_dim, psi_dim,
                  timing="simultaneous", fixed_beta2: float | None = None):
-        if c <= 0:
-            raise ConfigurationError("statistic coupling c must be > 0")
+        if not c > 0.0:
+            raise ConfigurationError(f"c must be > 0, got {c}")
         if timing not in ("simultaneous", "psi_first"):
-            raise ConfigurationError(f"unknown timing {timing!r}")
+            raise ConfigurationError(f"timing must be 'simultaneous' or 'psi_first', got {timing!r}")
         if fixed_beta2 is not None and not 0.0 <= fixed_beta2 < 1.0:
-            raise ConfigurationError("fixed beta2 must lie in [0, 1)")
+            raise ConfigurationError(f"fixed_beta2 must lie in [0, 1), got {fixed_beta2}")
         self.stat_fn = stat_fn
         self.precond = precond
         self.c = c
@@ -122,6 +121,15 @@ class AdaptiveRule:
         core_dir = P * v_core if P.shape == v_core.shape else np.atleast_2d(P) @ v_core
         return np.concatenate([core_dir, psi_dir], axis=-1)
 
+    def initial_theta(self, theta0, psi0=None):
+        """The augmented parameter (theta0, psi0); psi0 defaults to the
+        statistic at t = 1 and theta0. Seed-batched, theta0 (and psi0) have
+        one row per seed."""
+        theta0 = np.asarray(theta0, dtype=float)
+        if psi0 is None:
+            psi0 = np.reshape(self.stat_fn(1, theta0), theta0.shape[:-1] + (-1,))
+        return np.concatenate([theta0, np.asarray(psi0, dtype=float)], axis=-1)
+
     def take_seeds(self, rows):
         """The same rule restricted to the seed rows `rows` of a
         seed-batched statistic."""
@@ -148,23 +156,13 @@ def squared_grad_statistic(sample_loss, indices):
     return stat
 
 
-def outer_grad_statistic(sample_loss, indices):
-    """Psi_t(theta) = flattened outer square of the per-sample gradient."""
-    idx = _index_lookup(indices)
-
-    def stat(t, theta):
-        g = sample_loss.grad(idx(t), theta[..., : sample_loss.dim])
-        return np.outer(g, g).ravel()
-
-    return stat
-
-
 class _SampleSquaredGrad:
     """squared_grad_statistic of a MomentumSystem's sample loss and index
     rows, read from the system's per-step memo (`MomentumSystem.sample`):
     the gradient the system's dT/dtheta takes, not a second one.
-    `take_seeds` gives the statistic a trimmed copy of the system, with a
-    memo of its own, never the untrimmed system's."""
+    `take_seeds` gives the statistic the system's trimmed copy for those
+    rows, the one the learner steps (`_SeedBatchable.take_seeds`), never
+    the untrimmed system."""
 
     def __init__(self, system: MomentumSystem):
         self.system = system
@@ -173,7 +171,16 @@ class _SampleSquaredGrad:
         return self.system.sample(t, theta)[1] ** 2
 
     def take_seeds(self, rows):
-        return _SampleSquaredGrad(self.system.take_seeds(rows))
+        return type(self)(self.system.take_seeds(rows))
+
+
+class _SampleOuterGrad(_SampleSquaredGrad):
+    """Psi_t(theta) = the flattened outer square of the same memo's
+    per-sample gradient (one seed)."""
+
+    def __call__(self, t, theta):
+        g = self.system.sample(t, theta)[1]
+        return np.outer(g, g).ravel()
 
 
 def rmsprop_preconditioner(eps=1e-8):
@@ -197,50 +204,41 @@ def inverse_matrix_preconditioner(eps=1e-8):
     return precond
 
 
-@dataclass
-class AdamSetup:
-    """Momentum system plus adaptive rule, wired to share the parameter.
+def _momentum_rule(statistic, precond, sample_loss, indices, beta1, c, eps, psi_dim, **rule_kw):
+    """The (system, rule) of rule_adam and rule_ong, psi of length psi_dim."""
+    if not 0.0 <= beta1 < 1.0:
+        raise ConfigurationError(f"beta1 must lie in [0, 1), got {beta1}")
+    if not eps >= 0.0:
+        raise ConfigurationError(f"eps must be >= 0, got {eps}")
+    p = sample_loss.dim
+    system = MomentumSystem(sample_loss, indices, beta1, param_dim=p + psi_dim, core_dim=p)
+    return system, AdaptiveRule(statistic(system), precond(eps), c, theta_dim=p, psi_dim=psi_dim, **rule_kw)
+
+
+def rule_adam(sample_loss, indices, beta1, c, eps=1e-8, timing="simultaneous", fixed_beta2=None):
+    """(system, rule) of adaptive preconditioning with momentum, by the
+    squared gradient: P = diag(psi + eps)^(-1).
 
     Learning runs on the augmented theta+ = (theta, psi): the forward
     Jacobian of the momentum system is exactly the momentum variable
     J_t = beta1 J_{t-1} + (1 - beta1) grad l_t, and the rule applies the
-    psi-preconditioner to it. psi0 defaults to the first observed
-    statistic. Bias-correction factors are not applied. Seed-batched
-    (2-D indices), theta0 has one row per seed.
+    psi-preconditioner to it; its statistic reads the system's per-step
+    sample gradient, and `rule.initial_theta` builds theta+. beta1 = 0
+    degenerates to the memoryless adaptive rule. The default beta2
+    coupling is 1 - c*eta_t; pass fixed_beta2 to reproduce the
+    fixed-inertia divergence behavior. Bias-correction factors are not
+    applied. Seed-batched (2-D indices), theta has one row per seed.
     """
-
-    system: System
-    rule: AdaptiveRule
-    theta_dim: int
-    psi_dim: int
-
-    def initial_theta(self, theta0, psi0=None):
-        theta0 = np.asarray(theta0, dtype=float)
-        if psi0 is None:
-            psi0 = np.reshape(self.rule.stat_fn(1, theta0), theta0.shape[:-1] + (-1,))
-        return np.concatenate([theta0, np.asarray(psi0, dtype=float)], axis=-1)
+    return _momentum_rule(_SampleSquaredGrad, rmsprop_preconditioner, sample_loss, indices, beta1, c, eps,
+                          sample_loss.dim, timing=timing, fixed_beta2=fixed_beta2)
 
 
-def rule_adam(sample_loss, indices, beta1, c, eps=1e-8, timing="simultaneous",
-              fixed_beta2=None) -> AdamSetup:
-    """Adaptive preconditioning with momentum (squared-gradient flavor).
-
-    beta1 = 0 degenerates to the memoryless adaptive rule. The default
-    beta2 coupling is 1 - c*eta_t; pass fixed_beta2 to reproduce the
-    fixed-inertia divergence behavior. The statistic shares the system's
-    per-step sample gradient.
-    """
-    if not 0.0 <= beta1 < 1.0:
-        raise ConfigurationError("beta1 must lie in [0, 1)")
-    p = sample_loss.dim
-    system = MomentumSystem(sample_loss, indices, beta1, param_dim=2 * p, core_dim=p)
-    rule = AdaptiveRule(
-        _SampleSquaredGrad(system),
-        rmsprop_preconditioner(eps),
-        c, theta_dim=p, psi_dim=p,
-        timing=timing, fixed_beta2=fixed_beta2,
-    )
-    return AdamSetup(system=system, rule=rule, theta_dim=p, psi_dim=p)
+def rule_ong(sample_loss, indices, beta1, c, eps=1e-8):
+    """rule_adam's (system, rule) for online natural gradient, one seed:
+    psi is the flattened outer square of the gradient, and P = (mat(psi) +
+    eps I)^(-1)."""
+    return _momentum_rule(_SampleOuterGrad, inverse_matrix_preconditioner, sample_loss, indices, beta1, c, eps,
+                          sample_loss.dim ** 2)
 
 
 class ClippedUpdate:

@@ -12,6 +12,7 @@ from dynlearn.cli import main as cli_main
 from dynlearn.dynamics import ConfigurationError
 from dynlearn.harness import ExperimentConfig, run_experiment, run_sweep, run_trial, run_trials
 from dynlearn.records import TrialRecord
+from dynlearn.schedules import ALGORITHM_CLASSES
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -319,6 +320,16 @@ def test_cli_run_and_determinism(tmp_path):
     a = (tmp_path / "o1" / "smoke" / "0.csv").read_bytes()
     b = (tmp_path / "o2" / "smoke" / "0.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_cli_jobs_below_1_exit_2(command, jobs, tmp_path, capsys):
+    path = write_config(tmp_path, small_config(**{"sweep.schedule.b": "0.6"}))
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, path, "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert exc.value.code == 2 and f"expected an integer >= 1, got '{jobs}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_invalid_exponents_exit_2(tmp_path, capsys):
@@ -817,6 +828,7 @@ ADAPTIVE_KNOBS = [
     ("arms.fixed=algorithm.fixed_beta2=-0.1", "algorithm.fixed_beta2 must lie in [0, 1), got -0.1"),
     ("arms.fixed=algorithm.fixed_beta2=0.99;algorithm.beta1=1.5", "algorithm.beta1 must lie in [0, 1), got 1.5"),
     ("algorithm.beta1=1", "algorithm.beta1 must lie in [0, 1), got 1.0"),
+    ("algorithm.eps=-1", "algorithm.eps must be >= 0, got -1.0"),
 ]
 
 
@@ -991,6 +1003,18 @@ def test_cli_check_schedule(capsys):
     assert code == 1
 
 
+def test_cli_check_schedule_class_choices(capsys):
+    # The choices are the three classes, and the help names them.
+    for klass in ALGORITHM_CLASSES:
+        assert cli_main(["check", "schedule", "--class", klass, "--a", "0.55", "--b", "0.9", "--A", "0.5"]) in (0, 1)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["check", "schedule", "--class", "exact", "--a", "0.55", "--b", "0.9"])
+    assert exc.value.code == 2 and "invalid choice: 'exact'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli_main(["check", "schedule", "--help"])
+    assert "algorithm class: exact_rtrl, imperfect_rtrl, tbptt" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_check_stability_rnn_config(capsys):
     code = cli_main(["check", "stability", "--config",
                      os.path.join(CONFIG_DIR, "rnn_stability.ini")])
@@ -1042,6 +1066,14 @@ def test_cli_check_optimum(capsys, tmp_path):
     code = cli_main(["check", "optimum", "--config", path, "--horizon", "240"])
     assert code == 0
     assert "verdict: pass" in capsys.readouterr().out
+
+
+def test_cli_check_optimum_at_horizon_1(capsys, tmp_path):
+    # One step is too few to fit a rate: a report and a verdict, no traceback.
+    path = write_config(tmp_path, small_config())
+    code = cli_main(["check", "optimum", "--config", path, "--horizon", "1"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and "verdict:" in out and not err
 
 
 def test_cli_check_optimum_starts_from_the_candidate(capsys):

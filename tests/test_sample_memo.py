@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from dynlearn import dynamics
 from dynlearn.dynamics import LinearCoefficientLoss, MomentumSystem, NonRecurrentRegression, SquaredErrorLoss
-from dynlearn.harness import ExperimentConfig, run_trials
+from dynlearn.harness import ExperimentConfig, run_trial, run_trials
+from dynlearn.rtrl import run_learning
+from dynlearn.schedules import StepSchedule
 from dynlearn.updates import rule_adam, squared_grad_statistic
 
 BASE = {
@@ -115,21 +117,47 @@ def test_memo_not_served_for_another_theta_or_after_take_seeds(kind, monkeypatch
 def test_adaptive_statistic_shares_the_system_memo_and_trims_its_own():
     loss = LinearCoefficientLoss([3.0, -1.0, -1.0])
     idx = np.array([[0, 1, 2, 0], [2, 2, 1, 0], [1, 0, 0, 2]])
-    setup = rule_adam(loss, idx, beta1=0.5, c=1.0)
+    system, rule = rule_adam(loss, idx, beta1=0.5, c=1.0)
     oracle = squared_grad_statistic(loss, idx)
     theta = np.array([[0.5, 1.0], [-0.25, 2.0], [1.0, 0.5]])
-    stat = setup.rule.stat_fn
+    stat = rule.stat_fn
     # The statistic reads the gradient the system's dT/dtheta took.
-    setup.system.d_transition_dtheta(3, np.zeros((3, 1)), theta)
-    last = setup.system._last
+    system.d_transition_dtheta(3, np.zeros((3, 1)), theta)
+    last = system._last
     assert stat(3, theta).tobytes() == oracle(3, theta).tobytes()
-    assert setup.system._last is last
+    assert system._last is last
     # Trimmed, it holds a trimmed copy of the system with a memo of its own:
     # the untrimmed memo for the same t and theta object is never read.
     trimmed = stat.take_seeds([1, 2])
-    assert trimmed.system is not setup.system and trimmed.system._last is None
+    assert trimmed.system is not system and trimmed.system._last is None
     assert trimmed(3, theta[[1, 2]]).tobytes() == oracle.take_seeds([1, 2])(3, theta[[1, 2]]).tobytes()
-    assert setup.system._last is last
+    assert system._last is last
+
+
+def test_ong_step_makes_one_value_and_grad(monkeypatch):
+    # The ong statistic reads the system's memo too: one value_and_grad a
+    # step, and one for its first statistic, psi_0; never a separate grad.
+    steps = 2000
+    cfg = ExperimentConfig({**BASE, "algorithm.name": "ong", "experiment.horizon": str(steps)})
+    counts = count_sample_work(monkeypatch)
+    assert not run_trial(cfg, 0).aborted
+    assert counts.n.pop("value_and_grad") == steps + 1
+    assert not any(counts.n.values()), counts.n
+
+
+def test_statistic_shares_the_memo_after_a_row_drops(monkeypatch):
+    # Row 1's psi is NaN, so the row aborts at t = 1. The learner trims the
+    # system, then the rule, whose statistic is handed the same trimmed
+    # copy: the rows left make one value_and_grad a step, not two.
+    steps = 40
+    idx = np.array([np.roll(np.arange(steps + 1) % 3, r) for r in range(3)])
+    system, rule = rule_adam(LinearCoefficientLoss([3.0, -1.0, -1.0]), idx, beta1=0.5, c=1.0)
+    theta0 = rule.initial_theta(np.array([[0.5], [-0.25], [0.75]]))
+    theta0[1, 1] = np.nan
+    counts = Counts(monkeypatch, (LinearCoefficientLoss, "value_and_grad"))
+    records = run_learning(system, np.zeros((3, 1)), theta0, StepSchedule(0.1, 0.7), rule=rule, T=steps)
+    assert [r.abort_t for r in records] == [None, 1, None]
+    assert counts.n["value_and_grad"] == steps + 1
 
 
 ENTRIES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0]),

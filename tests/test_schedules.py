@@ -221,6 +221,22 @@ def test_ergodic_estimate_degenerate_zero():
     assert report.flagged and report.a_hat == 0.0
 
 
+def test_ergodic_estimate_one_row_is_flagged():
+    # One row leaves one probe: no rate can be fitted, and the report says so.
+    for row in (np.ones((1, 2)), np.zeros((1, 2))):
+        report = ergodic_exponent_estimate(row, 1)
+        assert report.flagged and report.a_hat == 0.0 and list(report.probes) == [1]
+
+
+@pytest.mark.parametrize("T", [2, 3, 9, 25, 1000])
+def test_ergodic_estimate_probes_unchanged_from_two_rows(T):
+    want = np.unique(np.round(np.logspace(np.log10(max(2, T // 10)), np.log10(T), 20)).astype(int))
+    stream = philox(5).normal(size=(T, 2))
+    report = ergodic_exponent_estimate(stream, T)
+    assert np.array_equal(report.probes, want)
+    assert np.array_equal(report.partial_norms, np.linalg.norm(np.cumsum(stream, axis=0), axis=1)[want - 1])
+
+
 def test_cycling_epoch_sums_cancel_exactly():
     rng = philox(4)
     vals = rng.normal(size=(16, 5))

@@ -24,6 +24,7 @@ from dynlearn.updates import (
     is_positive_stable,
     rmsprop_preconditioner,
     rule_adam,
+    rule_ong,
     squared_grad_statistic,
     solve_lyapunov,
 )
@@ -115,12 +116,12 @@ def test_rule_adam_beta_zero_reduces_to_adaptive():
     T = 200
     idx = sample_indices("cycling", len(xs), T)
     loss = SquaredErrorLoss(xs, ys)
-    setup = rule_adam(loss, idx, beta1=0.0, c=1.0)
+    system, rule = rule_adam(loss, idx, beta1=0.0, c=1.0)
     sched = StepSchedule(0.05, 0.6)
-    theta0 = setup.initial_theta(theta_star + 0.2)
+    theta0 = rule.initial_theta(theta_star + 0.2)
 
-    rec = run_learning(setup.system, np.zeros(1), theta0, sched,
-                       rule=setup.rule, phi=None, T=T,
+    rec = run_learning(system, np.zeros(1), theta0, sched,
+                       rule=rule, phi=None, T=T,
                        theta_star=theta_star, dist_dims=4)
 
     # reference: memoryless adaptive recursion written out directly
@@ -135,23 +136,53 @@ def test_rule_adam_beta_zero_reduces_to_adaptive():
     assert np.allclose(rec.final_theta[:4], theta, atol=1e-10)
 
 
+@pytest.mark.parametrize("build, knobs, message", [
+    (rule_adam, {"beta1": 1.0}, "beta1 must lie in [0, 1), got 1.0"),
+    (rule_ong, {"beta1": -0.5}, "beta1 must lie in [0, 1), got -0.5"),
+    (rule_adam, {"c": 0.0}, "c must be > 0, got 0.0"),
+    (rule_ong, {"c": np.nan}, "c must be > 0, got nan"),
+    (rule_adam, {"eps": -1.0}, "eps must be >= 0, got -1.0"),
+    (rule_ong, {"eps": -1e-8}, "eps must be >= 0, got -1e-08"),
+    (rule_adam, {"fixed_beta2": 1.5}, "fixed_beta2 must lie in [0, 1), got 1.5"),
+    (rule_adam, {"timing": "late"}, "timing must be 'simultaneous' or 'psi_first', got 'late'"),
+])
+def test_adaptive_builders_refuse_a_knob_by_its_name(build, knobs, message):
+    # The message begins with the parameter name, which the harness
+    # prefixes with its config section.
+    loss = LinearCoefficientLoss([3.0, -1.0, -1.0])
+    with pytest.raises(ConfigurationError) as exc:
+        build(loss, np.zeros(4, dtype=int), **{"beta1": 0.0, "c": 1.0, **knobs})
+    assert str(exc.value) == message
+
+
+def test_zero_eps_builds_and_a_zero_statistic_aborts_as_data():
+    # eps = 0 is accepted; with psi + eps = 0 the direction is not finite,
+    # which ends the trial at t = 1 (an abort, not an error).
+    rule_ong(LinearCoefficientLoss([0.0]), np.zeros(4, dtype=int), beta1=0.0, c=1.0, eps=0.0)
+    system, rule = rule_adam(LinearCoefficientLoss([0.0]), np.zeros(4, dtype=int), beta1=0.0, c=1.0, eps=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        record = run_learning(system, np.zeros(1), rule.initial_theta(np.array([0.5])), StepSchedule(0.1, 0.7),
+                              rule=rule, T=3)
+    assert record.abort_t == 1
+
+
 def test_rule_adam_momentum_jacobian():
     # the learner's Jacobian实 follows the momentum recursion
     xs, ys, theta_star = regression_dataset()
     T = 30
     idx = sample_indices("cycling", len(xs), T)
     loss = SquaredErrorLoss(xs, ys)
-    setup = rule_adam(loss, idx, beta1=0.7, c=1.0)
+    system, rule = rule_adam(loss, idx, beta1=0.7, c=1.0)
     sched = StepSchedule(0.02, 0.6)
     from dynlearn.rtrl import dense_step
 
-    theta = setup.initial_theta(theta_star + 0.2)
+    theta = rule.initial_theta(theta_star + 0.2)
     s, J = np.zeros(1), np.zeros((1, len(theta)))
     J_ref = np.zeros(4)
     for t in range(1, T + 1):
         g = loss.grad(idx[t], theta[:4])
         J_ref = 0.7 * J_ref + 0.3 * g
-        s, J, theta, _ = dense_step(setup.system, t, s, theta, J, sched.eta(t), setup.rule, None)
+        s, J, theta, _ = dense_step(system, t, s, theta, J, sched.eta(t), rule, None)
         assert np.allclose(J[0, :4], J_ref, atol=1e-12)
 
 
@@ -164,12 +195,12 @@ def test_fixed_beta2_two_arm_dichotomy():
 
     def run_arm(fixed_beta2, seed):
         idx = sample_indices("cycling", 3, T)
-        setup = rule_adam(loss, idx, beta1=0.0, c=1.0, timing="psi_first", fixed_beta2=fixed_beta2)
+        system, rule = rule_adam(loss, idx, beta1=0.0, c=1.0, timing="psi_first", fixed_beta2=fixed_beta2)
         rng = philox(seed)
-        theta0 = setup.initial_theta(np.array([rng.uniform(-1.0, 1.0)]))
+        theta0 = rule.initial_theta(np.array([rng.uniform(-1.0, 1.0)]))
         phi = ProjectedUpdate(-1.0, 1.0, block=1)
-        rec = run_learning(setup.system, np.zeros(1), theta0, sched,
-                           rule=setup.rule, phi=phi, T=T,
+        rec = run_learning(system, np.zeros(1), theta0, sched,
+                           rule=rule, phi=phi, T=T,
                            theta_star=np.array([-1.0]), dist_dims=1, record_every=1000)
         return rec.final_dist()
 
@@ -257,9 +288,9 @@ def test_extended_hessian_adaptive_bottom_right_block():
     idx = sample_indices("cycling", len(xs), 50)
     loss = SquaredErrorLoss(xs, ys)
     c = 0.7
-    setup = rule_adam(loss, idx, beta1=0.0, c=c)
-    theta_plus = setup.initial_theta(theta_star)
-    H = extended_hessian_fd(setup.system, setup.rule, theta_plus, 3, np.zeros(1))
+    system, rule = rule_adam(loss, idx, beta1=0.0, c=c)
+    theta_plus = rule.initial_theta(theta_star)
+    H = extended_hessian_fd(system, rule, theta_plus, 3, np.zeros(1))
     assert np.allclose(H[4:, 4:], c * np.eye(4), atol=1e-9)
 
 
@@ -333,10 +364,10 @@ def test_adaptive_lambda_block_structure():
     idx = sample_indices("cycling", N, T)
     loss = SquaredErrorLoss(xs, ys)
     c = 0.9
-    setup = rule_adam(loss, idx, beta1=0.0, c=c, eps=1e-3)
+    system, rule = rule_adam(loss, idx, beta1=0.0, c=c, eps=1e-3)
     psi_star = np.mean([loss.grad(i, theta_star) ** 2 for i in range(N)], axis=0)
     theta_plus = np.concatenate([theta_star, psi_star])
-    lam, _ = estimate_lambda(setup.system, setup.rule, theta_plus, T, np.zeros(1))
+    lam, _ = estimate_lambda(system, rule, theta_plus, T, np.zeros(1))
 
     assert np.linalg.norm(lam[:4, 4:]) <= 1e-4 * np.linalg.norm(lam)
     H_data = np.mean([2.0 * np.outer(x, x) for x in xs], axis=0)
